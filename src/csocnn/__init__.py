@@ -2,7 +2,7 @@
 
 Subpackages by concern:
 
-- ``tensor`` / ``nn`` / ``optim``: the from-scratch network core (shape
+- ``nn`` / ``optim``: the from-scratch network core (shape
   inference, forward/backward, Adam) plus the model file format in
   ``model_io``.
 - ``cso``: the cat swarm optimization engine.
@@ -10,7 +10,8 @@ Subpackages by concern:
 - ``data``: CSV ingestion, cleaning, scaling, stratified splits, synthetic
   blob generation.
 - ``trainer``: the mini-batch loop with plateau LR reduction, early stopping,
-  and best-model checkpointing.
+  and best-model checkpointing (kept in memory; files only with a
+  checkpoint directory).
 - ``metrics``: confusion-matrix metrics, classification reports, ROC/AUC.
 - ``detector``: threshold-based anomaly verdicts over model scores.
 - ``cli``: the ``csocnn`` command-line entry point.

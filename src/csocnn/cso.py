@@ -213,13 +213,8 @@ def _seeking_candidates(cat, config, bounds, rng):
     return positions, spc_index
 
 
-def _select_candidate(fitnesses, config, rng, weight_key, selection):
-    if selection == "greedy":
-        best = 0
-        for j in range(1, len(fitnesses)):
-            if _better(fitnesses[j], fitnesses[best], config.objective):
-                best = j
-        return best
+def _select_candidate(fitnesses, config, rng, weight_key):
+    """Fitness-weighted roulette over the seeking candidates."""
     weights = np.asarray([float(weight_key(f)) for f in fitnesses])
     if config.objective == "minimize":
         weights = weights.max() - weights
@@ -230,25 +225,6 @@ def _select_candidate(fitnesses, config, rng, weight_key, selection):
         return int(rng.integers(0, len(fitnesses)))
     r = rng.random() * total
     return int(np.searchsorted(np.cumsum(weights), r, side="right").clip(0, len(fitnesses) - 1))
-
-
-def seeking_move(cat, fitness_fn, config, bounds, rng, selection="roulette",
-                 weight_key=float):
-    """One seeking-mode step: mutate-and-choose among smp candidates.
-
-    The 'greedy' selection exists for tests that need the no-regression
-    guarantee; production paths use the fitness-weighted roulette.
-    """
-    call = _fitness_caller(fitness_fn)
-    positions, spc_index = _seeking_candidates(cat, config, bounds, rng)
-    fitnesses = []
-    for j, pos in enumerate(positions):
-        if j == spc_index and cat.fitness is not None:
-            fitnesses.append(cat.fitness)
-        else:
-            fitnesses.append(call(pos, EvalContext(0, 0)))
-    idx = _select_candidate(fitnesses, config, rng, weight_key, selection)
-    return replace(cat, position=positions[idx], fitness=fitnesses[idx])
 
 
 def tracing_move(cat, global_best, config, bounds, rng):
@@ -342,7 +318,7 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
                     cat.fitness if slot is None else results[slot]
                     for slot in need
                 ]
-                idx = _select_candidate(fitnesses, config, rng, weight_key, "roulette")
+                idx = _select_candidate(fitnesses, config, rng, weight_key)
                 cat.position = positions[idx]
                 cat.fitness = fitnesses[idx]
             else:

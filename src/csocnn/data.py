@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LabelError, ParseError, SchemaError, StratifyError
-from .tensor import Tensor
 
 # Multi-stage attack labels used by DAPT2020-shaped exports.
 DAPT_CLASSES = ("Benign", "Data", "Establish", "Lateral", "Reconn")
@@ -349,12 +348,14 @@ def split(records, spec=SplitSpec()):
 
 def to_network_input(records, codec=None):
     """Stack records into the (n, features, 1, 1) batch layout. Feature k of
-    record i lands at element (i, k, 0, 0); labels come from the codec."""
+    record i lands at element (i, k, 0, 0); labels come from the codec.
+    Raises ValueError when a feature is NaN or infinite."""
     if codec is None:
         codec = LabelCodec.from_labels(r.label for r in records)
     features = np.stack([r.features for r in records])
-    batch = Tensor(features.reshape(len(records), features.shape[1], 1, 1),
-                   checked=True)
+    if not np.all(np.isfinite(features)):
+        raise ValueError("network input contains NaN or Inf values")
+    batch = features.reshape(len(records), features.shape[1], 1, 1)
     labels = codec.encode_all([r.label for r in records])
     return batch, labels
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import DegenerateClass, ScalerMismatch
 from .nn import forward
-from .tensor import as_array
 
 SCORE_KINDS = ("non_benign_mass", "one_minus_max_prob")
 
@@ -63,11 +62,10 @@ def _verdicts(scores, threshold):
 
 def score_batch(network, batch, policy, class_names=None):
     """Score preprocessed records; returns Detections in input order."""
-    x = as_array(batch)
+    x = np.asarray(batch)
     if x.shape[1:] != network.input_shape:  # feature rows -> network layout
         x = x.reshape((x.shape[0],) + network.input_shape)
-    probs, _ = forward(network, x, "inference")
-    p = probs.array
+    p, _ = forward(network, x, "inference")
     if class_names is None:
         class_names = tuple(f"class_{i}" for i in range(p.shape[1]))
     if policy.benign_class_index >= p.shape[1]:
@@ -86,12 +84,6 @@ def score_batch(network, batch, policy, class_names=None):
         )
         for i in range(len(p))
     ]
-
-
-def score(network, record_features, policy, class_names=None):
-    """Score one preprocessed record."""
-    x = np.asarray(as_array(record_features))
-    return score_batch(network, x.reshape(1, -1), policy, class_names)[0]
 
 
 def calibrate_threshold(network, labeled_val_set, policy, target="max_f1",

@@ -17,8 +17,7 @@ import numpy as np
 from . import cso
 from .errors import TrainingDiverged
 from .nn import Network
-from .tensor import as_array
-from .trainer import TrainConfig, evaluate, train
+from .trainer import TrainConfig, train
 
 
 @dataclass(frozen=True)
@@ -97,14 +96,15 @@ def candidate_seed(global_seed, cat_index, iteration):
 
 
 def evaluate_candidate(hp, datasets, arch, seed):
-    """Train a fresh seeded network with hp; return its validation Fitness.
+    """Train a fresh seeded network with hp; return the validation Fitness
+    of its best epoch.
 
     datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
     training run (non-finite loss) comes back as the worst possible fitness
     so the swarm routes around it.
     """
     train_set, val_set = datasets
-    input_shape = as_array(train_set[0]).shape[1:]
+    input_shape = np.shape(train_set[0])[1:]
     network = Network(arch, input_shape, seed=seed)
     config = TrainConfig(
         epochs=hp.epochs,
@@ -113,11 +113,10 @@ def evaluate_candidate(hp, datasets, arch, seed):
         seed=seed,
     )
     try:
-        best, _ = train(network, train_set, val_set, config)
+        _, state = train(network, train_set, val_set, config)
     except TrainingDiverged:
         return WORST_FITNESS
-    val_loss, val_acc, _, _ = evaluate(best, val_set)
-    return Fitness(val_accuracy=val_acc, val_loss=val_loss)
+    return Fitness(val_accuracy=state.best_val_acc, val_loss=state.best_val_loss)
 
 
 def optimize_hyperparams(space, datasets, arch, swarm_config):

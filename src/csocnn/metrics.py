@@ -301,11 +301,3 @@ def micro_roc_curve(true_labels, probabilities):
     onehot[np.arange(t.size), t] = True
     return binary_roc(onehot.reshape(-1), p.reshape(-1))
 
-
-def roc_points_to_csv(points, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, threshold in points:
-            writer.writerow([repr(fpr), repr(tpr), repr(threshold)])
-    return path

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelError, ShapeError, StateError
-from .tensor import Tensor, as_array
 
 LAYER_KINDS = ("Input", "Conv2D", "BatchNorm", "MaxPool2D", "Flatten", "Dense")
 ACTIVATIONS = ("relu", "softmax", "none")
@@ -48,6 +47,8 @@ class LayerSpec:
             raise ShapeError(f"unknown activation {self.activation!r}")
         if self.padding not in PADDINGS:
             raise ShapeError(f"unknown padding {self.padding!r}")
+        if self.kind == "Conv2D" and self.padding != "valid":
+            raise ShapeError("Conv2D supports only valid padding")
         if self.kind in ("Conv2D", "MaxPool2D"):
             if self.kernel is None:
                 raise ShapeError(f"{self.kind} requires a kernel")
@@ -63,9 +64,9 @@ def input_layer():
     return LayerSpec("Input")
 
 
-def conv2d(filters, kernel, padding="valid", activation="none"):
+def conv2d(filters, kernel, activation="none"):
     return LayerSpec("Conv2D", kernel=tuple(kernel), filters_or_units=filters,
-                     padding=padding, activation=activation)
+                     activation=activation)
 
 
 def batch_norm(activation="none"):
@@ -107,8 +108,8 @@ def default_architecture(num_classes=5):
 def infer_shapes(layers, input_shape):
     """Propagate the input shape through a layer sequence.
 
-    Returns one output shape per layer. Conv2D is stride-1 (valid: out =
-    in - kernel + 1; same: out = in); MaxPool2D strides by its kernel
+    Returns one output shape per layer. Conv2D is stride-1 with valid
+    padding (out = in - kernel + 1); MaxPool2D strides by its kernel
     (same: out = ceil(in / kernel); valid: out = floor(in / kernel)).
     Raises ShapeError when a dimension would become non-positive or a layer
     is applied to an input of the wrong rank.
@@ -130,10 +131,7 @@ def infer_shapes(layers, input_shape):
                 raise ShapeError(f"Conv2D needs rank-3 input, got {shape}")
             h, w, _ = shape
             kh, kw = spec.kernel
-            if spec.padding == "valid":
-                oh, ow = h - kh + 1, w - kw + 1
-            else:
-                oh, ow = h, w
+            oh, ow = h - kh + 1, w - kw + 1
             if oh <= 0 or ow <= 0:
                 raise ShapeError(
                     f"Conv2D kernel {spec.kernel} does not fit input {shape}")
@@ -279,16 +277,6 @@ def _activate(z, activation):
     return z
 
 
-def _conv_pad(x, kh, kw, padding):
-    if padding == "valid":
-        return x, (0, 0)
-    ph, pw = kh - 1, kw - 1
-    before_h, before_w = ph // 2, pw // 2
-    x = np.pad(x, ((0, 0), (before_h, ph - before_h),
-                   (before_w, pw - before_w), (0, 0)))
-    return x, (before_h, before_w)
-
-
 def _im2col(x, kh, kw):
     n, h, w, c = x.shape
     oh, ow = h - kh + 1, w - kw + 1
@@ -340,7 +328,7 @@ def forward(network, batch, mode=None):
     mode = mode or network.mode
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
-    x = as_array(batch)
+    x = np.asarray(batch)
     if x.shape[1:] != network.input_shape:
         raise ShapeError(
             f"batch shape {x.shape} does not end with {network.input_shape}")
@@ -355,11 +343,10 @@ def forward(network, batch, mode=None):
             z = x
         elif spec.kind == "Conv2D":
             kh, kw = spec.kernel
-            xp, _ = _conv_pad(x, kh, kw, spec.padding)
-            cols = _im2col(xp, kh, kw)
+            cols = _im2col(x, kh, kw)
             kmat = network.params[f"{i}.kernel"].reshape(-1, spec.filters_or_units)
             z = cols @ kmat + network.params[f"{i}.bias"]
-            cache.update(cols=cols, padded_shape=xp.shape)
+            cache["cols"] = cols
         elif spec.kind == "BatchNorm":
             gamma, beta = network.params[f"{i}.gamma"], network.params[f"{i}.beta"]
             if mode == "train":
@@ -404,7 +391,7 @@ def forward(network, batch, mode=None):
         "layers": layer_caches,
         "probs": probs,
     }
-    return Tensor(probs, checked=False), full_cache
+    return probs, full_cache
 
 
 def loss_sparse_ce(probs, labels):
@@ -413,7 +400,7 @@ def loss_sparse_ce(probs, labels):
     Probabilities are clamped to [1e-12, 1] before the log so saturated rows
     cannot produce -inf.
     """
-    p = as_array(probs)
+    p = np.asarray(probs)
     y = np.asarray(labels)
     k = p.shape[-1]
     if y.size and (y.min() < 0 or y.max() >= k):
@@ -469,13 +456,7 @@ def backward(network, cache, true_labels):
             grads[f"{i}.kernel"] = (
                 cols.reshape(-1, cols.shape[-1]).T @ dz.reshape(-1, f)
             ).reshape(network.params[f"{i}.kernel"].shape)
-            dcols = dz @ kmat.T
-            dxp = _col2im(dcols, lc["padded_shape"], kh, kw)
-            if spec.padding == "same":
-                bh, bw = (kh - 1) // 2, (kw - 1) // 2
-                grad = dxp[:, bh:bh + x.shape[1], bw:bw + x.shape[2], :]
-            else:
-                grad = dxp
+            grad = _col2im(dz @ kmat.T, x.shape, kh, kw)
         elif spec.kind == "BatchNorm":
             xhat, std = lc["xhat"], lc["std"]
             gamma = network.params[f"{i}.gamma"]

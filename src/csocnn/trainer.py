@@ -1,26 +1,26 @@
 """Mini-batch training loop with plateau LR reduction, early stopping, and
 best-model checkpointing.
 
-Callbacks run in a fixed order at every epoch end: checkpoint first (so the
-best model is on disk even when the same epoch triggers the stop), then the
-learning-rate reduction, then the early-stop decision. "Improvement" means
-validation accuracy strictly above the best seen so far; the two plateau
-counters are independent, and the LR counter also resets after a reduction.
+The best model is kept in memory; checkpoint files are written only when a
+checkpoint directory is given. Callbacks run in a fixed order at every epoch
+end: checkpoint first (so the best model is kept even when the same epoch
+triggers the stop), then the learning-rate reduction, then the early-stop
+decision. "Improvement" means validation accuracy strictly above the best
+seen so far; the two plateau counters are independent, and the LR counter
+also resets after a reduction.
 """
 
 import csv
 import math
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TrainingDiverged
-from .model_io import load_model, save_model
-from .nn import backward, forward, loss_sparse_ce
+from .model_io import save_model
+from .nn import Network, backward, forward, loss_sparse_ce
 from .optim import AdamState, adam_step
-from .tensor import as_array
 
 
 @dataclass
@@ -34,7 +34,7 @@ class TrainConfig:
     early_stop_patience: int = 2
     monitor: str = "val_accuracy"
     seed: int = 0
-    checkpoint_dir: str | None = None  # None: private temporary directory
+    checkpoint_dir: str | None = None  # None: no files written
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -53,8 +53,8 @@ class TrainConfig:
 class TrainingState:
     """Epoch histories plus the callback bookkeeping."""
 
-    checkpoint_dir: Path
     class_names: tuple
+    checkpoint_dir: Path | None = None
     epochs: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
     train_acc: list = field(default_factory=list)
@@ -64,6 +64,7 @@ class TrainingState:
     best_val_acc: float = -math.inf
     best_val_loss: float | None = None
     best_epoch: int | None = None
+    best_network: Network | None = None
     checkpoint_path: Path | None = None
     lr_stall_epochs: int = 0
     stop_stall_epochs: int = 0
@@ -89,16 +90,19 @@ class TrainingState:
 
 
 def checkpoint(network, state, epoch, val_loss, val_acc):
-    """Save the model when val_acc strictly exceeds the best seen; ties and
-    regressions write nothing."""
+    """Keep a copy of the network when val_acc strictly exceeds the best
+    seen, and save it to a file when the state has a checkpoint directory;
+    ties and regressions keep nothing."""
     if val_acc > state.best_val_acc:
-        state.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        path = state.checkpoint_dir / f"checkpoint-{epoch:03d}-{val_loss:.4}.model"
-        save_model(path, network, state.class_names)
+        state.best_network = network.clone()
+        if state.checkpoint_dir is not None:
+            state.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            path = state.checkpoint_dir / f"checkpoint-{epoch:03d}-{val_loss:.4}.model"
+            save_model(path, network, state.class_names)
+            state.checkpoint_path = path
         state.best_val_acc = val_acc
         state.best_val_loss = val_loss
         state.best_epoch = epoch
-        state.checkpoint_path = path
     return state
 
 
@@ -121,11 +125,11 @@ def epoch_end(network, state, config, adam, epoch, val_loss, val_acc):
 
 def evaluate(network, dataset, batch_size=1024):
     """Inference-mode (loss, accuracy, predictions, probabilities)."""
-    x, y = as_array(dataset[0]), np.asarray(dataset[1])
+    x, y = np.asarray(dataset[0]), np.asarray(dataset[1])
     chunks = []
     for start in range(0, len(y), batch_size):
         probs, _ = forward(network, x[start:start + batch_size], "inference")
-        chunks.append(probs.array)
+        chunks.append(probs)
     probs = np.concatenate(chunks) if chunks else np.zeros((0, network.num_classes))
     loss = loss_sparse_ce(probs, y)
     predictions = probs.argmax(axis=1)
@@ -137,55 +141,42 @@ def train(network, train_set, val_set, config, class_names=None):
     """Seeded mini-batch training; returns (best network, state).
 
     Shuffles every epoch, keeps the last partial batch, evaluates validation
-    at epoch end, applies the callbacks, and finally reloads the network
-    from the best checkpoint file. Raises TrainingDiverged on a non-finite
-    batch loss.
+    at epoch end, applies the callbacks, and returns the copy of the network
+    kept at the best epoch. Raises TrainingDiverged on a non-finite batch
+    loss.
     """
-    x_train, y_train = as_array(train_set[0]), np.asarray(train_set[1])
+    x_train, y_train = np.asarray(train_set[0]), np.asarray(train_set[1])
     if class_names is None:
         class_names = tuple(f"class_{i}" for i in range(network.num_classes))
+    ckpt_dir = None if config.checkpoint_dir is None else Path(config.checkpoint_dir)
+    state = TrainingState(class_names=tuple(class_names), checkpoint_dir=ckpt_dir)
+    adam = AdamState(learning_rate=config.initial_lr)
+    rng = np.random.default_rng(config.seed)
+    n = len(y_train)
 
-    tmp = None
-    if config.checkpoint_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="csocnn-ckpt-")
-        ckpt_dir = Path(tmp.name)
-    else:
-        ckpt_dir = Path(config.checkpoint_dir)
+    for epoch in range(1, config.epochs + 1):
+        lr_this_epoch = adam.learning_rate
+        perm = rng.permutation(n)
+        loss_sum = 0.0
+        correct = 0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            xb, yb = x_train[idx], y_train[idx]
+            probs, cache = forward(network, xb, "train")
+            batch_loss = loss_sparse_ce(probs, yb)
+            if not math.isfinite(batch_loss):
+                raise TrainingDiverged(
+                    f"non-finite loss in epoch {epoch} at sample {start}")
+            loss_sum += batch_loss * len(yb)
+            correct += int((probs.argmax(axis=1) == yb).sum())
+            grads = backward(network, cache, yb)
+            adam_step(adam, network.params, grads)
 
-    try:
-        state = TrainingState(checkpoint_dir=ckpt_dir,
-                              class_names=tuple(class_names))
-        adam = AdamState(learning_rate=config.initial_lr)
-        rng = np.random.default_rng(config.seed)
-        n = len(y_train)
+        val_loss, val_acc, _, _ = evaluate(network, val_set)
+        state.record_epoch(epoch, loss_sum / n, correct / n,
+                           val_loss, val_acc, lr_this_epoch)
+        if epoch_end(network, state, config, adam, epoch, val_loss, val_acc):
+            state.stopped_early = True
+            break
 
-        for epoch in range(1, config.epochs + 1):
-            lr_this_epoch = adam.learning_rate
-            perm = rng.permutation(n)
-            loss_sum = 0.0
-            correct = 0
-            for start in range(0, n, config.batch_size):
-                idx = perm[start:start + config.batch_size]
-                xb, yb = x_train[idx], y_train[idx]
-                probs, cache = forward(network, xb, "train")
-                batch_loss = loss_sparse_ce(probs, yb)
-                if not math.isfinite(batch_loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss in epoch {epoch} at sample {start}")
-                loss_sum += batch_loss * len(yb)
-                correct += int((probs.array.argmax(axis=1) == yb).sum())
-                grads = backward(network, cache, yb)
-                adam_step(adam, network.params, grads)
-
-            val_loss, val_acc, _, _ = evaluate(network, val_set)
-            state.record_epoch(epoch, loss_sum / n, correct / n,
-                               val_loss, val_acc, lr_this_epoch)
-            if epoch_end(network, state, config, adam, epoch, val_loss, val_acc):
-                state.stopped_early = True
-                break
-
-        best = load_model(state.checkpoint_path).network
-        return best, state
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+    return state.best_network, state

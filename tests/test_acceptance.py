@@ -362,7 +362,7 @@ def test_criterion_11_detector_consistency(small_blobs):
 
     # calibration against exhaustive enumeration on a 20-record fixture
     sel = np.arange(20)
-    x20 = x.array[sel]
+    x20 = x[sel]
     y20 = np.asarray(y)[sel]
     assert (y20 == benign).any() and (y20 != benign).any()
     got = detector.calibrate_threshold(best, (x20, y20), policy)

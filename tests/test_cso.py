@@ -69,56 +69,91 @@ def test_config_validation():
         cso.SwarmConfig(mixture_ratio=1.5)
 
 
-# --- seeking_move ---------------------------------------------------------
+# --- seeking (through optimize) ------------------------------------------
+# One cat and mixture_ratio 0.3: round(0.3 * 1) = 0 tracing cats, so every
+# move optimize makes is a seeking move.
 
-def test_seeking_greedy_keeps_position_when_candidates_worse():
-    config = cso.SwarmConfig(n_cats=2, smp=2, spc=True, seed=0)
-    cat = cso.Cat(position=np.array([0.0]), velocity=np.zeros(1),
-                  mode="seeking", fitness=0.0)
-    rng = np.random.default_rng(5)
-    moved = cso.seeking_move(cat, sphere, config, [(-5.0, 5.0)], rng,
-                             selection="greedy")
-    assert moved.position[0] == 0.0
-    assert moved.fitness == 0.0
+def _seeking_run(fitness, bounds, max_iters=10, **overrides):
+    """Run optimize with a single seeking cat; fitness takes (x, ctx).
+
+    Returns (evals, steps): evals[t] lists the (position, fitness) pairs
+    evaluated in iteration t, and steps[t] is the cat's (position, fitness)
+    after iteration t, with steps[0] its start.
+    """
+    config = cso.SwarmConfig(n_cats=1, mixture_ratio=0.3, max_iters=max_iters,
+                             seed=0, **overrides)
+    evals = [[] for _ in range(max_iters + 1)]
+
+    def probe(x, ctx):
+        assert ctx.cat_index == 0
+        value = fitness(x, ctx)
+        evals[ctx.iteration].append((np.array(x, copy=True), value))
+        return value
+
+    steps = []
+
+    def record(iteration, cats, *_):
+        assert cats[0].mode == "seeking"
+        steps.append((cats[0].position.copy(), cats[0].fitness))
+
+    cso.optimize(probe, bounds, config, callback=record)
+    return evals, [evals[0][0]] + steps
+
+
+def test_seeking_keeps_position_when_candidates_worse():
+    # The start scores 0 and every later candidate scores worse; with spc
+    # the start keeps one of the two slots and the roulette gives it all
+    # the weight.
+    evals, steps = _seeking_run(
+        lambda x, ctx: 0.0 if ctx.iteration == 0 else 1.0 + sphere(x),
+        [(-5.0, 5.0)], smp=2, spc=True)
+    start = steps[0][0]
+    for t in range(1, len(steps)):
+        assert len(evals[t]) == 1  # the start's fitness is not re-evaluated
+        assert np.array_equal(steps[t][0], start)
+        assert steps[t][1] == 0.0
 
 
 def test_seeking_candidate_range():
-    # From x=1 with srd=0.2: mutated candidates stay within ±20% of the
-    # current value; the self-position slot is exactly 1.
-    config = cso.SwarmConfig(n_cats=2, smp=5, spc=True, cdc=1.0, seed=0)
-    cat = cso.Cat(position=np.array([1.0]), velocity=np.zeros(1),
-                  mode="seeking", fitness=1.0)
-    seen = []
-    def probe(x):
-        seen.append(float(x[0]))
-        return sphere(x)
-    rng = np.random.default_rng(9)
-    moved = cso.seeking_move(cat, probe, config, [(-5.0, 5.0)], rng)
-    for value in seen:
-        assert 0.8 <= value <= 1.2
-    assert -5.0 <= moved.position[0] <= 5.0
+    # srd=0.2, cdc=1: every mutated candidate lies within 20% of the
+    # position it was drawn from, and the move commits one of the smp
+    # candidates (the current position included, through spc).
+    evals, steps = _seeking_run(lambda x, ctx: sphere(x), [(-5.0, 5.0)],
+                                smp=5, spc=True, cdc=1.0, srd=0.2)
+    for t in range(1, len(steps)):
+        prev = float(steps[t - 1][0][0])
+        mutated = [float(x[0]) for x, _ in evals[t]]
+        assert len(mutated) == 4
+        for value in mutated:
+            assert abs(value - prev) <= 0.2 * abs(prev)
+        assert float(steps[t][0][0]) in [prev] + mutated
 
 
 def test_seeking_constant_fitness_stays_in_bounds():
-    config = cso.SwarmConfig(n_cats=2, smp=4, spc=True, seed=0)
-    cat = cso.Cat(position=np.array([4.9, -4.9]), velocity=np.zeros(2),
-                  mode="seeking", fitness=7.0)
-    rng = np.random.default_rng(11)
-    moved = cso.seeking_move(cat, lambda x: 7.0, config, [(-5.0, 5.0)] * 2, rng)
-    assert np.all(moved.position >= -5.0) and np.all(moved.position <= 5.0)
-    assert moved.fitness == 7.0
+    # Equal fitness leaves the roulette no weights, so it picks uniformly;
+    # srd=1 pushes candidates past the narrow bounds, so they get clipped.
+    lo, hi = np.array([0.5, -1.0]), np.array([1.0, -0.5])
+    evals, steps = _seeking_run(lambda x, ctx: 7.0, list(zip(lo, hi)),
+                                max_iters=20, smp=4, spc=True, srd=1.0)
+    evaluated = [x for per_iter in evals for x, _ in per_iter]
+    for x in evaluated + [position for position, _ in steps]:
+        assert np.all(x >= lo) and np.all(x <= hi)
+    assert any(np.any((x == lo) | (x == hi)) for x in evaluated)
+    assert all(fitness == 7.0 for _, fitness in steps)
 
 
-def test_seeking_greedy_never_regresses():
-    config = cso.SwarmConfig(n_cats=2, smp=5, spc=True, seed=0)
-    rng = np.random.default_rng(13)
-    for trial in range(50):
-        position = rng.uniform(-5, 5, 3)
-        cat = cso.Cat(position=position, velocity=np.zeros(3),
-                      mode="seeking", fitness=sphere(position))
-        moved = cso.seeking_move(cat, sphere, config, [(-5.0, 5.0)] * 3, rng,
-                                 selection="greedy")
-        assert moved.fitness <= cat.fitness
+def test_seeking_roulette_never_picks_worst():
+    # The worst of the smp candidates gets roulette weight 0, so with
+    # distinct fitnesses it is never the one kept.
+    for objective, fn, worst in (("minimize", sphere, max),
+                                 ("maximize", lambda x: -sphere(x), min)):
+        evals, steps = _seeking_run(lambda x, ctx: fn(x), [(-5.0, 5.0)] * 3,
+                                    max_iters=30, smp=5, spc=True,
+                                    objective=objective)
+        for t in range(1, len(steps)):
+            fits = [steps[t - 1][1]] + [f for _, f in evals[t]]
+            assert len(set(fits)) == len(fits)
+            assert steps[t][1] != worst(fits)
 
 
 # --- tracing_move ---------------------------------------------------------

@@ -199,11 +199,18 @@ def test_layout_identity():
             assert batch[i, k, 0, 0] == recs[i].features[k]
 
 
+def test_network_input_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        recs = _records(np.array([[1.0, bad], [0.0, 2.0]]))
+        with pytest.raises(ValueError):
+            data.to_network_input(recs)
+
+
 def test_round_trip_is_bit_equal():
     records = data.make_synthetic_blobs(20, k_classes=2, d=6, seed=4)
     scaled = data.clean_and_scale(records)
     batch, _ = data.to_network_input(scaled.records)
-    flat = batch.array.reshape(len(scaled.records), -1)
+    flat = batch.reshape(len(scaled.records), -1)
     for i, rec in enumerate(scaled.records):
         assert np.array_equal(flat[i], rec.features)
 

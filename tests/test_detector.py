@@ -31,7 +31,7 @@ def test_pure_benign_probability_scores_zero():
     x = np.zeros((1, 5), dtype=np.float32)
     x[0, 0] = 8.0  # saturates class 0
     policy = detector.DetectionPolicy(threshold=0.2, benign_class_index=0)
-    det = detector.score(net, x[0], policy)
+    det = detector.score_batch(net, x[:1], policy)[0]
     assert det.score < 0.01
     assert det.verdict == "normal"
     assert det.predicted_class == "class_0"
@@ -44,19 +44,19 @@ def test_uniform_probabilities_score():
                                     score_kind="non_benign_mass")
     top = detector.DetectionPolicy(threshold=0.5,
                                    score_kind="one_minus_max_prob")
-    assert detector.score(net, x[0], mass).score == pytest.approx(0.8)
-    assert detector.score(net, x[0], top).score == pytest.approx(0.8)
+    assert detector.score_batch(net, x[:1], mass)[0].score == pytest.approx(0.8)
+    assert detector.score_batch(net, x[:1], top)[0].score == pytest.approx(0.8)
 
 
 def test_verdict_strictly_greater_than_threshold():
     net = _probe_network()
     x = np.zeros((1, 5), dtype=np.float32)
-    score = detector.score(
-        net, x[0], detector.DetectionPolicy(threshold=0.5)).score
+    score = detector.score_batch(
+        net, x[:1], detector.DetectionPolicy(threshold=0.5))[0].score
     at_score = detector.DetectionPolicy(threshold=score)
     below = detector.DetectionPolicy(threshold=max(score - 1e-6, 0.0))
-    assert detector.score(net, x[0], at_score).verdict == "normal"
-    assert detector.score(net, x[0], below).verdict == "anomalous"
+    assert detector.score_batch(net, x[:1], at_score)[0].verdict == "normal"
+    assert detector.score_batch(net, x[:1], below)[0].verdict == "anomalous"
 
 
 def test_scores_live_in_unit_interval(trained_setup):
@@ -81,7 +81,7 @@ def test_verdicts_monotone_in_threshold(trained_setup):
 
 def test_batch_scoring_is_order_equivariant(trained_setup):
     prep, net = trained_setup
-    x = prep.test[0].array[:40]
+    x = prep.test[0][:40]
     policy = detector.DetectionPolicy(threshold=0.5)
     base = detector.score_batch(net, x, policy)
     perm = np.random.default_rng(0).permutation(len(x))
@@ -146,7 +146,7 @@ def test_calibrate_all_equal_scores_returns_zero():
 
 def test_calibrate_matches_exhaustive_enumeration(trained_setup):
     prep, net = trained_setup
-    x = prep.val[0].array[:20]
+    x = prep.val[0][:20]
     y = prep.val[1][:20]
     benign = list(prep.codec.classes).index("Benign")
     if not ((y == benign).any() and (y != benign).any()):

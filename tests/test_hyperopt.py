@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csocnn import cso, hyperopt, nn
+from csocnn import cso, hyperopt, nn, trainer
 from csocnn.errors import TrainingDiverged
 
 SPACE = hyperopt.SearchSpace()
@@ -112,6 +112,14 @@ def test_evaluate_candidate_is_deterministic(tiny_sets):
     b = hyperopt.evaluate_candidate(hp, datasets, arch, seed=5)
     assert a == b
     assert 0.0 <= a.val_accuracy <= 1.0
+    # The fitness is the best epoch's validation record; a second
+    # validation pass over the returned network gives the same pair.
+    network = nn.Network(arch, tiny_sets.train[0].shape[1:], seed=5)
+    config = trainer.TrainConfig(epochs=1, batch_size=64, initial_lr=3e-3,
+                                 seed=5)
+    best, _ = trainer.train(network, tiny_sets.train, tiny_sets.val, config)
+    val_loss, val_acc, _, _ = trainer.evaluate(best, tiny_sets.val)
+    assert (a.val_accuracy, a.val_loss) == (val_acc, val_loss)
 
 
 def test_evaluate_candidate_mid_range_learns(tiny_sets):

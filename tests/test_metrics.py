@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csocnn import metrics
@@ -346,16 +346,26 @@ def test_bad_probability_rows_rejected():
         metrics.roc_curve([0, 1], np.array([[0.5, 0.2], [0.3, 0.7]]), 0)
 
 
+def _rank_pattern(values):
+    v = np.asarray(values)
+    return np.sign(v[:, None] - v[None, :])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.floats(0.01, 0.99)),
                 min_size=4, max_size=40))
+@example([(True, 0.01), (False, 0.010000000000000002),  # 2v+1 ties these
+          (True, 0.5), (False, 0.3)])
 def test_auc_invariant_under_monotone_transform(items):
     y = [a for a, _ in items]
     s = [b for _, b in items]
     if all(y) or not any(y):
         y[0] = not y[0]
     _, auc_raw = metrics.binary_roc(y, s)
-    _, auc_cubed = metrics.binary_roc(y, [v ** 3 for v in s])
-    _, auc_affine = metrics.binary_roc(y, [2.0 * v + 1.0 for v in s])
-    assert auc_raw == pytest.approx(auc_cubed)
-    assert auc_raw == pytest.approx(auc_affine)
+    for transformed in ([v ** 3 for v in s], [2.0 * v + 1.0 for v in s]):
+        # Rounding can merge two distinct scores into a tie, which changes
+        # the AUC; invariance holds for a transform that keeps every
+        # pairwise order of the drawn scores.
+        if np.array_equal(_rank_pattern(transformed), _rank_pattern(s)):
+            _, auc = metrics.binary_roc(y, transformed)
+            assert auc_raw == pytest.approx(auc)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def test_round_trip_inference_identical(tmp_path):
     batch = np.random.default_rng(1).normal(size=(4, 9, 1, 1)).astype(np.float32)
     a, _ = forward(net, batch, "inference")
     b, _ = forward(loaded, batch, "inference")
-    assert np.array_equal(a.array, b.array)
+    assert np.array_equal(a, b)
 
 
 def test_truncated_blob_rejected(tmp_path):
@@ -70,6 +72,17 @@ def test_garbled_manifest_rejected(tmp_path):
     raw[header_end] = ord("!")
     path.write_bytes(bytes(raw))
     with pytest.raises(ModelFormatError):
+        load_model(path)
+    # valid JSON asking for a Conv2D padding the network does not support
+    save_model(path, net, ["a", "b", "c"])
+    header, rest = path.read_bytes().split(b"\n", 1)
+    magic, version, n = header.split()
+    manifest = json.loads(rest[:int(n)])
+    manifest["layers"][1]["padding"] = "same"
+    body = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(b"%s %s %d\n" % (magic, version, len(body))
+                     + body + rest[int(n):])
+    with pytest.raises(ModelFormatError, match="layer table"):
         load_model(path)
 
 

@@ -30,9 +30,10 @@ def test_output_rows_are_probabilities():
     net = nn.Network(toy_layers(), (9, 1, 1), seed=0)
     x = np.random.default_rng(1).normal(size=(8, 9, 1, 1))
     probs, _ = forward(net, x, "inference")
-    assert np.all(probs.array >= 0)
-    assert np.all(probs.array <= 1)
-    assert np.allclose(probs.array.sum(axis=1), 1.0, atol=1e-6)
+    assert isinstance(probs, np.ndarray)
+    assert np.all(probs >= 0)
+    assert np.all(probs <= 1)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_zero_dense_network_is_uniform():
@@ -41,7 +42,7 @@ def test_zero_dense_network_is_uniform():
     net.params["1.weight"][:] = 0.0
     x = np.random.default_rng(2).normal(size=(5, 6))
     probs, _ = forward(net, x, "inference")
-    assert np.allclose(probs.array, 0.25, atol=1e-7)
+    assert np.allclose(probs, 0.25, atol=1e-7)
 
 
 def test_conv_matches_scalar_oracle():
@@ -51,7 +52,7 @@ def test_conv_matches_scalar_oracle():
     out, _ = forward(net, x, "inference")
     expected = conv_scalar_oracle(x, net.params["1.kernel"],
                                   net.params["1.bias"])
-    assert np.allclose(out.array, expected, atol=1e-10)
+    assert np.allclose(out, expected, atol=1e-10)
 
 
 def test_batchnorm_normalizes_batch_statistics():
@@ -61,8 +62,8 @@ def test_batchnorm_normalizes_batch_statistics():
                      seed=0, dtype=np.float64)
     x = np.random.default_rng(7).normal(loc=5.0, scale=50.0, size=(64, 4, 1, 3))
     out, _ = forward(net, x, "train")
-    mean = out.array.mean(axis=(0, 1, 2))
-    var = out.array.var(axis=(0, 1, 2))
+    mean = out.mean(axis=(0, 1, 2))
+    var = out.var(axis=(0, 1, 2))
     assert np.all(np.abs(mean) < 1e-4)
     assert np.all(np.abs(var - 1.0) < 1e-4)
 
@@ -82,7 +83,7 @@ def test_inference_is_pure_and_bit_stable():
     stats_before = {k: v.copy() for k, v in net.bn_stats.items()}
     a, _ = forward(net, x, "inference")
     b, _ = forward(net, x, "inference")
-    assert np.array_equal(a.array, b.array)
+    assert np.array_equal(a, b)
     for k, v in stats_before.items():
         assert np.array_equal(v, net.bn_stats[k])
 
@@ -106,4 +107,4 @@ def test_maxpool_same_padding_never_picks_padding():
                      seed=0)
     x = np.array([-4.0, -9.0, -2.0]).reshape(1, 3, 1, 1)
     out, _ = forward(net, x, "inference")
-    assert out.array.reshape(-1).tolist() == [-4.0, -2.0]
+    assert out.reshape(-1).tolist() == [-4.0, -2.0]

@@ -80,6 +80,9 @@ def test_layer_spec_validation():
     with pytest.raises(ShapeError):
         nn.LayerSpec("Conv2D", kernel=(0, 1), filters_or_units=4)
     with pytest.raises(ShapeError):
+        nn.LayerSpec("Conv2D", kernel=(3, 1), filters_or_units=4,
+                     padding="same")
+    with pytest.raises(ShapeError):
         nn.LayerSpec("Dense", filters_or_units=0)
     with pytest.raises(ShapeError):
         nn.LayerSpec("Dense", filters_or_units=3, activation="gelu")

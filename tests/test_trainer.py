@@ -137,6 +137,35 @@ def test_returned_network_equals_checkpoint_file(trained):
         assert np.array_equal(stored.bn_stats[key], value)
 
 
+def test_train_without_checkpoint_dir_keeps_best_in_memory(
+        small_blobs_module, monkeypatch):
+    def no_files(*args, **kwargs):
+        raise AssertionError("training without a checkpoint_dir touched a file")
+
+    monkeypatch.setattr(trainer, "save_model", no_files)
+    monkeypatch.setattr(trainer, "load_model", no_files, raising=False)
+    snapshots = {}
+    epoch_end = trainer.epoch_end
+
+    def snapshot_then_epoch_end(network, state, config, adam, epoch, *rest):
+        snapshots[epoch] = network.clone()
+        return epoch_end(network, state, config, adam, epoch, *rest)
+
+    monkeypatch.setattr(trainer, "epoch_end", snapshot_then_epoch_end)
+    prep = small_blobs_module
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=3)
+    config = trainer.TrainConfig(epochs=4, batch_size=128, initial_lr=1e-2,
+                                 seed=3)
+    best, state = trainer.train(net, prep.train, prep.val, config)
+    assert state.checkpoint_path is None
+    assert state.best_epoch < len(state.epochs)  # later epochs changed net
+    expected = snapshots[state.best_epoch]
+    for key, value in expected.params.items():
+        assert np.array_equal(best.params[key], value)
+    for key, value in expected.bn_stats.items():
+        assert np.array_equal(best.bn_stats[key], value)
+
+
 def test_training_is_deterministic(small_blobs_module, tmp_path):
     prep = small_blobs_module
     histories = []
@@ -195,8 +224,8 @@ def test_evaluate_probabilities_pass_through_unrenormalized(trained):
     prep, best, _, _ = trained
     x, y = prep.test
     _, _, _, probs = trainer.evaluate(best, (x, y))
-    direct, _ = forward(best, x.array[:len(y)], "inference")
-    assert np.array_equal(probs, direct.array)
+    direct, _ = forward(best, x[:len(y)], "inference")
+    assert np.array_equal(probs, direct)
 
 
 def test_history_csv_export(trained, tmp_path):
