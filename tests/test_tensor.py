@@ -1,53 +1,18 @@
+"""The network's input batches and outputs are plain numpy arrays."""
 import numpy as np
-import pytest
 
-from csocnn.errors import ShapeError
-from csocnn.tensor import Tensor, as_array, zeros
-
-
-def test_shape_and_flat_data_agree():
-    t = Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], shape=(2, 3))
-    assert t.shape == (2, 3)
-    assert t.size == 6
-    assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-
-def test_row_major_layout():
-    t = Tensor(np.arange(12.0), shape=(3, 4))
-    assert t[1, 0] == 4.0
-    assert t.data[4] == 4.0
-
-
-def test_length_shape_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        Tensor([1.0, 2.0, 3.0], shape=(2, 2))
-
-
-def test_non_positive_dimension_rejected():
-    with pytest.raises(ShapeError):
-        Tensor([], shape=(0, 3))
-
-
-def test_nan_rejected_in_checked_mode():
-    with pytest.raises(ValueError):
-        Tensor([1.0, np.nan])
-    with pytest.raises(ValueError):
-        Tensor([np.inf, 0.0])
-
-
-def test_unchecked_mode_allows_non_finite():
-    t = Tensor([1.0, np.nan], checked=False)
-    assert np.isnan(t.array[1])
-
-
-def test_as_array_passthrough():
-    t = zeros((2, 2))
-    assert as_array(t) is t.array
-    raw = np.ones(3)
-    assert as_array(raw) is raw
+from conftest import toy_layers
+from csocnn import data, nn
+from csocnn.nn import forward
 
 
 def test_numpy_interop():
-    t = Tensor([[1.0, 2.0]])
-    assert np.asarray(t).shape == (1, 2)
-    assert len(t) == 1
+    recs = data.make_synthetic_blobs(10, k_classes=2, d=9, seed=0)
+    batch, _ = data.to_network_input(recs)
+    assert np.asarray(batch) is batch
+    assert len(batch) == 10
+
+    net = nn.Network(toy_layers(), (9, 1, 1), seed=0)
+    probs, _ = forward(net, batch, "inference")
+    assert np.asarray(probs) is probs
+    assert len(probs) == 10
