@@ -7,6 +7,7 @@ exactly. Artifact plots are SVG derived from sibling CSVs. Exit codes:
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -425,31 +426,15 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _read_feature_rows(fh, label_column):
-    reader = csv.reader(fh)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise SchemaError("record stream is missing its header row") from None
-    label_idx = header.index(label_column) if label_column in header else None
-    feature_idx = [i for i in range(len(header)) if i != label_idx]
-    rows, labels = [], []
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"stream row {row_number} has {len(row)} fields, expected "
-                f"{len(header)}", row_number=row_number)
-        values = np.empty(len(feature_idx))
-        for k, idx in enumerate(feature_idx):
-            try:
-                values[k] = float(row[idx])
-            except ValueError:
-                values[k] = np.nan
-        rows.append(values)
-        labels.append(row[label_idx].strip() if label_idx is not None else None)
-    return rows, labels
+def _write_verdicts(writer, scores, flags, probs, class_names):
+    """Write one verdict line per record; returns how many are anomalous."""
+    writer.writerows(
+        [repr(score), "anomalous" if flag else "normal", class_names[pred]]
+        + [repr(p) for p in row]
+        for score, flag, pred, row in zip(
+            scores.tolist(), flags.tolist(), probs.argmax(axis=1).tolist(),
+            probs.tolist()))
+    return int(flags.sum())
 
 
 def cmd_detect(args):
@@ -461,12 +446,6 @@ def cmd_detect(args):
     manifest = RunManifest(out, "detect", _config_snapshot(args), seed,
                            [args.input or "stdin", args.model, scaler_path])
     with _SignalGuard(manifest):
-        if args.input:
-            with open(args.input, newline="", encoding="utf-8") as fh:
-                rows, labels = _read_feature_rows(fh, args.label_column)
-        else:
-            rows, labels = _read_feature_rows(sys.stdin, args.label_column)
-
         class_names = tuple(bundle.class_names)
         benign_name = args.benign_class
         if benign_name is None:
@@ -474,46 +453,59 @@ def cmd_detect(args):
         if benign_name not in class_names:
             raise LabelError(f"benign class {benign_name!r} not among "
                              f"model classes {class_names}")
-        benign_index = class_names.index(benign_name)
-
-        records = [data.FlowRecord(features=row, label=lbl or "") for row, lbl
-                   in zip(rows, labels)]
-        scaled = data.clean_and_scale(records, stats) if records else None
-        features = (np.stack([r.features for r in scaled.records])
-                    if records else np.zeros((0, stats.n_features)))
-
-        threshold = args.threshold
-        policy = detector.DetectionPolicy(
-            threshold=0.0 if threshold is None else threshold,
-            score_kind=args.score_kind,
-            benign_class_index=benign_index)
-        if args.calibrate:
-            if not records or any(l is None for l in labels):
+        try:
+            policy = detector.DetectionPolicy(
+                threshold=0.5 if args.threshold is None else args.threshold,
+                score_kind=args.score_kind,
+                benign_class_index=class_names.index(benign_name))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        codec = data.LabelCodec(class_names)
+        schema = data.CsvSchema(label_column=args.label_column,
+                                expected_features=stats.n_features)
+        header = (["score", "verdict", "predicted_class"]
+                  + [f"p_{c}" for c in class_names])
+        writer = csv.writer(sys.stdout)
+        kept = []  # --calibrate: (probabilities, label codes) per chunk
+        n_records = n_anomalous = 0
+        stream = (open(args.input, newline="", encoding="utf-8") if args.input
+                  else contextlib.nullcontext(sys.stdin))
+        with stream as fh:
+            labeled, chunks = data.read_csv_chunks(
+                fh, schema, source=args.input or "stdin")
+            if args.calibrate and not labeled:
                 raise SchemaError(
                     "--calibrate needs labeled records (a label column)")
-            codec = data.LabelCodec(class_names)
-            y = codec.encode_all(labels)
-            threshold = detector.calibrate_threshold(
-                bundle.network, (features, y), policy)
-            print(f"calibrated threshold: {threshold!r}")
-        if threshold is None:
-            threshold = 0.5
-        policy = detector.DetectionPolicy(
-            threshold=threshold, score_kind=args.score_kind,
-            benign_class_index=benign_index)
+            if not args.calibrate:
+                writer.writerow(header)
+            for features, labels in chunks:
+                x, _ = data.scale_features(features, stats)
+                scores, flags, probs = detector.score_batch(
+                    bundle.network, x[:, :, None, None], policy)
+                if args.calibrate:
+                    kept.append((probs, codec.encode_all(labels)))
+                    continue
+                n_records += len(scores)
+                n_anomalous += _write_verdicts(writer, scores, flags, probs,
+                                               class_names)
+                sys.stdout.flush()
 
-        detections = detector.score_batch(
-            bundle.network, features, policy, class_names) if records else []
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["score", "verdict", "predicted_class"]
-                        + [f"p_{c}" for c in class_names])
-        n_anomalous = 0
-        for det in detections:
-            n_anomalous += det.verdict == "anomalous"
-            writer.writerow([repr(det.score), det.verdict, det.predicted_class]
-                            + [repr(float(p)) for p in det.probabilities])
+        threshold = policy.threshold
+        if args.calibrate:
+            if not kept:
+                raise SchemaError(
+                    "--calibrate needs labeled records (a label column)")
+            probs = np.concatenate([p for p, _ in kept])
+            scores = detector.scores_from_probabilities(probs, policy)
+            threshold = detector.calibrate_threshold(
+                scores, np.concatenate([y for _, y in kept]), policy)
+            print(f"calibrated threshold: {threshold!r}")
+            writer.writerow(header)
+            n_records = len(scores)
+            n_anomalous = _write_verdicts(writer, scores, scores > threshold,
+                                          probs, class_names)
         manifest.set_metrics({
-            "records": len(detections),
+            "records": n_records,
             "anomalous": n_anomalous,
             "threshold": threshold,
         })

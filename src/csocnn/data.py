@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LabelError, ParseError, SchemaError, StratifyError
+from .nn import INFERENCE_ROWS
 
 # Multi-stage attack labels used by DAPT2020-shaped exports.
 DAPT_CLASSES = ("Benign", "Data", "Establish", "Lateral", "Reconn")
@@ -86,50 +87,64 @@ class SplitSpec:
 
 
 def load_csv(path, schema=CsvSchema()):
-    """Parse a flow-feature CSV into records.
-
-    Unparseable numeric cells become NaN so the cleaning policy can impute
-    and count them; structurally bad rows (wrong field count) raise
-    ParseError with their 1-based row number. Missing or extra columns
-    raise SchemaError.
-    """
+    """Parse a labeled flow-feature CSV into records (see read_csv_chunks);
+    a header without the label column raises SchemaError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: missing header row") from None
-        header = [h.strip() for h in header]
-        if schema.label_column not in header:
+        labeled, chunks = read_csv_chunks(fh, schema, source=path)
+        if not labeled:
             raise SchemaError(
                 f"{path}: label column {schema.label_column!r} not in header")
-        if schema.feature_columns is not None:
-            missing = [c for c in schema.feature_columns if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing feature columns {missing}")
-            extra = [c for c in header
-                     if c != schema.label_column and c not in schema.feature_columns]
-            if extra:
-                raise SchemaError(f"{path}: unexpected extra columns {extra}")
-            feature_names = list(schema.feature_columns)
-        else:
-            feature_names = [c for c in header if c != schema.label_column]
-        if schema.expected_features is not None and \
-                len(feature_names) != schema.expected_features:
-            raise SchemaError(
-                f"{path}: expected {schema.expected_features} feature columns, "
-                f"found {len(feature_names)}")
+        return [FlowRecord(features=row, label=label)
+                for features, labels in chunks
+                for row, label in zip(features, labels)]
 
-        label_idx = header.index(schema.label_column)
-        feature_idx = [header.index(c) for c in feature_names]
 
-        records = []
+def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
+    """Check a flow-feature CSV's header now; parse its rows lazily.
+
+    Returns (labeled, chunks). labeled is False when the header has no label
+    column, in which case every non-label column is still a feature and the
+    labels are None. chunks yields (features, labels) for up to
+    INFERENCE_ROWS rows at a time: a float64 matrix with one row per record
+    and the stripped label strings. Unparseable numeric cells become NaN so
+    the cleaning policy can impute and count them; structurally bad rows
+    (wrong field count) raise ParseError with their 1-based row number.
+    Missing or extra columns raise SchemaError.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{source}: missing header row") from None
+    header = [h.strip() for h in header]
+    if schema.feature_columns is not None:
+        missing = [c for c in schema.feature_columns if c not in header]
+        if missing:
+            raise SchemaError(f"{source}: missing feature columns {missing}")
+        extra = [c for c in header
+                 if c != schema.label_column and c not in schema.feature_columns]
+        if extra:
+            raise SchemaError(f"{source}: unexpected extra columns {extra}")
+        feature_names = list(schema.feature_columns)
+    else:
+        feature_names = [c for c in header if c != schema.label_column]
+    if schema.expected_features is not None and \
+            len(feature_names) != schema.expected_features:
+        raise SchemaError(
+            f"{source}: expected {schema.expected_features} feature columns, "
+            f"found {len(feature_names)}")
+    labeled = schema.label_column in header
+    label_idx = header.index(schema.label_column) if labeled else None
+    feature_idx = [header.index(c) for c in feature_names]
+
+    def chunks():
+        rows, labels = [], []
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ParseError(
-                    f"{path}: row {row_number} has {len(row)} fields, "
+                    f"{source}: row {row_number} has {len(row)} fields, "
                     f"expected {len(header)}", row_number=row_number)
             values = np.empty(len(feature_idx), dtype=np.float64)
             for k, idx in enumerate(feature_idx):
@@ -137,8 +152,16 @@ def load_csv(path, schema=CsvSchema()):
                     values[k] = float(row[idx])
                 except ValueError:
                     values[k] = np.nan  # routed to the cleaning policy
-            records.append(FlowRecord(features=values, label=row[label_idx].strip()))
-    return records
+            rows.append(values)
+            if labeled:
+                labels.append(row[label_idx].strip())
+            if len(rows) == INFERENCE_ROWS:
+                yield np.stack(rows), labels if labeled else None
+                rows, labels = [], []
+        if rows:
+            yield np.stack(rows), labels if labeled else None
+
+    return labeled, chunks()
 
 
 @dataclass
@@ -212,9 +235,8 @@ def clean_and_scale(records, stats=None):
     """Impute NaN/±Inf, then min-max scale to [0, 1].
 
     With stats=None the statistics are fitted on these records (the training
-    call); otherwise the given train-fitted stats are applied and values
-    falling outside [0, 1] are clamped and counted. Constant columns scale
-    to 0.
+    call); otherwise the given train-fitted stats are applied by
+    scale_features. Constant columns scale to 0.
     """
     f = _feature_matrix(records)
     nan_mask = np.isnan(f)
@@ -236,21 +258,10 @@ def clean_and_scale(records, stats=None):
         stats = ScalerStats(median=median, inf_lo=inf_lo, inf_hi=inf_hi,
                             lo=lo, hi=hi)
         clamped = 0
-        scaled = _scale(f, stats)
+        scaled = _scale(f, stats).astype(np.float32)
     else:
-        if f.shape[1] != stats.n_features:
-            raise ValueError(
-                f"records have {f.shape[1]} features, stats expect "
-                f"{stats.n_features}")
-        f = np.where(nan_mask, stats.median, f)
-        f = np.where(pos_mask, stats.inf_hi, f)
-        f = np.where(neg_mask, stats.inf_lo, f)
-        scaled = _scale(f, stats)
-        out_of_range = (scaled < 0.0) | (scaled > 1.0)
-        clamped = int(out_of_range.sum())
-        scaled = np.clip(scaled, 0.0, 1.0)
+        scaled, clamped = scale_features(f, stats)
 
-    scaled = scaled.astype(np.float32)
     cleaned = [FlowRecord(features=scaled[i], label=r.label)
                for i, r in enumerate(records)]
     return ScaledData(
@@ -260,6 +271,23 @@ def clean_and_scale(records, stats=None):
         n_inf_imputed=int(pos_mask.sum() + neg_mask.sum()),
         n_clamped=clamped,
     )
+
+
+def scale_features(f, stats):
+    """Apply train-fitted stats to a feature matrix: impute NaN/±Inf, scale
+    to [0, 1] and clamp what falls outside. Returns (float32 matrix, number
+    of clamped values); a column count other than the stats' raises
+    SchemaError."""
+    if f.shape[1] != stats.n_features:
+        raise SchemaError(
+            f"records have {f.shape[1]} features, stats expect "
+            f"{stats.n_features}")
+    f = np.where(np.isnan(f), stats.median, f)
+    f = np.where(np.isposinf(f), stats.inf_hi, f)
+    f = np.where(np.isneginf(f), stats.inf_lo, f)
+    scaled = _scale(f, stats)
+    clamped = int(((scaled < 0.0) | (scaled > 1.0)).sum())
+    return np.clip(scaled, 0.0, 1.0).astype(np.float32), clamped
 
 
 def _scale(f, stats):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClass, ScalerMismatch
-from .nn import forward
+from .nn import predict
 
 SCORE_KINDS = ("non_benign_mass", "one_minus_max_prob")
 
@@ -31,14 +31,6 @@ class DetectionPolicy:
             raise ValueError("benign_class_index must be >= 0")
 
 
-@dataclass(frozen=True)
-class Detection:
-    score: float
-    verdict: str  # "normal" | "anomalous"
-    predicted_class: str
-    probabilities: np.ndarray
-
-
 def ensure_scaler_match(model_fingerprint, stats):
     """Guard against scoring with stats the model was not trained with."""
     if model_fingerprint is not None and stats is not None:
@@ -56,75 +48,51 @@ def scores_from_probabilities(probs, policy):
     return 1.0 - p.max(axis=1)
 
 
-def _verdicts(scores, threshold):
-    return np.asarray(scores) > threshold
+def score_batch(network, batch, policy):
+    """Score preprocessed records in the network layout.
 
-
-def score_batch(network, batch, policy, class_names=None):
-    """Score preprocessed records; returns Detections in input order."""
-    x = np.asarray(batch)
-    if x.shape[1:] != network.input_shape:  # feature rows -> network layout
-        x = x.reshape((x.shape[0],) + network.input_shape)
-    p, _ = forward(network, x, "inference")
-    if class_names is None:
-        class_names = tuple(f"class_{i}" for i in range(p.shape[1]))
-    if policy.benign_class_index >= p.shape[1]:
+    Returns (scores, anomalous flags, probabilities), one row per record in
+    input order.
+    """
+    if policy.benign_class_index >= network.num_classes:
         raise ValueError(
             f"benign_class_index {policy.benign_class_index} outside "
-            f"[0, {p.shape[1]})")
-    scores = scores_from_probabilities(p, policy)
-    flags = _verdicts(scores, policy.threshold)
-    preds = p.argmax(axis=1)
-    return [
-        Detection(
-            score=float(scores[i]),
-            verdict="anomalous" if flags[i] else "normal",
-            predicted_class=class_names[preds[i]],
-            probabilities=p[i].copy(),
-        )
-        for i in range(len(p))
-    ]
+            f"[0, {network.num_classes})")
+    probs = predict(network, batch)
+    scores = scores_from_probabilities(probs, policy)
+    return scores, scores > policy.threshold, probs
 
 
-def calibrate_threshold(network, labeled_val_set, policy, target="max_f1",
-                        max_fpr=None):
-    """Pick a threshold from labeled validation data.
+def calibrate_threshold(scores, labels, policy, target="max_f1", max_fpr=None):
+    """Pick a threshold from the scores of labeled validation records.
 
     max_f1: the threshold maximizing benign-vs-rest F1 (anomalous side is
     positive); ties resolve to the lowest threshold. fpr_at: the smallest
     threshold whose false-positive rate (benign records flagged) is at most
-    max_fpr.
+    max_fpr. Candidates are 0 and every distinct score; each one's counts
+    come from binary searches in the sorted scores of either side.
     """
-    x, y = labeled_val_set
-    y = np.asarray(y)
-    positives = y != policy.benign_class_index
+    scores = np.asarray(scores, dtype=np.float64)
+    positives = np.asarray(labels) != policy.benign_class_index
     n_pos = int(positives.sum())
-    n_neg = int(y.size - n_pos)
+    n_neg = int(positives.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DegenerateClass(
             f"calibration needs both benign and non-benign records, got "
             f"{n_neg} benign / {n_pos} others")
-    detections = score_batch(network, x, policy)
-    scores = np.asarray([d.score for d in detections])
-
-    candidates = sorted({0.0} | set(float(s) for s in scores))
+    candidates = np.unique(np.append(scores, 0.0))
+    # records flagged at threshold t are those scoring strictly above t
+    fp = n_neg - np.searchsorted(np.sort(scores[~positives]), candidates,
+                                 side="right")
     if target == "max_f1":
-        best_t, best_f1 = 0.0, -1.0
-        for t in candidates:
-            flagged = scores > t
-            tp = int((flagged & positives).sum())
-            fp = int((flagged & ~positives).sum())
-            fn = n_pos - tp
-            f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
-            if f1 > best_f1:
-                best_t, best_f1 = t, f1
-        return best_t
+        tp = n_pos - np.searchsorted(np.sort(scores[positives]), candidates,
+                                     side="right")
+        fn = n_pos - tp
+        f1 = 2 * tp / (2 * tp + fp + fn)  # fn + tp = n_pos > 0
+        return float(candidates[np.argmax(f1)])  # argmax: first, lowest t
     if target == "fpr_at":
         if max_fpr is None:
             raise ValueError("fpr_at target needs max_fpr")
-        for t in candidates:
-            fpr = int((scores[~positives] > t).sum()) / n_neg
-            if fpr <= max_fpr:
-                return t
-        return 1.0
+        within = np.flatnonzero(fp / n_neg <= max_fpr)
+        return float(candidates[within[0]]) if within.size else 1.0
     raise ValueError(f"unknown calibration target {target!r}")

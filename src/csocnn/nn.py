@@ -23,6 +23,9 @@ BN_EPSILON = 1e-3
 # run performs; 0.9 reaches ~99.8% in 60 steps where 0.99 sits at ~45%.
 BN_MOMENTUM = 0.9
 LOG_CLAMP = 1e-12
+# Rows per inference forward: an unchunked forward keeps every layer's
+# intermediates for the whole input, so memory would grow with its length.
+INFERENCE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -392,6 +395,19 @@ def forward(network, batch, mode=None):
         "probs": probs,
     }
     return probs, full_cache
+
+
+def predict(network, batch):
+    """Inference-mode class probabilities for a batch in the network layout,
+    computed INFERENCE_ROWS rows at a time so memory stays bounded. Only
+    the probabilities of each slice are kept: its cache is freed before the
+    next slice runs."""
+    x = np.asarray(batch)
+    chunks = [forward(network, x[start:start + INFERENCE_ROWS], "inference")[0]
+              for start in range(0, len(x), INFERENCE_ROWS)]
+    if not chunks:
+        return np.zeros((0, network.num_classes), dtype=network.dtype)
+    return np.concatenate(chunks)
 
 
 def loss_sparse_ce(probs, labels):

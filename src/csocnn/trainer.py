@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import TrainingDiverged
 from .model_io import save_model
-from .nn import Network, backward, forward, loss_sparse_ce
+from .nn import Network, backward, forward, loss_sparse_ce, predict
 from .optim import AdamState, adam_step
 
 
@@ -32,7 +32,6 @@ class TrainConfig:
     lr_patience: int = 2
     min_lr: float = 1e-5
     early_stop_patience: int = 2
-    monitor: str = "val_accuracy"
     seed: int = 0
     checkpoint_dir: str | None = None  # None: no files written
 
@@ -45,8 +44,6 @@ class TrainConfig:
             raise ValueError("min_lr must not exceed initial_lr")
         if self.lr_patience < 0 or self.early_stop_patience < 0:
             raise ValueError("patience values must be >= 0")
-        if self.monitor != "val_accuracy":
-            raise ValueError("only val_accuracy monitoring is supported")
 
 
 @dataclass
@@ -123,14 +120,10 @@ def epoch_end(network, state, config, adam, epoch, val_loss, val_acc):
     return state.stop_stall_epochs >= config.early_stop_patience
 
 
-def evaluate(network, dataset, batch_size=1024):
+def evaluate(network, dataset):
     """Inference-mode (loss, accuracy, predictions, probabilities)."""
-    x, y = np.asarray(dataset[0]), np.asarray(dataset[1])
-    chunks = []
-    for start in range(0, len(y), batch_size):
-        probs, _ = forward(network, x[start:start + batch_size], "inference")
-        chunks.append(probs)
-    probs = np.concatenate(chunks) if chunks else np.zeros((0, network.num_classes))
+    y = np.asarray(dataset[1])
+    probs = predict(network, dataset[0])
     loss = loss_sparse_ce(probs, y)
     predictions = probs.argmax(axis=1)
     accuracy = float(np.mean(predictions == y)) if len(y) else 0.0

@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from csocnn import cli, data
+from csocnn import cli, data, detector, nn, trainer
+from csocnn.model_io import load_model
 
 TRAIN_FLAGS = ["--synthetic", "--synthetic-samples", "800",
                "--synthetic-separation", "3.0", "--seed", "13",
@@ -24,14 +25,15 @@ def train_run(tmp_path_factory):
     return out
 
 
-def _write_stream(path, n=3, seed=13):
+def _write_stream(path, n=3, seed=13, n_features=75):
     records = data.make_synthetic_blobs(max(n, 5), k_classes=5, d=75,
                                         separation=3.0, seed=seed)[:n]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(75)] + ["label"])
+        writer.writerow([f"f{i}" for i in range(n_features)] + ["label"])
         for r in records:
-            writer.writerow([repr(float(v)) for v in r.features] + [r.label])
+            writer.writerow([repr(float(v)) for v in r.features[:n_features]]
+                            + [r.label])
     return path
 
 
@@ -246,3 +248,82 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     code = cli.main(["train", *TRAIN_FLAGS])
     assert code == 0
     assert (target / "manifest.json").exists()
+
+
+def test_detect_wrong_feature_count_exits_3(train_run, tmp_path, capsys):
+    stream = _write_stream(tmp_path / "stream.csv", n=4, n_features=74)
+    out = tmp_path / "det74"
+    code = cli.main(["detect", "--model", str(train_run / "model.model"),
+                     "--input", str(stream), "--threshold", "0.5",
+                     "--out", str(out)])
+    assert code == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+    assert capsys.readouterr().out == ""  # failed before any verdict line
+
+
+def test_evaluate_wrong_feature_count_exits_3(train_run, tmp_path):
+    data_path = _write_stream(tmp_path / "flows.csv", n=20, n_features=74)
+    out = tmp_path / "eval74"
+    code = cli.main(["evaluate", "--model", str(train_run / "model.model"),
+                     "--data", str(data_path), "--seed", "1",
+                     "--out", str(out)])
+    assert code == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+def test_detect_threshold_out_of_range_is_usage_error(train_run, tmp_path,
+                                                      threshold):
+    stream = _write_stream(tmp_path / "stream.csv", n=2)
+    code = cli.main(["detect", "--model", str(train_run / "model.model"),
+                     "--input", str(stream), "--threshold", threshold,
+                     "--out", str(tmp_path / "detrange")])
+    assert code == 2
+
+
+@pytest.fixture(scope="module")
+def long_stream(tmp_path_factory):
+    """More rows than two inference slices, the last one partial."""
+    return _write_stream(tmp_path_factory.mktemp("long") / "stream.csv",
+                         n=2500, seed=15)
+
+
+def test_detect_forwards_at_most_inference_rows(train_run, long_stream,
+                                                tmp_path, monkeypatch, capsys):
+    original = nn.forward
+    rows = []
+
+    def spy(network, batch, mode=None):
+        rows.append(len(batch))
+        return original(network, batch, mode)
+
+    for module in (nn, trainer, detector):  # every by-name import of forward
+        if getattr(module, "forward", None) is original:
+            monkeypatch.setattr(module, "forward", spy)
+    code = cli.main(["detect", "--model", str(train_run / "model.model"),
+                     "--input", str(long_stream), "--threshold", "0.5",
+                     "--out", str(tmp_path / "detlong")])
+    assert code == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2500
+    assert sum(rows) == 2500
+    assert max(rows) <= 1024
+
+
+def test_detect_probabilities_equal_evaluate(train_run, long_stream, tmp_path,
+                                             capsys):
+    code = cli.main(["detect", "--model", str(train_run / "model.model"),
+                     "--input", str(long_stream), "--threshold", "0.5",
+                     "--out", str(tmp_path / "detprobs")])
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+
+    bundle = load_model(train_run / "model.model")
+    stats = data.ScalerStats.load(train_run / "scaler.json")
+    codec = data.LabelCodec(tuple(bundle.class_names))
+    scaled = data.clean_and_scale(data.load_csv(long_stream), stats)
+    _, _, _, probs = trainer.evaluate(
+        bundle.network, data.to_network_input(scaled.records, codec))
+    assert len(rows) == len(probs) == 2500
+    for row, expected in zip(rows, probs):
+        assert [row[f"p_{c}"] for c in codec.classes] == \
+            [repr(float(p)) for p in expected]

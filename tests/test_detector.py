@@ -26,15 +26,36 @@ def _probe_network(k=5):
     return net
 
 
+def _exhaustive_max_f1(scores, positives):
+    """Reference calibration: try every candidate, keep the lowest best."""
+    best_t, best_f1 = 0.0, -1.0
+    for t in sorted({0.0} | set(scores.tolist())):
+        flagged = scores > t
+        tp = int((flagged & positives).sum())
+        fp = int((flagged & ~positives).sum())
+        fn = int(positives.sum()) - tp
+        f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
+        if f1 > best_f1:
+            best_t, best_f1 = t, f1
+    return best_t
+
+
+def _exhaustive_fpr_at(scores, positives, max_fpr):
+    for t in sorted({0.0} | set(scores.tolist())):
+        if int((scores[~positives] > t).sum()) / int((~positives).sum()) <= max_fpr:
+            return t
+    return 1.0
+
+
 def test_pure_benign_probability_scores_zero():
     net = _probe_network()
     x = np.zeros((1, 5), dtype=np.float32)
     x[0, 0] = 8.0  # saturates class 0
     policy = detector.DetectionPolicy(threshold=0.2, benign_class_index=0)
-    det = detector.score_batch(net, x[:1], policy)[0]
-    assert det.score < 0.01
-    assert det.verdict == "normal"
-    assert det.predicted_class == "class_0"
+    scores, flags, probs = detector.score_batch(net, x[:1], policy)
+    assert scores[0] < 0.01
+    assert not flags[0]
+    assert probs[0].argmax() == 0
 
 
 def test_uniform_probabilities_score():
@@ -44,27 +65,27 @@ def test_uniform_probabilities_score():
                                     score_kind="non_benign_mass")
     top = detector.DetectionPolicy(threshold=0.5,
                                    score_kind="one_minus_max_prob")
-    assert detector.score_batch(net, x[:1], mass)[0].score == pytest.approx(0.8)
-    assert detector.score_batch(net, x[:1], top)[0].score == pytest.approx(0.8)
+    assert detector.score_batch(net, x[:1], mass)[0][0] == pytest.approx(0.8)
+    assert detector.score_batch(net, x[:1], top)[0][0] == pytest.approx(0.8)
 
 
 def test_verdict_strictly_greater_than_threshold():
     net = _probe_network()
     x = np.zeros((1, 5), dtype=np.float32)
     score = detector.score_batch(
-        net, x[:1], detector.DetectionPolicy(threshold=0.5))[0].score
+        net, x[:1], detector.DetectionPolicy(threshold=0.5))[0][0]
     at_score = detector.DetectionPolicy(threshold=score)
     below = detector.DetectionPolicy(threshold=max(score - 1e-6, 0.0))
-    assert detector.score_batch(net, x[:1], at_score)[0].verdict == "normal"
-    assert detector.score_batch(net, x[:1], below)[0].verdict == "anomalous"
+    assert not detector.score_batch(net, x[:1], at_score)[1][0]
+    assert detector.score_batch(net, x[:1], below)[1][0]
 
 
 def test_scores_live_in_unit_interval(trained_setup):
     prep, net = trained_setup
     policy = detector.DetectionPolicy(threshold=0.5)
-    detections = detector.score_batch(net, prep.test[0], policy)
-    for det in detections:
-        assert 0.0 <= det.score <= 1.0
+    scores, _, _ = detector.score_batch(net, prep.test[0], policy)
+    assert len(scores) == len(prep.test[0])
+    assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
 def test_verdicts_monotone_in_threshold(trained_setup):
@@ -72,9 +93,8 @@ def test_verdicts_monotone_in_threshold(trained_setup):
     flagged = []
     for threshold in (0.1, 0.4, 0.7, 0.95):
         policy = detector.DetectionPolicy(threshold=threshold)
-        detections = detector.score_batch(net, prep.test[0], policy)
-        flagged.append({i for i, d in enumerate(detections)
-                        if d.verdict == "anomalous"})
+        _, flags, _ = detector.score_batch(net, prep.test[0], policy)
+        flagged.append(set(np.flatnonzero(flags).tolist()))
     for wider, narrower in zip(flagged, flagged[1:]):
         assert narrower <= wider
 
@@ -83,12 +103,12 @@ def test_batch_scoring_is_order_equivariant(trained_setup):
     prep, net = trained_setup
     x = prep.test[0][:40]
     policy = detector.DetectionPolicy(threshold=0.5)
-    base = detector.score_batch(net, x, policy)
+    base_scores, base_flags, _ = detector.score_batch(net, x, policy)
     perm = np.random.default_rng(0).permutation(len(x))
-    shuffled = detector.score_batch(net, x[perm], policy)
+    scores, flags, _ = detector.score_batch(net, x[perm], policy)
     for out_pos, in_pos in enumerate(perm):
-        assert shuffled[out_pos].score == base[in_pos].score
-        assert shuffled[out_pos].verdict == base[in_pos].verdict
+        assert scores[out_pos] == base_scores[in_pos]
+        assert flags[out_pos] == base_flags[in_pos]
 
 
 def test_threshold_sweep_reproduces_roc_points(trained_setup):
@@ -96,8 +116,7 @@ def test_threshold_sweep_reproduces_roc_points(trained_setup):
     x, y = prep.test
     benign = list(prep.codec.classes).index("Benign")
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=benign)
-    detections = detector.score_batch(net, x, policy)
-    scores = np.array([d.score for d in detections])
+    scores, _, _ = detector.score_batch(net, x, policy)
     assert scores.min() > 0.0  # keeps every ROC point reachable by strict >
 
     # benign-vs-rest via the one-vs-rest ROC op on (p_benign, 1-p_benign)
@@ -114,10 +133,9 @@ def test_threshold_sweep_reproduces_roc_points(trained_setup):
     for fpr, tpr, roc_threshold in points:
         t = scores.max() if roc_threshold == float("inf") \
             else realize[roc_threshold]
-        swept = detector.score_batch(
+        _, flagged, _ = detector.score_batch(
             net, x, detector.DetectionPolicy(threshold=t,
                                              benign_class_index=benign))
-        flagged = np.array([d.verdict == "anomalous" for d in swept])
         assert int((flagged & (y_bin == 1)).sum()) / n_pos == tpr
         assert int((flagged & (y_bin == 0)).sum()) / n_neg == fpr
 
@@ -129,11 +147,11 @@ def test_calibrate_perfectly_separable():
     x[3:, 1] = 8.0   # attack, p_benign ~ 0
     y = np.array([0, 0, 0, 1, 1, 1])
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=0)
-    t = detector.calibrate_threshold(net, (x, y), policy)
-    detections = detector.score_batch(
+    scores, _, _ = detector.score_batch(net, x, policy)
+    t = detector.calibrate_threshold(scores, y, policy)
+    _, flags, _ = detector.score_batch(
         net, x, detector.DetectionPolicy(threshold=t, benign_class_index=0))
-    verdicts = [d.verdict for d in detections]
-    assert verdicts == ["normal"] * 3 + ["anomalous"] * 3
+    assert flags.tolist() == [False] * 3 + [True] * 3
 
 
 def test_calibrate_all_equal_scores_returns_zero():
@@ -141,7 +159,8 @@ def test_calibrate_all_equal_scores_returns_zero():
     x = np.zeros((4, 2), dtype=np.float32)  # identical rows, equal scores
     y = np.array([0, 0, 1, 1])
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=0)
-    assert detector.calibrate_threshold(net, (x, y), policy) == 0.0
+    scores, _, _ = detector.score_batch(net, x, policy)
+    assert detector.calibrate_threshold(scores, y, policy) == 0.0
 
 
 def test_calibrate_matches_exhaustive_enumeration(trained_setup):
@@ -152,20 +171,36 @@ def test_calibrate_matches_exhaustive_enumeration(trained_setup):
     if not ((y == benign).any() and (y != benign).any()):
         pytest.skip("20-sample slice lost one side")
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=benign)
-    got = detector.calibrate_threshold(net, (x, y), policy)
+    scores, _, _ = detector.score_batch(net, x, policy)
+    got = detector.calibrate_threshold(scores, y, policy)
+    assert got == _exhaustive_max_f1(scores, y != benign)
 
-    scores = np.array([d.score for d in detector.score_batch(net, x, policy)])
-    positives = y != benign
-    best_t, best_f1 = 0.0, -1.0
-    for t in sorted({0.0} | set(scores.tolist())):
-        flagged = scores > t
-        tp = int((flagged & positives).sum())
-        fp = int((flagged & ~positives).sum())
-        fn = int(positives.sum()) - tp
-        f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
-        if f1 > best_f1:
-            best_t, best_f1 = t, f1
-    assert got == best_t
+
+@pytest.mark.parametrize("seed", range(5))
+def test_calibrate_matches_exhaustive_enumeration_with_ties(seed):
+    # few distinct scores, so most candidates are shared by many records
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 8, size=300) / 8.0
+    y = rng.integers(0, 3, size=300)
+    policy = detector.DetectionPolicy(benign_class_index=0)
+    positives = y != 0
+    got = detector.calibrate_threshold(scores, y, policy)
+    assert type(got) is float
+    assert got == _exhaustive_max_f1(scores, positives)
+    for max_fpr in (0.0, 0.05, 0.3, 1.0):
+        got = detector.calibrate_threshold(scores, y, policy, target="fpr_at",
+                                           max_fpr=max_fpr)
+        assert got == _exhaustive_fpr_at(scores, positives, max_fpr)
+
+
+def test_calibrate_f1_tie_takes_lowest_threshold():
+    # t=0 flags every record (tp 2, fp 2) and t=0.1 only the 0.7 positive
+    # (tp 1, fp 0): both give F1 = 2/3
+    scores = np.array([0.1, 0.7, 0.1, 0.1])
+    y = np.array([1, 1, 0, 0])
+    policy = detector.DetectionPolicy(benign_class_index=0)
+    assert _exhaustive_max_f1(scores, y != 0) == 0.0
+    assert detector.calibrate_threshold(scores, y, policy) == 0.0
 
 
 def test_calibrate_fpr_target(trained_setup):
@@ -173,9 +208,9 @@ def test_calibrate_fpr_target(trained_setup):
     x, y = prep.val
     benign = list(prep.codec.classes).index("Benign")
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=benign)
-    t = detector.calibrate_threshold(net, (x, y), policy, target="fpr_at",
+    scores, _, _ = detector.score_batch(net, x, policy)
+    t = detector.calibrate_threshold(scores, y, policy, target="fpr_at",
                                      max_fpr=0.1)
-    scores = np.array([d.score for d in detector.score_batch(net, x, policy)])
     benign_mask = y == benign
     fpr = int((scores[benign_mask] > t).sum()) / int(benign_mask.sum())
     assert fpr <= 0.1
@@ -192,8 +227,9 @@ def test_calibrate_degenerate_sides():
     net = _probe_network(2)
     x = np.zeros((3, 2), dtype=np.float32)
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=0)
+    scores, _, _ = detector.score_batch(net, x, policy)
     with pytest.raises(DegenerateClass):
-        detector.calibrate_threshold(net, (x, np.array([0, 0, 0])), policy)
+        detector.calibrate_threshold(scores, np.array([0, 0, 0]), policy)
 
 
 def test_scaler_mismatch_guard():
