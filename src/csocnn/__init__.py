@@ -7,8 +7,8 @@ Subpackages by concern:
   ``model_io``.
 - ``cso``: the cat swarm optimization engine.
 - ``hyperopt``: hyperparameter search hybridizing the swarm with training.
-- ``data``: CSV ingestion, cleaning, scaling, stratified splits, synthetic
-  blob generation.
+- ``data``: the columnar flow table, CSV ingestion, cleaning, scaling,
+  stratified splits, synthetic blob generation.
 - ``trainer``: the mini-batch loop with plateau LR reduction, early stopping,
   and best-model checkpointing (kept in memory; files only with a
   checkpoint directory).

@@ -183,15 +183,25 @@ def _load_records(args, seed):
         schema = data.CsvSchema(label_column=args.label_column)
         return data.load_csv(args.data, schema), [args.data]
     if args.synthetic:
-        records = data.make_synthetic_blobs(
-            args.synthetic_samples, k_classes=5, d=75,
-            separation=args.synthetic_separation, seed=seed)
-        return records, ["synthetic"]
+        with _usage_errors():
+            flows = data.make_synthetic_blobs(
+                args.synthetic_samples, k_classes=5, d=75,
+                separation=args.synthetic_separation, seed=seed)
+        return flows, ["synthetic"]
     raise UsageError("provide --data PATH or --synthetic")
 
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Turn a ValueError from objects built out of flag values into exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _config_snapshot(args):
@@ -215,17 +225,18 @@ def _curve_svg(path, state):
 def cmd_train(args):
     seed = _resolve_seed(args)
     out = Path(args.out or default_out_dir())
-    records, inputs = _load_records(args, seed)
-    manifest = RunManifest(out, "train", _config_snapshot(args), seed, inputs)
-    with _SignalGuard(manifest):
-        out.mkdir(parents=True, exist_ok=True)
-        prep = data.prepare_dataset(records, data.SplitSpec(seed=seed))
-        d_features = prep.train[0].shape[1]
-        network = nn.Network(nn.default_architecture(len(prep.codec)),
-                             (d_features, 1, 1), seed=seed)
+    with _usage_errors():
         config = trainer.TrainConfig(
             epochs=args.epochs, batch_size=args.batch, initial_lr=args.lr,
             seed=seed, checkpoint_dir=str(out / "checkpoints"))
+    flows, inputs = _load_records(args, seed)
+    manifest = RunManifest(out, "train", _config_snapshot(args), seed, inputs)
+    with _SignalGuard(manifest):
+        out.mkdir(parents=True, exist_ok=True)
+        prep = data.prepare_dataset(flows, data.SplitSpec(seed=seed))
+        d_features = prep.train[0].shape[1]
+        network = nn.Network(nn.default_architecture(len(prep.codec)),
+                             (d_features, 1, 1), seed=seed)
         best, state = trainer.train(network, prep.train, prep.val, config,
                                     class_names=prep.codec.classes)
 
@@ -268,13 +279,7 @@ def cmd_train(args):
 def cmd_optimize(args):
     seed = _resolve_seed(args)
     out = Path(args.out or default_out_dir())
-    records, inputs = _load_records(args, seed)
-    manifest = RunManifest(out, "optimize", _config_snapshot(args), seed, inputs)
-    with _SignalGuard(manifest):
-        out.mkdir(parents=True, exist_ok=True)
-        prep = data.prepare_dataset(records, data.SplitSpec(seed=seed))
-        d_features = prep.train[0].shape[1]
-        arch = nn.default_architecture(len(prep.codec))
+    with _usage_errors():
         space = hyperopt.SearchSpace(
             lr_range=tuple(args.lr_range),
             batch_range=tuple(args.batch_range),
@@ -283,6 +288,13 @@ def cmd_optimize(args):
             n_cats=args.cats, max_iters=args.iters, mixture_ratio=args.mr,
             smp=args.smp, srd=args.srd, cdc=args.cdc, c1=args.c1, seed=seed,
             objective="maximize", n_workers=args.workers)
+    flows, inputs = _load_records(args, seed)
+    manifest = RunManifest(out, "optimize", _config_snapshot(args), seed, inputs)
+    with _SignalGuard(manifest):
+        out.mkdir(parents=True, exist_ok=True)
+        prep = data.prepare_dataset(flows, data.SplitSpec(seed=seed))
+        d_features = prep.train[0].shape[1]
+        arch = nn.default_architecture(len(prep.codec))
         best_hp, best_fit, history = hyperopt.optimize_hyperparams(
             space, (prep.train, prep.val), arch, swarm_config)
 
@@ -342,14 +354,14 @@ def cmd_evaluate(args):
     bundle = load_model(args.model)
     stats, scaler_path = _load_scaler(args)
     detector.ensure_scaler_match(bundle.scaler_fingerprint, stats)
-    records, inputs = _load_records(args, seed)
+    flows, inputs = _load_records(args, seed)
     manifest = RunManifest(out, "evaluate", _config_snapshot(args), seed,
                            inputs + [args.model, scaler_path])
     with _SignalGuard(manifest):
         out.mkdir(parents=True, exist_ok=True)
         codec = data.LabelCodec(tuple(bundle.class_names))
-        scaled = data.clean_and_scale(records, stats)
-        batch, labels = data.to_network_input(scaled.records, codec)
+        scaled = data.clean_and_scale(flows, stats)
+        batch, labels = data.to_network_input(scaled.flows, codec)
         test_loss, test_acc, predictions, probs = trainer.evaluate(
             bundle.network, (batch, labels))
 
@@ -453,13 +465,11 @@ def cmd_detect(args):
         if benign_name not in class_names:
             raise LabelError(f"benign class {benign_name!r} not among "
                              f"model classes {class_names}")
-        try:
+        with _usage_errors():
             policy = detector.DetectionPolicy(
                 threshold=0.5 if args.threshold is None else args.threshold,
                 score_kind=args.score_kind,
                 benign_class_index=class_names.index(benign_name))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         codec = data.LabelCodec(class_names)
         schema = data.CsvSchema(label_column=args.label_column,
                                 expected_features=stats.n_features)
@@ -471,7 +481,7 @@ def cmd_detect(args):
         stream = (open(args.input, newline="", encoding="utf-8") if args.input
                   else contextlib.nullcontext(sys.stdin))
         with stream as fh:
-            labeled, chunks = data.read_csv_chunks(
+            labeled, _, chunks = data.read_csv_chunks(
                 fh, schema, source=args.input or "stdin")
             if args.calibrate and not labeled:
                 raise SchemaError(

@@ -1,17 +1,18 @@
 """Flow-feature dataset handling.
 
-CSV ingestion with an explicit cleaning policy (NaN -> train median,
-±Inf -> train extreme finite values, everything counted), min-max scaling
-fitted on the training split only, stratified splitting, and reshaping to
-the (n, features, 1, 1) layout the network consumes. A synthetic Gaussian
-blob generator stands in for real flow captures at desk scale.
+CSV ingestion into one columnar Flows table, an explicit cleaning policy
+(NaN -> train median, ±Inf -> train extreme finite values, everything
+counted), min-max scaling fitted on the training split only, stratified
+splitting, and reshaping to the (n, features, 1, 1) layout the network
+consumes. A synthetic Gaussian blob generator stands in for real flow
+captures at desk scale.
 """
 
 import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +24,22 @@ DAPT_CLASSES = ("Benign", "Data", "Establish", "Lateral", "Reconn")
 
 
 @dataclass
-class FlowRecord:
-    """One network flow: a numeric feature vector plus its class label."""
+class Flows:
+    """Network flows as columns: an (n, d) float feature matrix (float64 as
+    parsed, float32 once scaled) and the n class labels, an object array of
+    Python str. len() is n; indexing by an index array selects those rows."""
 
     features: np.ndarray
-    label: str
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=object)
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, rows):
+        return Flows(self.features[rows], self.labels[rows])
 
 
 @dataclass(frozen=True)
@@ -39,12 +51,6 @@ class LabelCodec:
     @classmethod
     def from_labels(cls, labels):
         return cls(tuple(sorted(set(labels))))
-
-    def encode(self, label):
-        try:
-            return self.classes.index(label)
-        except ValueError:
-            raise LabelError(f"unknown class {label!r}") from None
 
     def encode_all(self, labels):
         lookup = {c: i for i, c in enumerate(self.classes)}
@@ -87,24 +93,27 @@ class SplitSpec:
 
 
 def load_csv(path, schema=CsvSchema()):
-    """Parse a labeled flow-feature CSV into records (see read_csv_chunks);
-    a header without the label column raises SchemaError."""
+    """Parse a labeled flow-feature CSV into one Flows table (see
+    read_csv_chunks); a header-only file gives a (0, d) table, and a header
+    without the label column raises SchemaError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        labeled, chunks = read_csv_chunks(fh, schema, source=path)
+        labeled, n_features, chunks = read_csv_chunks(fh, schema, source=path)
         if not labeled:
             raise SchemaError(
                 f"{path}: label column {schema.label_column!r} not in header")
-        return [FlowRecord(features=row, label=label)
-                for features, labels in chunks
-                for row, label in zip(features, labels)]
+        features, labels = [np.empty((0, n_features))], []
+        for chunk, chunk_labels in chunks:
+            features.append(chunk)
+            labels.extend(chunk_labels)
+    return Flows(np.concatenate(features), labels)
 
 
 def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
     """Check a flow-feature CSV's header now; parse its rows lazily.
 
-    Returns (labeled, chunks). labeled is False when the header has no label
-    column, in which case every non-label column is still a feature and the
-    labels are None. chunks yields (features, labels) for up to
+    Returns (labeled, n_features, chunks). labeled is False when the header
+    has no label column, in which case every non-label column is still a
+    feature and the labels are None. chunks yields (features, labels) for up to
     INFERENCE_ROWS rows at a time: a float64 matrix with one row per record
     and the stripped label strings. Unparseable numeric cells become NaN so
     the cleaning policy can impute and count them; structurally bad rows
@@ -161,7 +170,7 @@ def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
         if rows:
             yield np.stack(rows), labels if labeled else None
 
-    return labeled, chunks()
+    return labeled, len(feature_idx), chunks()
 
 
 @dataclass
@@ -218,57 +227,38 @@ class ScalerStats:
 
 @dataclass
 class ScaledData:
-    records: list
+    flows: Flows
     stats: ScalerStats
     n_nan_imputed: int = 0
     n_inf_imputed: int = 0
     n_clamped: int = 0
 
 
-def _feature_matrix(records):
-    if not records:
-        raise ValueError("no records to process")
-    return np.stack([r.features for r in records]).astype(np.float64)
+def clean_and_scale(flows, stats=None):
+    """Impute NaN/±Inf, then min-max scale to [0, 1] through scale_features.
 
-
-def clean_and_scale(records, stats=None):
-    """Impute NaN/±Inf, then min-max scale to [0, 1].
-
-    With stats=None the statistics are fitted on these records (the training
-    call); otherwise the given train-fitted stats are applied by
-    scale_features. Constant columns scale to 0.
+    With stats=None the statistics are fitted on these flows first (the
+    training call); otherwise the given train-fitted stats are applied.
+    Constant columns scale to 0. An empty table raises SchemaError.
     """
-    f = _feature_matrix(records)
-    nan_mask = np.isnan(f)
-    pos_mask = np.isposinf(f)
-    neg_mask = np.isneginf(f)
-
+    if not len(flows):
+        raise SchemaError("no records to process")
+    f = flows.features
     if stats is None:
         finite = np.where(np.isfinite(f), f, np.nan)
-        all_nan = np.all(np.isnan(finite), axis=0)
-        safe = np.where(all_nan[None, :], 0.0, finite)
-        median = np.nanmedian(safe, axis=0)
-        inf_hi = np.nanmax(safe, axis=0)
-        inf_lo = np.nanmin(safe, axis=0)
-        f = np.where(nan_mask, median, f)
-        f = np.where(pos_mask, inf_hi, f)
-        f = np.where(neg_mask, inf_lo, f)
-        lo = f.min(axis=0)
-        hi = f.max(axis=0)
-        stats = ScalerStats(median=median, inf_lo=inf_lo, inf_hi=inf_hi,
-                            lo=lo, hi=hi)
-        clamped = 0
-        scaled = _scale(f, stats).astype(np.float32)
-    else:
-        scaled, clamped = scale_features(f, stats)
-
-    cleaned = [FlowRecord(features=scaled[i], label=r.label)
-               for i, r in enumerate(records)]
+        finite[:, np.all(np.isnan(finite), axis=0)] = 0.0
+        # Imputed values lie within a column's finite range, so the imputed
+        # column's min and max are its finite min and max.
+        lo = np.nanmin(finite, axis=0)
+        hi = np.nanmax(finite, axis=0)
+        stats = ScalerStats(median=np.nanmedian(finite, axis=0),
+                            inf_lo=lo, inf_hi=hi, lo=lo, hi=hi)
+    scaled, clamped = scale_features(f, stats)
     return ScaledData(
-        records=cleaned,
+        flows=Flows(scaled, flows.labels),
         stats=stats,
-        n_nan_imputed=int(nan_mask.sum()),
-        n_inf_imputed=int(pos_mask.sum() + neg_mask.sum()),
+        n_nan_imputed=int(np.isnan(f).sum()),
+        n_inf_imputed=int(np.isinf(f).sum()),
         n_clamped=clamped,
     )
 
@@ -325,14 +315,14 @@ def _largest_remainder(class_counts, take):
     return alloc
 
 
-def split(records, spec=SplitSpec()):
-    """Deterministic (train, val, test) partition.
+def split(flows, spec=SplitSpec()):
+    """Deterministic (train, val, test) partition of a Flows table.
 
     Stratified mode preserves class ratios within ±1 record per class and
     raises StratifyError when a class has fewer records than there are
     classes.
     """
-    n = len(records)
+    n = len(flows)
     n_train, n_val, n_test = split_sizes(n, spec)
     rng = np.random.default_rng(spec.seed)
 
@@ -342,9 +332,9 @@ def split(records, spec=SplitSpec()):
         val_idx = perm[n_test:n_test + n_val]
         train_idx = perm[n_test + n_val:]
     else:
-        by_class = {}
-        for i, r in enumerate(records):
-            by_class.setdefault(r.label, []).append(i)
+        # row indices per class, classes in order of first appearance
+        by_class = {label: np.flatnonzero(flows.labels == label)
+                    for label in dict.fromkeys(flows.labels)}
         k = len(by_class)
         for label, idxs in by_class.items():
             if len(idxs) < k:
@@ -356,40 +346,35 @@ def split(records, spec=SplitSpec()):
         remaining = {c: counts[c] - test_alloc[c] for c in counts}
         val_alloc = _largest_remainder(remaining, n_val)
 
-        test_idx, val_idx, train_idx = [], [], []
+        # (test, val, train) pieces; the empty first piece splits 0 rows too
+        parts = tuple([np.zeros(0, dtype=int)] for _ in range(3))
         for label in sorted(by_class, key=str):
-            idxs = np.array(by_class[label])
+            idxs = by_class[label]
             rng.shuffle(idxs)
-            t, v = test_alloc[label], val_alloc[label]
-            test_idx.extend(idxs[:t])
-            val_idx.extend(idxs[t:t + v])
-            train_idx.extend(idxs[t + v:])
+            cuts = np.cumsum([test_alloc[label], val_alloc[label]])
+            for part, piece in zip(parts, np.split(idxs, cuts)):
+                part.append(piece)
         # interleave classes so partition prefixes are representative
         test_idx, val_idx, train_idx = (
-            np.array(part, dtype=int)[rng.permutation(len(part))]
-            for part in (test_idx, val_idx, train_idx))
+            idx[rng.permutation(len(idx))]
+            for idx in map(np.concatenate, parts))
 
-    return ([records[i] for i in train_idx],
-            [records[i] for i in val_idx],
-            [records[i] for i in test_idx])
+    return flows[train_idx], flows[val_idx], flows[test_idx]
 
 
-def to_network_input(records, codec=None):
-    """Stack records into the (n, features, 1, 1) batch layout. Feature k of
-    record i lands at element (i, k, 0, 0); labels come from the codec.
-    Raises ValueError when a feature is NaN or infinite."""
+def to_network_input(flows, codec=None):
+    """Reshape a Flows table into the (n, features, 1, 1) batch layout.
+    Feature k of row i lands at element (i, k, 0, 0); labels come from the
+    codec. Raises ValueError when a feature is NaN or infinite."""
     if codec is None:
-        codec = LabelCodec.from_labels(r.label for r in records)
-    features = np.stack([r.features for r in records])
-    if not np.all(np.isfinite(features)):
+        codec = LabelCodec.from_labels(flows.labels)
+    if not np.all(np.isfinite(flows.features)):
         raise ValueError("network input contains NaN or Inf values")
-    batch = features.reshape(len(records), features.shape[1], 1, 1)
-    labels = codec.encode_all([r.label for r in records])
-    return batch, labels
+    return flows.features[:, :, None, None], codec.encode_all(flows.labels)
 
 
 def make_synthetic_blobs(n, k_classes=5, d=75, separation=3.0, seed=0):
-    """Gaussian clusters standing in for flow captures.
+    """Gaussian clusters standing in for flow captures, as a Flows table.
 
     Class-balanced within ±1 record; separation scales the distance between
     cluster centers (0 makes classes indistinguishable). Uses the DAPT-style
@@ -405,13 +390,10 @@ def make_synthetic_blobs(n, k_classes=5, d=75, separation=3.0, seed=0):
         names = tuple(f"class_{i}" for i in range(k_classes))
     counts = [n // k_classes + (1 if i < n % k_classes else 0)
               for i in range(k_classes)]
-    records = []
-    for c, count in enumerate(counts):
-        feats = centers[c] + rng.normal(size=(count, d))
-        records.extend(FlowRecord(features=feats[j], label=names[c])
-                       for j in range(count))
-    order = rng.permutation(len(records))
-    return [records[i] for i in order]
+    features = np.concatenate([centers[c] + rng.normal(size=(count, d))
+                               for c, count in enumerate(counts)])
+    labels = np.repeat(np.array(names, dtype=object), counts)
+    return Flows(features, labels)[rng.permutation(n)]
 
 
 @dataclass
@@ -429,18 +411,18 @@ class PreparedData:
     n_clamped: int = 0
 
 
-def prepare_dataset(records, spec=SplitSpec(), codec=None):
+def prepare_dataset(flows, spec=SplitSpec(), codec=None):
     """split -> fit scaler on train -> apply to val/test -> tensorize."""
-    train_recs, val_recs, test_recs = split(records, spec)
+    train, val, test = split(flows, spec)
     if codec is None:
-        codec = LabelCodec.from_labels(r.label for r in records)
-    fitted = clean_and_scale(train_recs)
-    val_scaled = clean_and_scale(val_recs, fitted.stats)
-    test_scaled = clean_and_scale(test_recs, fitted.stats)
+        codec = LabelCodec.from_labels(flows.labels)
+    fitted = clean_and_scale(train)
+    val_scaled = clean_and_scale(val, fitted.stats)
+    test_scaled = clean_and_scale(test, fitted.stats)
     return PreparedData(
-        train=to_network_input(fitted.records, codec),
-        val=to_network_input(val_scaled.records, codec),
-        test=to_network_input(test_scaled.records, codec),
+        train=to_network_input(fitted.flows, codec),
+        val=to_network_input(val_scaled.flows, codec),
+        test=to_network_input(test_scaled.flows, codec),
         codec=codec,
         stats=fitted.stats,
         n_nan_imputed=fitted.n_nan_imputed + val_scaled.n_nan_imputed

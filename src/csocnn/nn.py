@@ -403,11 +403,13 @@ def predict(network, batch):
     the probabilities of each slice are kept: its cache is freed before the
     next slice runs."""
     x = np.asarray(batch)
-    chunks = [forward(network, x[start:start + INFERENCE_ROWS], "inference")[0]
-              for start in range(0, len(x), INFERENCE_ROWS)]
-    if not chunks:
-        return np.zeros((0, network.num_classes), dtype=network.dtype)
-    return np.concatenate(chunks)
+    # filled in place: a result array per slice, allocated among the slice's
+    # caches, can keep the allocator from returning their memory
+    probs = np.empty((len(x), network.num_classes), dtype=network.dtype)
+    for start in range(0, len(x), INFERENCE_ROWS):
+        probs[start:start + INFERENCE_ROWS] = forward(
+            network, x[start:start + INFERENCE_ROWS], "inference")[0]
+    return probs
 
 
 def loss_sparse_ce(probs, labels):

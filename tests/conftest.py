@@ -58,6 +58,6 @@ def max_relative_error(analytic, numeric, floor=1e-8):
 @pytest.fixture(scope="session")
 def small_blobs():
     """1500 well-separated 75-feature records, prepared leakage-free."""
-    records = data.make_synthetic_blobs(1500, k_classes=5, d=75,
-                                        separation=3.0, seed=11)
-    return data.prepare_dataset(records, data.SplitSpec(seed=11))
+    flows = data.make_synthetic_blobs(1500, k_classes=5, d=75,
+                                      separation=3.0, seed=11)
+    return data.prepare_dataset(flows, data.SplitSpec(seed=11))

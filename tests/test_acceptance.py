@@ -180,19 +180,21 @@ def test_criterion_06_split_fidelity():
     weights = {"Benign": 43580, "Data": 10300, "Establish": 8625,
                "Lateral": 2449, "Reconn": 11800}
     assert sum(weights.values()) == 76754
-    records = [data.FlowRecord(features=np.zeros(1, dtype=np.float32), label=l)
-               for l, n in weights.items() for _ in range(n)]
-    train, val, test = data.split(records, data.SplitSpec(seed=6))
+    labels = [l for l, n in weights.items() for _ in range(n)]
+    n = len(labels)
+    # each row's feature is its own index, so the parts trace back to rows
+    flows = data.Flows(np.arange(n, dtype=np.float64)[:, None], labels)
+    train, val, test = data.split(flows, data.SplitSpec(seed=6))
     sizes = (len(train), len(val), len(test))
     assert sizes == (55262, 6141, 15351)
-    n = len(records)
     for part in (train, val, test):
         share = len(part) / n
-        counts = Counter(r.label for r in part)
+        counts = Counter(part.labels.tolist())
         for label, total in weights.items():
             assert abs(counts[label] - total * share) <= 1
     # partitions are disjoint and exhaustive
-    assert len({id(r) for part in (train, val, test) for r in part}) == n
+    seen = np.concatenate([part.features[:, 0] for part in (train, val, test)])
+    assert len(seen) == n and set(seen.astype(int).tolist()) == set(range(n))
     _report(6, "76754 records split exactly into (55262, 6141, 15351) with "
                "class ratios within ±1 record")
 
@@ -239,9 +241,9 @@ def test_criterion_07_callback_semantics(tmp_path):
 
 def test_criterion_08_desk_scale_training():
     start = time.time()
-    records = data.make_synthetic_blobs(10000, k_classes=5, d=75,
-                                        separation=3.0, seed=8)
-    prep = data.prepare_dataset(records, data.SplitSpec(seed=8))
+    flows = data.make_synthetic_blobs(10000, k_classes=5, d=75,
+                                      separation=3.0, seed=8)
+    prep = data.prepare_dataset(flows, data.SplitSpec(seed=8))
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=8)
     config = trainer.TrainConfig(seed=8)  # defaults: 5 epochs, batch 640
     best, state = trainer.train(net, prep.train, prep.val, config,
@@ -293,18 +295,19 @@ def test_criterion_09_hybrid_search_beats_random(small_blobs):
 
 def _write_capture_shaped_csv(path, n=400, seed=10):
     rng = np.random.default_rng(seed)
-    records = data.make_synthetic_blobs(n, k_classes=5, d=75,
-                                        separation=2.0, seed=seed)
+    flows = data.make_synthetic_blobs(n, k_classes=5, d=75,
+                                      separation=2.0, seed=seed)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"flow_feat_{i}" for i in range(75)] + ["label"])
-        for i, r in enumerate(records):
-            row = [repr(float(v)) for v in r.features]
+        for i, (features, label) in enumerate(zip(flows.features,
+                                                  flows.labels)):
+            row = [repr(float(v)) for v in features]
             if i % 97 == 0:
                 row[3] = "Infinity"  # duration-style overflow
             if i % 89 == 0:
                 row[10] = ""  # missing cell
-            writer.writerow(row + [r.label])
+            writer.writerow(row + [label])
     return path
 
 

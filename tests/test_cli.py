@@ -26,14 +26,14 @@ def train_run(tmp_path_factory):
 
 
 def _write_stream(path, n=3, seed=13, n_features=75):
-    records = data.make_synthetic_blobs(max(n, 5), k_classes=5, d=75,
-                                        separation=3.0, seed=seed)[:n]
+    flows = data.make_synthetic_blobs(max(n, 5), k_classes=5, d=75,
+                                      separation=3.0, seed=seed)[:n]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(n_features)] + ["label"])
-        for r in records:
-            writer.writerow([repr(float(v)) for v in r.features[:n_features]]
-                            + [r.label])
+        for features, label in zip(flows.features, flows.labels):
+            writer.writerow([repr(float(v)) for v in features[:n_features]]
+                            + [label])
     return path
 
 
@@ -213,8 +213,8 @@ def test_detect_calibrate_prints_threshold(train_run, tmp_path, capsys):
 
 
 def test_detect_scaler_mismatch_exits_3(train_run, tmp_path):
-    records = [data.FlowRecord(np.arange(75.0) + i, "x") for i in range(4)]
-    other_stats = data.clean_and_scale(records).stats
+    flows = data.Flows(np.arange(75.0) + np.arange(4.0)[:, None], ["x"] * 4)
+    other_stats = data.clean_and_scale(flows).stats
     other = tmp_path / "other-scaler.json"
     other_stats.save(other)
     stream = _write_stream(tmp_path / "stream.csv", n=2)
@@ -281,6 +281,36 @@ def test_detect_threshold_out_of_range_is_usage_error(train_run, tmp_path,
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["train", "optimize", "evaluate"])
+def test_header_only_csv_exits_3(train_run, tmp_path, command):
+    data_path = tmp_path / "flows.csv"
+    data_path.write_text(",".join([f"f{i}" for i in range(75)] + ["label"])
+                         + "\n")
+    out = tmp_path / command
+    model = (["--model", str(train_run / "model.model")]
+             if command == "evaluate" else [])
+    code = cli.main([command, "--data", str(data_path), "--seed", "1",
+                     "--out", str(out), *model])
+    assert code == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "SchemaError"
+    assert "no records" in error["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["train", "--epochs", "0"],
+    ["optimize", "--cats", "0"],
+    ["optimize", "--lr-range", "1e-2", "1e-4"],
+    ["train", "--synthetic-samples", "3"],
+], ids=["epochs-0", "cats-0", "lr-range-reversed", "synthetic-samples-3"])
+def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    code = cli.main([*flags, "--synthetic", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (out / "error.json").exists()
+
+
 @pytest.fixture(scope="module")
 def long_stream(tmp_path_factory):
     """More rows than two inference slices, the last one partial."""
@@ -322,7 +352,7 @@ def test_detect_probabilities_equal_evaluate(train_run, long_stream, tmp_path,
     codec = data.LabelCodec(tuple(bundle.class_names))
     scaled = data.clean_and_scale(data.load_csv(long_stream), stats)
     _, _, _, probs = trainer.evaluate(
-        bundle.network, data.to_network_input(scaled.records, codec))
+        bundle.network, data.to_network_input(scaled.flows, codec))
     assert len(rows) == len(probs) == 2500
     for row, expected in zip(rows, probs):
         assert [row[f"p_{c}"] for c in codec.classes] == \

@@ -7,9 +7,9 @@ from csocnn.errors import DegenerateClass, ScalerMismatch
 
 @pytest.fixture(scope="module")
 def trained_setup():
-    records = data.make_synthetic_blobs(1200, k_classes=5, d=75,
-                                        separation=2.0, seed=17)
-    prep = data.prepare_dataset(records, data.SplitSpec(seed=17))
+    flows = data.make_synthetic_blobs(1200, k_classes=5, d=75,
+                                      separation=2.0, seed=17)
+    prep = data.prepare_dataset(flows, data.SplitSpec(seed=17))
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=17)
     config = trainer.TrainConfig(epochs=2, batch_size=128, initial_lr=3e-3,
                                  seed=17)
@@ -233,10 +233,10 @@ def test_calibrate_degenerate_sides():
 
 
 def test_scaler_mismatch_guard():
-    a = data.clean_and_scale([data.FlowRecord(np.array([0.0, 1.0]), "x"),
-                              data.FlowRecord(np.array([2.0, 3.0]), "x")]).stats
-    b = data.clean_and_scale([data.FlowRecord(np.array([5.0, 1.0]), "x"),
-                              data.FlowRecord(np.array([9.0, 3.0]), "x")]).stats
+    a = data.clean_and_scale(
+        data.Flows(np.array([[0.0, 1.0], [2.0, 3.0]]), ["x", "x"])).stats
+    b = data.clean_and_scale(
+        data.Flows(np.array([[5.0, 1.0], [9.0, 3.0]]), ["x", "x"])).stats
     detector.ensure_scaler_match(a.fingerprint(), a)  # same: fine
     with pytest.raises(ScalerMismatch):
         detector.ensure_scaler_match(a.fingerprint(), b)

@@ -98,9 +98,9 @@ def test_candidate_seed_is_stable_and_distinct():
 @pytest.fixture(scope="module")
 def tiny_sets(request):
     from csocnn import data
-    records = data.make_synthetic_blobs(1500, k_classes=5, d=75,
-                                        separation=4.0, seed=31)
-    prep = data.prepare_dataset(records, data.SplitSpec(seed=31))
+    flows = data.make_synthetic_blobs(1500, k_classes=5, d=75,
+                                      separation=4.0, seed=31)
+    prep = data.prepare_dataset(flows, data.SplitSpec(seed=31))
     return prep
 
 

@@ -7,8 +7,8 @@ from csocnn.nn import forward
 
 
 def test_numpy_interop():
-    recs = data.make_synthetic_blobs(10, k_classes=2, d=9, seed=0)
-    batch, _ = data.to_network_input(recs)
+    flows = data.make_synthetic_blobs(10, k_classes=2, d=9, seed=0)
+    batch, _ = data.to_network_input(flows)
     assert np.asarray(batch) is batch
     assert len(batch) == 10
 

@@ -106,9 +106,9 @@ def trained(small_blobs_module, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_blobs_module():
-    records = data.make_synthetic_blobs(900, k_classes=5, d=75,
-                                        separation=3.0, seed=21)
-    return data.prepare_dataset(records, data.SplitSpec(seed=21))
+    flows = data.make_synthetic_blobs(900, k_classes=5, d=75,
+                                      separation=3.0, seed=21)
+    return data.prepare_dataset(flows, data.SplitSpec(seed=21))
 
 
 def test_histories_line_up(trained):
