@@ -267,24 +267,25 @@ def scale_features(f, stats):
     """Apply train-fitted stats to a feature matrix: impute NaN/±Inf, scale
     to [0, 1] and clamp what falls outside. Returns (float32 matrix, number
     of clamped values); a column count other than the stats' raises
-    SchemaError."""
+    SchemaError. Works in place on one copy of the matrix, in the dtype its
+    arithmetic with the stats takes (float64 for parsed features)."""
     if f.shape[1] != stats.n_features:
         raise SchemaError(
             f"records have {f.shape[1]} features, stats expect "
             f"{stats.n_features}")
-    f = np.where(np.isnan(f), stats.median, f)
-    f = np.where(np.isposinf(f), stats.inf_hi, f)
-    f = np.where(np.isneginf(f), stats.inf_lo, f)
-    scaled = _scale(f, stats)
-    clamped = int(((scaled < 0.0) | (scaled > 1.0)).sum())
-    return np.clip(scaled, 0.0, 1.0).astype(np.float32), clamped
-
-
-def _scale(f, stats):
+    f = np.array(f, dtype=np.result_type(
+        f, stats.median, stats.inf_lo, stats.inf_hi, stats.lo, stats.hi))
+    np.copyto(f, stats.median, where=np.isnan(f))
+    np.copyto(f, stats.inf_hi, where=np.isposinf(f))
+    np.copyto(f, stats.inf_lo, where=np.isneginf(f))
     span = stats.hi - stats.lo
+    f -= stats.lo
     with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = (f - stats.lo) / span
-    return np.where(span > 0, scaled, 0.0)
+        f /= span
+    np.copyto(f, 0.0, where=~(span > 0))
+    clamped = int(np.count_nonzero(f < 0.0) + np.count_nonzero(f > 1.0))
+    np.clip(f, 0.0, 1.0, out=f)
+    return f.astype(np.float32), clamped
 
 
 def split_sizes(n, spec):

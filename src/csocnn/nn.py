@@ -2,9 +2,13 @@
 
 Implements exactly the layer kinds the classifier needs (Input, Conv2D,
 BatchNorm, MaxPool2D, Flatten, Dense) with forward and backward passes on
-numpy arrays in channels-last (N, H, W, C) layout. Convolutions are stride-1;
-pooling strides by its own kernel. The final Dense layer carries a softmax so
-the network emits per-sample class probabilities directly.
+numpy arrays in channels-last (N, H, W, C) layout. Convolutions are stride-1
+matrix products over an im2col layout (Chellapilla, Puri & Simard, 2006);
+pooling strides by its own kernel and takes the max over the window's strided
+slots, routing the gradient to the first max as argmax would. The final Dense
+layer carries a softmax so the network emits per-sample class probabilities
+directly. Only a train-mode forward keeps the per-layer arrays backward needs;
+an inference forward frees each layer's intermediates as it goes.
 """
 
 import math
@@ -23,8 +27,9 @@ BN_EPSILON = 1e-3
 # run performs; 0.9 reaches ~99.8% in 60 steps where 0.99 sits at ~45%.
 BN_MOMENTUM = 0.9
 LOG_CLAMP = 1e-12
-# Rows per inference forward: an unchunked forward keeps every layer's
-# intermediates for the whole input, so memory would grow with its length.
+# Rows per inference forward. An inference forward keeps no intermediates,
+# but the activations of the layer it is running are as long as its batch,
+# so an unchunked forward's memory would grow with the input's length.
 INFERENCE_ROWS = 1024
 
 
@@ -320,13 +325,61 @@ def _pool_pad(x, kh, kw, padding):
     return x, oh, ow, (bh, bw)
 
 
+def _max_pool(x, kh, kw, padding, train):
+    """Max over each pooling window as an np.maximum chain over the kh*kw
+    strided window slots. Returns (pooled, backward cache); in train mode the
+    cache holds each output's first slot in (row, col) order that holds the
+    max, the slot argmax over the window would pick."""
+    xp, oh, ow, offsets = _pool_pad(x, kh, kw, padding)
+    slots = [xp[:, a::kh, b::kw, :] for a in range(kh) for b in range(kw)]
+    # np.maximum returns its second operand on ties, so chaining from the
+    # last slot back keeps the first slot's value (the sign of a tied zero)
+    z = slots[-1]
+    for s in slots[-2::-1]:
+        z = np.maximum(z, s)
+    if not train:
+        return z, {}
+    # the first max's slot is the number of leading slots below the max; a
+    # window holding NaN counts as max-free and routes its NaN gradient to
+    # the last slot
+    idx = np.zeros(z.shape, dtype=np.min_scalar_type(len(slots) - 1))
+    below = np.ones(z.shape, dtype=bool)
+    for s in slots[:-1]:
+        below &= s != z
+        idx += below
+    return z, {"argmax": idx, "padded_shape": xp.shape, "offsets": offsets}
+
+
+def _max_pool_backward(dz, x_shape, kh, kw, padding, cache):
+    """Input gradient of _max_pool: each output's gradient goes to the slot
+    its train-mode cache recorded."""
+    pn, ph, pw, c = cache["padded_shape"]
+    oh, ow = dz.shape[1], dz.shape[2]
+    dwin = np.zeros((pn, oh, ow, kh * kw, c), dtype=dz.dtype)
+    np.put_along_axis(dwin, cache["argmax"][:, :, :, None, :],
+                      dz[:, :, :, None, :], axis=3)
+    dxp = (dwin.reshape(pn, oh, ow, kh, kw, c)
+           .transpose(0, 1, 3, 2, 4, 5)
+           .reshape(pn, ph, pw, c))
+    if padding == "same":
+        bh, bw = cache["offsets"]
+        return dxp[:, bh:bh + x_shape[1], bw:bw + x_shape[2], :]
+    # valid pooling dropped any trailing remainder; those inputs get zero
+    # gradient
+    grad = np.zeros(x_shape, dtype=dz.dtype)
+    grad[:, :ph, :pw, :] = dxp
+    return grad
+
+
 def forward(network, batch, mode=None):
     """Run a batch through the network.
 
     Returns (probabilities, cache). In train mode BatchNorm normalizes with
-    batch statistics and updates its running stats; in inference mode it uses
-    the stored running stats and the call has no side effects. The cache
-    feeds backward() and is only produced meaningfully in train mode.
+    batch statistics and updates its running stats, and the cache keeps what
+    backward() needs of every layer. In inference mode BatchNorm uses the
+    stored running stats, the call has no side effects, and the cache holds
+    no layer arrays: each layer's intermediates are dropped once the next
+    layer has read them, and backward() rejects the cache.
     """
     mode = mode or network.mode
     if mode not in ("train", "inference"):
@@ -337,10 +390,13 @@ def forward(network, batch, mode=None):
             f"batch shape {x.shape} does not end with {network.input_shape}")
     x = x.astype(network.dtype, copy=False)
 
-    if mode == "train":
+    train = mode == "train"
+    if train:
         network._forward_version += 1
     layer_caches = []
     for i, spec in enumerate(network.layers):
+        # an inference cache dies with its layer; the dels below stop the
+        # locals from keeping its arrays alive through the layers after it
         cache = {"x": x}
         if spec.kind == "Input":
             z = x
@@ -350,11 +406,14 @@ def forward(network, batch, mode=None):
             kmat = network.params[f"{i}.kernel"].reshape(-1, spec.filters_or_units)
             z = cols @ kmat + network.params[f"{i}.bias"]
             cache["cols"] = cols
+            del cols
         elif spec.kind == "BatchNorm":
             gamma, beta = network.params[f"{i}.gamma"], network.params[f"{i}.beta"]
-            if mode == "train":
+            if train:
                 mean = x.mean(axis=(0, 1, 2))
-                var = x.var(axis=(0, 1, 2))
+                xc = x - mean
+                # the sum of squared deviations x.var would take, in its order
+                var = np.square(xc).mean(axis=(0, 1, 2))
                 network.bn_stats[f"{i}.mean"] = (
                     BN_MOMENTUM * network.bn_stats[f"{i}.mean"]
                     + (1 - BN_MOMENTUM) * mean).astype(network.dtype)
@@ -364,33 +423,30 @@ def forward(network, batch, mode=None):
             else:
                 mean = network.bn_stats[f"{i}.mean"]
                 var = network.bn_stats[f"{i}.var"]
+                xc = x - mean
             std = np.sqrt(var + BN_EPSILON)
-            xhat = (x - mean) / std
-            z = gamma * xhat + beta
-            cache.update(xhat=xhat, std=std)
+            xc /= std
+            # inference keeps no xhat, so it scales and shifts it in place
+            z = xc * gamma if train else np.multiply(xc, gamma, out=xc)
+            z += beta
+            cache.update(xhat=xc, std=std)
+            del xc
         elif spec.kind == "MaxPool2D":
-            kh, kw = spec.kernel
-            xp, oh, ow, offsets = _pool_pad(x, kh, kw, spec.padding)
-            n, _, _, c = xp.shape
-            windows = (xp.reshape(n, oh, kh, ow, kw, c)
-                       .transpose(0, 1, 3, 2, 4, 5)
-                       .reshape(n, oh, ow, kh * kw, c))
-            argmax = windows.argmax(axis=3)
-            z = np.take_along_axis(windows, argmax[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-            cache.update(argmax=argmax, padded_shape=xp.shape, offsets=offsets)
+            z, pool_cache = _max_pool(x, *spec.kernel, spec.padding, train)
+            cache.update(pool_cache)
         elif spec.kind == "Flatten":
             z = x.reshape(x.shape[0], -1)
         elif spec.kind == "Dense":
             z = x @ network.params[f"{i}.weight"] + network.params[f"{i}.bias"]
-        cache["z"] = z
         x = _activate(z, spec.activation)
-        cache["a"] = x
-        layer_caches.append(cache)
+        if train:
+            cache.update(z=z, a=x)
+            layer_caches.append(cache)
 
     probs = x
     full_cache = {
         "mode": mode,
-        "version": network._forward_version if mode == "train" else None,
+        "version": network._forward_version if train else None,
         "layers": layer_caches,
         "probs": probs,
     }
@@ -399,12 +455,11 @@ def forward(network, batch, mode=None):
 
 def predict(network, batch):
     """Inference-mode class probabilities for a batch in the network layout,
-    computed INFERENCE_ROWS rows at a time so memory stays bounded. Only
-    the probabilities of each slice are kept: its cache is freed before the
-    next slice runs."""
+    computed INFERENCE_ROWS rows at a time, so the activations alive at once
+    are those of one slice and memory stays bounded in the batch length."""
     x = np.asarray(batch)
     # filled in place: a result array per slice, allocated among the slice's
-    # caches, can keep the allocator from returning their memory
+    # activations, can keep the allocator from returning their memory
     probs = np.empty((len(x), network.num_classes), dtype=network.dtype)
     for start in range(0, len(x), INFERENCE_ROWS):
         probs[start:start + INFERENCE_ROWS] = forward(
@@ -486,24 +541,7 @@ def backward(network, cache, true_labels):
             s2 = (dxhat * xhat).sum(axis=(0, 1, 2))
             grad = (dxhat - (s1 + xhat * s2) / m) / std
         elif spec.kind == "MaxPool2D":
-            kh, kw = spec.kernel
-            argmax = lc["argmax"]
-            pn, ph, pw, c = lc["padded_shape"]
-            oh, ow = dz.shape[1], dz.shape[2]
-            dwin = np.zeros((pn, oh, ow, kh * kw, c), dtype=dz.dtype)
-            np.put_along_axis(dwin, argmax[:, :, :, None, :],
-                              dz[:, :, :, None, :], axis=3)
-            dxp = (dwin.reshape(pn, oh, ow, kh, kw, c)
-                   .transpose(0, 1, 3, 2, 4, 5)
-                   .reshape(pn, ph, pw, c))
-            if spec.padding == "same":
-                bh, bw = lc["offsets"]
-                grad = dxp[:, bh:bh + x.shape[1], bw:bw + x.shape[2], :]
-            else:
-                # valid pooling dropped any trailing remainder; those inputs
-                # get zero gradient
-                grad = np.zeros_like(x)
-                grad[:, :ph, :pw, :] = dxp
+            grad = _max_pool_backward(dz, x.shape, *spec.kernel, spec.padding, lc)
         elif spec.kind == "Flatten":
             grad = dz.reshape(x.shape)
         elif spec.kind == "Dense":

@@ -108,3 +108,119 @@ def test_maxpool_same_padding_never_picks_padding():
     x = np.array([-4.0, -9.0, -2.0]).reshape(1, 3, 1, 1)
     out, _ = forward(net, x, "inference")
     assert out.reshape(-1).tolist() == [-4.0, -2.0]
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(97, 70, 1, 64), (33, 7, 3, 5), (1, 1, 1, 4)])
+def test_batchnorm_batch_stats_equal_mean_and_var(monkeypatch, shape, dtype):
+    # momentum 0 makes the running stats the batch mean and variance
+    # exactly, so a last-bit difference from x.mean / x.var shows
+    monkeypatch.setattr(nn, "BN_MOMENTUM", 0.0)
+    x = np.random.default_rng(sum(shape)).normal(
+        3.0, 20.0, size=shape).astype(dtype)
+    net = nn.Network([nn.input_layer(), nn.batch_norm()], shape[1:], seed=0,
+                     dtype=dtype)
+    net.params["1.gamma"][:] = 1.5
+    net.params["1.beta"][:] = -0.25
+    out, _ = forward(net, x, "train")
+    mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+    assert _same_bits(net.bn_stats["1.mean"], mean)
+    assert _same_bits(net.bn_stats["1.var"], var)
+    xhat = (x - mean) / np.sqrt(var + nn.BN_EPSILON)
+    assert _same_bits(out, net.params["1.gamma"] * xhat + net.params["1.beta"])
+
+
+def test_inference_cache_holds_no_layer_arrays():
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=0)
+    x = np.random.default_rng(8).random((16, 75, 1, 1)).astype(np.float32)
+    _, train_cache = forward(net, x, "train")
+    assert any(isinstance(v, np.ndarray)
+               for lc in train_cache["layers"] for v in lc.values())
+    _, cache = forward(net, x, "inference")
+    assert cache["mode"] == "inference"
+    assert not any(isinstance(v, np.ndarray)
+                   for lc in cache["layers"] for v in lc.values())
+
+
+# --- MaxPool against the argmax pool it replaced ----------------------------
+
+def _argmax_pool_oracle(x, kh, kw, padding, dz):
+    """Pooled output and input gradient of the transpose / argmax /
+    take_along_axis forward and put_along_axis backward: argmax picks the
+    first max of each window in (row, col) order."""
+    n, h, w, c = x.shape
+    xp, oh, ow, (bh, bw) = nn._pool_pad(x, kh, kw, padding)
+    ph, pw = xp.shape[1:3]
+    windows = (xp.reshape(n, oh, kh, ow, kw, c).transpose(0, 1, 3, 2, 4, 5)
+               .reshape(n, oh, ow, kh * kw, c))
+    argmax = windows.argmax(axis=3)[:, :, :, None, :]
+    pooled = np.take_along_axis(windows, argmax, axis=3)[:, :, :, 0, :]
+    dwin = np.zeros(windows.shape, dtype=dz.dtype)
+    np.put_along_axis(dwin, argmax, dz[:, :, :, None, :], axis=3)
+    dxp = (dwin.reshape(n, oh, ow, kh, kw, c).transpose(0, 1, 3, 2, 4, 5)
+           .reshape(n, ph, pw, c))
+    grad = np.zeros(x.shape, dtype=dz.dtype)
+    if padding == "same":
+        grad[...] = dxp[:, bh:bh + h, bw:bw + w, :]
+    else:
+        grad[:, :ph, :pw, :] = dxp
+    return pooled, grad
+
+
+_POOL_INPUTS = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    # three levels: most windows hold a tie
+    "ties": lambda rng, shape: rng.integers(0, 3, size=shape).astype(float),
+    # post-ReLU: many windows are all zero
+    "relu": lambda rng, shape: np.maximum(rng.normal(size=shape) - 0.8, 0.0),
+    # the output keeps the first max's zero sign, as take_along_axis did
+    "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 1.0], size=shape),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("values", sorted(_POOL_INPUTS))
+@pytest.mark.parametrize("kernel,padding,shape", [
+    ((2, 1), "same", (6, 70, 1, 4)),
+    ((2, 1), "same", (6, 33, 1, 4)),   # odd height: one -inf row
+    ((2, 1), "valid", (6, 33, 1, 4)),  # odd height: the last row is dropped
+    ((2, 2), "same", (5, 7, 5, 3)),    # -inf row and column
+    ((2, 2), "valid", (5, 7, 5, 3)),
+    ((2, 2), "same", (3, 1, 1, 2)),    # one real value per window
+])
+def test_max_pool_matches_argmax_oracle(kernel, padding, shape, values, dtype):
+    rng = np.random.default_rng([*kernel, *shape, padding == "same",
+                                 sorted(_POOL_INPUTS).index(values)])
+    x = _POOL_INPUTS[values](rng, shape).astype(dtype)
+    kh, kw = kernel
+    pooled, cache = nn._max_pool(x, kh, kw, padding, train=True)
+    dz = rng.normal(size=pooled.shape).astype(dtype)
+    grad = nn._max_pool_backward(dz, x.shape, kh, kw, padding, cache)
+    want_pooled, want_grad = _argmax_pool_oracle(x, kh, kw, padding, dz)
+    assert _same_bits(pooled, want_pooled)
+    assert _same_bits(grad, want_grad)
+    inference_pooled, inference_cache = nn._max_pool(x, kh, kw, padding,
+                                                     train=False)
+    assert _same_bits(inference_pooled, want_pooled)
+    assert inference_cache == {}
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("kernel", [(2, 1), (2, 2)])
+def test_max_pool_propagates_nan(kernel, train):
+    x = np.random.default_rng(9).normal(size=(4, 8, 4, 3)).astype(np.float32)
+    x[0, 0, 0, 0] = np.nan   # first slot of its window
+    x[1, 3, 1, 1] = np.nan   # last slot
+    x[2, 5, 2, 2] = np.nan
+    x[2, 4, 2, 2] = np.inf   # NaN wins over +inf in the same window
+    pooled, _ = nn._max_pool(x, *kernel, "same", train)
+    want, _ = _argmax_pool_oracle(x, *kernel, "same", np.zeros_like(pooled))
+    kh, kw = kernel
+    nan_windows = {(0, 0, 0, 0), (1, 1, 1 // kw, 1), (2, 2, 2 // kw, 2)}
+    assert set(map(tuple, np.argwhere(np.isnan(pooled)))) == nan_windows
+    np.testing.assert_array_equal(pooled, want)
