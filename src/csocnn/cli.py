@@ -170,10 +170,11 @@ class _SignalGuard:
         return False
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        return int(args.seed)
-    return secrets.randbits(31)
+def _seed_and_out(args):
+    """The run's seed (--seed, or a random one the manifest records) and
+    its output directory."""
+    seed = int(args.seed) if args.seed is not None else secrets.randbits(31)
+    return seed, Path(args.out or default_out_dir())
 
 
 def _load_records(args, seed):
@@ -181,7 +182,8 @@ def _load_records(args, seed):
         raise UsageError("--data and --synthetic are mutually exclusive")
     if args.data:
         schema = data.CsvSchema(label_column=args.label_column)
-        return data.load_csv(args.data, schema), [args.data]
+        with _reading("--data", args.data):
+            return data.load_csv(args.data, schema), [args.data]
     if args.synthetic:
         with _usage_errors():
             flows = data.make_synthetic_blobs(
@@ -204,6 +206,16 @@ def _usage_errors():
         raise UsageError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def _reading(flag, path):
+    """Turn a failure to open or read the file a flag names into exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(
+            f"cannot read {flag} {path}: {exc.strerror or exc}") from None
+
+
 def _config_snapshot(args):
     skip = {"command", "func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -222,9 +234,34 @@ def _curve_svg(path, state):
     return path
 
 
+def _train_seeded(prep, config):
+    """Train a fresh default-architecture network, initialized from the
+    config's seed, on the prepared splits; returns trainer.train's
+    (best network, state)."""
+    network = nn.Network(nn.default_architecture(len(prep.codec)),
+                         (prep.train[0].shape[1], 1, 1), seed=config.seed)
+    return trainer.train(network, prep.train, prep.val, config,
+                         class_names=prep.codec.classes)
+
+
+def _save_trained(manifest, out, prep, network, state):
+    """Write scaler.json, then model.model carrying the scaler fingerprint
+    and the best epoch's training metrics."""
+    best_idx = state.epochs.index(state.best_epoch)
+    manifest.add_artifact(prep.stats.save(out / SCALER_FILENAME))
+    manifest.add_artifact(save_model(
+        out / "model.model", network, prep.codec.classes,
+        scaler_fingerprint=prep.stats.fingerprint(),
+        training_metrics={
+            "training_accuracy": state.train_acc[best_idx],
+            "training_loss": state.train_loss[best_idx],
+            "validation_accuracy": state.best_val_acc,
+            "validation_loss": state.best_val_loss,
+        }))
+
+
 def cmd_train(args):
-    seed = _resolve_seed(args)
-    out = Path(args.out or default_out_dir())
+    seed, out = _seed_and_out(args)
     with _usage_errors():
         config = trainer.TrainConfig(
             epochs=args.epochs, batch_size=args.batch, initial_lr=args.lr,
@@ -234,29 +271,13 @@ def cmd_train(args):
     with _SignalGuard(manifest):
         out.mkdir(parents=True, exist_ok=True)
         prep = data.prepare_dataset(flows, data.SplitSpec(seed=seed))
-        d_features = prep.train[0].shape[1]
-        network = nn.Network(nn.default_architecture(len(prep.codec)),
-                             (d_features, 1, 1), seed=seed)
-        best, state = trainer.train(network, prep.train, prep.val, config,
-                                    class_names=prep.codec.classes)
+        best, state = _train_seeded(prep, config)
 
         test_loss, test_acc, predictions, probs = trainer.evaluate(
             best, prep.test)
-        best_idx = state.epochs.index(state.best_epoch)
-        training_metrics = {
-            "training_accuracy": state.train_acc[best_idx],
-            "training_loss": state.train_loss[best_idx],
-            "validation_accuracy": state.best_val_acc,
-            "validation_loss": state.best_val_loss,
-        }
-
         manifest.add_artifact(state.history_to_csv(out / "history.csv"))
         manifest.add_artifact(_curve_svg(out / "curves.svg", state))
-        manifest.add_artifact(prep.stats.save(out / SCALER_FILENAME))
-        manifest.add_artifact(save_model(
-            out / "model.model", best, prep.codec.classes,
-            scaler_fingerprint=prep.stats.fingerprint(),
-            training_metrics=training_metrics))
+        _save_trained(manifest, out, prep, best, state)
         cm = metrics.confusion(prep.test[1], predictions, len(prep.codec),
                                prep.codec.classes)
         manifest.add_artifact(cm.to_csv(out / "confusion_matrix.csv"))
@@ -277,8 +298,7 @@ def cmd_train(args):
 
 
 def cmd_optimize(args):
-    seed = _resolve_seed(args)
-    out = Path(args.out or default_out_dir())
+    seed, out = _seed_and_out(args)
     with _usage_errors():
         space = hyperopt.SearchSpace(
             lr_range=tuple(args.lr_range),
@@ -287,16 +307,15 @@ def cmd_optimize(args):
         swarm_config = cso.SwarmConfig(
             n_cats=args.cats, max_iters=args.iters, mixture_ratio=args.mr,
             smp=args.smp, srd=args.srd, cdc=args.cdc, c1=args.c1, seed=seed,
-            objective="maximize", n_workers=args.workers)
+            n_workers=args.workers)
     flows, inputs = _load_records(args, seed)
     manifest = RunManifest(out, "optimize", _config_snapshot(args), seed, inputs)
     with _SignalGuard(manifest):
         out.mkdir(parents=True, exist_ok=True)
         prep = data.prepare_dataset(flows, data.SplitSpec(seed=seed))
-        d_features = prep.train[0].shape[1]
-        arch = nn.default_architecture(len(prep.codec))
         best_hp, best_fit, history = hyperopt.optimize_hyperparams(
-            space, (prep.train, prep.val), arch, swarm_config)
+            space, (prep.train, prep.val),
+            nn.default_architecture(len(prep.codec)), swarm_config)
 
         manifest.add_artifact(history.to_csv(out / "convergence.csv"))
         manifest.add_artifact(svg.line_chart(
@@ -308,24 +327,11 @@ def cmd_optimize(args):
             out / "best_hyperparams.json", best_hp, best_fit))
 
         # Materialize the winner: retrain at the best hyperparameters.
-        network = nn.Network(arch, (d_features, 1, 1), seed=seed)
-        config = trainer.TrainConfig(
+        best_net, state = _train_seeded(prep, trainer.TrainConfig(
             epochs=best_hp.epochs, batch_size=best_hp.batch_size,
             initial_lr=best_hp.learning_rate, seed=seed,
-            checkpoint_dir=str(out / "checkpoints"))
-        best_net, state = trainer.train(network, prep.train, prep.val, config,
-                                        class_names=prep.codec.classes)
-        best_idx = state.epochs.index(state.best_epoch)
-        manifest.add_artifact(prep.stats.save(out / SCALER_FILENAME))
-        manifest.add_artifact(save_model(
-            out / "model.model", best_net, prep.codec.classes,
-            scaler_fingerprint=prep.stats.fingerprint(),
-            training_metrics={
-                "training_accuracy": state.train_acc[best_idx],
-                "training_loss": state.train_loss[best_idx],
-                "validation_accuracy": state.best_val_acc,
-                "validation_loss": state.best_val_loss,
-            }))
+            checkpoint_dir=str(out / "checkpoints")))
+        _save_trained(manifest, out, prep, best_net, state)
         manifest.set_metrics({
             "best_fitness": [best_fit.val_accuracy, best_fit.val_loss],
             "best_learning_rate": best_hp.learning_rate,
@@ -337,7 +343,12 @@ def cmd_optimize(args):
     return EXIT_OK
 
 
-def _load_scaler(args):
+def _open_model(args):
+    """Load --model and its scaler stats (--scaler, or scaler.json next to
+    the model) and check that they belong together. Returns (bundle, stats,
+    scaler path)."""
+    with _reading("--model", args.model):
+        bundle = load_model(args.model)
     scaler_path = args.scaler
     if scaler_path is None:
         scaler_path = Path(args.model).parent / SCALER_FILENAME
@@ -345,15 +356,14 @@ def _load_scaler(args):
         raise SchemaError(
             f"scaler stats not found at {scaler_path}; pass --scaler PATH "
             f"(written next to the model at training time)")
-    return data.ScalerStats.load(scaler_path), str(scaler_path)
+    stats = data.ScalerStats.load(scaler_path)
+    detector.ensure_scaler_match(bundle.scaler_fingerprint, stats)
+    return bundle, stats, str(scaler_path)
 
 
 def cmd_evaluate(args):
-    seed = _resolve_seed(args)
-    out = Path(args.out or default_out_dir())
-    bundle = load_model(args.model)
-    stats, scaler_path = _load_scaler(args)
-    detector.ensure_scaler_match(bundle.scaler_fingerprint, stats)
+    seed, out = _seed_and_out(args)
+    bundle, stats, scaler_path = _open_model(args)
     flows, inputs = _load_records(args, seed)
     manifest = RunManifest(out, "evaluate", _config_snapshot(args), seed,
                            inputs + [args.model, scaler_path])
@@ -389,13 +399,13 @@ def cmd_evaluate(args):
         with open(roc_path, "w", newline="", encoding="utf-8") as fh:
             fh.write("curve,fpr,tpr,threshold\n")
             for name, pts, _ in curves:
-                for fpr, tpr, thr in pts:
+                # tolist: Python floats, whose repr is the bare number
+                for fpr, tpr, thr in pts.tolist():
                     fh.write(f"{name},{fpr!r},{tpr!r},{thr!r}\n")
         manifest.add_artifact(roc_path)
         manifest.add_artifact(svg.line_chart(
             out / "roc.svg", "ROC curves (one-vs-rest and micro-average)",
-            [(f"{name} (auc={auc:.3f})",
-              [p[0] for p in pts], [p[1] for p in pts])
+            [(f"{name} (auc={auc:.3f})", pts[:, 0].tolist(), pts[:, 1].tolist())
              for name, pts, auc in curves],
             x_label="false positive rate", y_label="true positive rate"))
 
@@ -450,11 +460,8 @@ def _write_verdicts(writer, scores, flags, probs, class_names):
 
 
 def cmd_detect(args):
-    seed = _resolve_seed(args)
-    out = Path(args.out or default_out_dir())
-    bundle = load_model(args.model)
-    stats, scaler_path = _load_scaler(args)
-    detector.ensure_scaler_match(bundle.scaler_fingerprint, stats)
+    seed, out = _seed_and_out(args)
+    bundle, stats, scaler_path = _open_model(args)
     manifest = RunManifest(out, "detect", _config_snapshot(args), seed,
                            [args.input or "stdin", args.model, scaler_path])
     with _SignalGuard(manifest):
@@ -478,8 +485,9 @@ def cmd_detect(args):
         writer = csv.writer(sys.stdout)
         kept = []  # --calibrate: (probabilities, label codes) per chunk
         n_records = n_anomalous = 0
-        stream = (open(args.input, newline="", encoding="utf-8") if args.input
-                  else contextlib.nullcontext(sys.stdin))
+        with _reading("--input", args.input):
+            stream = (open(args.input, newline="", encoding="utf-8")
+                      if args.input else contextlib.nullcontext(sys.stdin))
         with stream as fh:
             labeled, _, chunks = data.read_csv_chunks(
                 fh, schema, source=args.input or "stdin")

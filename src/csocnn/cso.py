@@ -6,6 +6,8 @@ of the dimensions by up to srd of their current magnitude, keep one clone by
 fitness-weighted roulette) and tracing (velocity update pulling the cat
 toward the best position found so far, starting each stint from rest).
 
+The fitness function is called as ``fitness_fn(position, ctx)``, where ctx
+is the EvalContext naming the iteration and cat the evaluation belongs to.
 Fitness values may be plain floats or any totally ordered objects; in the
 latter case ``weight_key`` must project them to floats for the roulette
 weights and history curves. Candidate evaluations within an iteration are
@@ -14,7 +16,6 @@ cat-index order so runs are reproducible regardless of scheduling.
 """
 
 import csv
-import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -85,25 +86,13 @@ class SwarmConfig:
 
 @dataclass
 class SwarmHistory:
-    """Per-iteration convergence record.
-
-    best_fitness holds the raw fitness values (which may be rich objects);
-    best_value and mean_fitness are their float projections, and are what
-    the CSV export writes.
-    """
+    """Per-iteration convergence record: the float projections of the best
+    fitness so far and of the swarm's mean fitness, as the CSV export
+    writes them."""
 
     iterations: list = field(default_factory=list)
-    best_fitness: list = field(default_factory=list)
     best_value: list = field(default_factory=list)
     mean_fitness: list = field(default_factory=list)
-    best_position: list = field(default_factory=list)
-
-    def append(self, iteration, best_fitness, best_value, mean_fitness, best_position):
-        self.iterations.append(iteration)
-        self.best_fitness.append(best_fitness)
-        self.best_value.append(best_value)
-        self.mean_fitness.append(mean_fitness)
-        self.best_position.append(np.array(best_position, copy=True))
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -131,22 +120,6 @@ def _better(a, b, objective):
 
 def _rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _fitness_caller(fitness_fn):
-    """Call fitness_fn(position) or fitness_fn(position, ctx) depending on
-    how many positional arguments it accepts."""
-    try:
-        sig = inspect.signature(fitness_fn)
-        takes_ctx = len([
-            p for p in sig.parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]) >= 2 or any(p.kind == p.VAR_POSITIONAL for p in sig.parameters.values())
-    except (TypeError, ValueError):  # builtins, ufuncs
-        takes_ctx = False
-    if takes_ctx:
-        return fitness_fn
-    return lambda position, ctx: fitness_fn(position)
 
 
 @dataclass(frozen=True)
@@ -246,18 +219,15 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     fixed (seed, config, bounds, fitness function); fitness failures are
     raised as FitnessError with the offending position attached.
 
-    fitness_fn may optionally accept a second EvalContext argument telling
-    it which (iteration, cat_index) the evaluation belongs to.
+    fitness_fn is called as fitness_fn(position, ctx), with ctx the
+    EvalContext naming the (iteration, cat_index) of the evaluation.
     """
-    lo, hi = _check_bounds(bounds)
-    call = _fitness_caller(fitness_fn)
-
     def evaluate(jobs):
         # jobs: list of (position, EvalContext); returns fitness values in order
         def one(job):
             pos, ctx = job
             try:
-                return call(pos, ctx)
+                return fitness_fn(pos, ctx)
             except FitnessError:
                 raise
             except Exception as exc:
@@ -330,9 +300,10 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
                 best_fitness = cat.fitness
                 best_position = cat.position.copy()
 
-        mean_value = float(np.mean([float(weight_key(c.fitness)) for c in cats]))
-        history.append(iteration, best_fitness, float(weight_key(best_fitness)),
-                       mean_value, best_position)
+        history.iterations.append(iteration)
+        history.best_value.append(float(weight_key(best_fitness)))
+        history.mean_fitness.append(
+            float(np.mean([float(weight_key(c.fitness)) for c in cats])))
         if callback is not None:
             callback(iteration, cats, best_position, best_fitness)
 

@@ -59,24 +59,16 @@ class LabelCodec:
         except KeyError as exc:
             raise LabelError(f"unknown class {exc.args[0]!r}") from None
 
-    def decode(self, code):
-        if not 0 <= code < len(self.classes):
-            raise LabelError(f"code {code} outside [0, {len(self.classes)})")
-        return self.classes[code]
-
     def __len__(self):
         return len(self.classes)
 
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Expected CSV layout: a label column plus numeric feature columns.
-
-    feature_columns None means every non-label column is a feature.
-    """
+    """Expected CSV layout: a label column, and every other column a numeric
+    feature; expected_features, when set, is the required feature count."""
 
     label_column: str = "label"
-    feature_columns: tuple | None = None
     expected_features: int | None = None
 
 
@@ -84,7 +76,6 @@ class CsvSchema:
 class SplitSpec:
     test_fraction: float = 0.20
     val_fraction: float = 0.10  # of the remainder after the test cut
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -111,14 +102,14 @@ def load_csv(path, schema=CsvSchema()):
 def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
     """Check a flow-feature CSV's header now; parse its rows lazily.
 
-    Returns (labeled, n_features, chunks). labeled is False when the header
-    has no label column, in which case every non-label column is still a
-    feature and the labels are None. chunks yields (features, labels) for up to
+    Returns (labeled, n_features, chunks). Every non-label column is a
+    feature; labeled is False when the header has no label column, and the
+    labels are then None. chunks yields (features, labels) for up to
     INFERENCE_ROWS rows at a time: a float64 matrix with one row per record
     and the stripped label strings. Unparseable numeric cells become NaN so
     the cleaning policy can impute and count them; structurally bad rows
-    (wrong field count) raise ParseError with their 1-based row number.
-    Missing or extra columns raise SchemaError.
+    (wrong field count) raise ParseError with their 1-based row number. A
+    feature count other than schema.expected_features raises SchemaError.
     """
     reader = csv.reader(fh)
     try:
@@ -126,25 +117,14 @@ def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
     except StopIteration:
         raise SchemaError(f"{source}: missing header row") from None
     header = [h.strip() for h in header]
-    if schema.feature_columns is not None:
-        missing = [c for c in schema.feature_columns if c not in header]
-        if missing:
-            raise SchemaError(f"{source}: missing feature columns {missing}")
-        extra = [c for c in header
-                 if c != schema.label_column and c not in schema.feature_columns]
-        if extra:
-            raise SchemaError(f"{source}: unexpected extra columns {extra}")
-        feature_names = list(schema.feature_columns)
-    else:
-        feature_names = [c for c in header if c != schema.label_column]
+    feature_idx = [i for i, c in enumerate(header) if c != schema.label_column]
     if schema.expected_features is not None and \
-            len(feature_names) != schema.expected_features:
+            len(feature_idx) != schema.expected_features:
         raise SchemaError(
             f"{source}: expected {schema.expected_features} feature columns, "
-            f"found {len(feature_names)}")
+            f"found {len(feature_idx)}")
     labeled = schema.label_column in header
     label_idx = header.index(schema.label_column) if labeled else None
-    feature_idx = [header.index(c) for c in feature_names]
 
     def chunks():
         rows, labels = [], []
@@ -317,49 +297,40 @@ def _largest_remainder(class_counts, take):
 
 
 def split(flows, spec=SplitSpec()):
-    """Deterministic (train, val, test) partition of a Flows table.
+    """Deterministic stratified (train, val, test) partition of a Flows
+    table.
 
-    Stratified mode preserves class ratios within ±1 record per class and
-    raises StratifyError when a class has fewer records than there are
-    classes.
+    Class ratios hold within ±1 record per class in every part; a class
+    with fewer records than there are classes raises StratifyError.
     """
-    n = len(flows)
-    n_train, n_val, n_test = split_sizes(n, spec)
+    _, n_val, n_test = split_sizes(len(flows), spec)
     rng = np.random.default_rng(spec.seed)
+    # row indices per class, classes in order of first appearance
+    by_class = {label: np.flatnonzero(flows.labels == label)
+                for label in dict.fromkeys(flows.labels)}
+    k = len(by_class)
+    for label, idxs in by_class.items():
+        if len(idxs) < k:
+            raise StratifyError(
+                f"class {label!r} has {len(idxs)} records; stratified "
+                f"splitting needs at least {k} per class")
+    counts = {c: len(v) for c, v in by_class.items()}
+    test_alloc = _largest_remainder(counts, n_test)
+    remaining = {c: counts[c] - test_alloc[c] for c in counts}
+    val_alloc = _largest_remainder(remaining, n_val)
 
-    if not spec.stratified:
-        perm = rng.permutation(n)
-        test_idx = perm[:n_test]
-        val_idx = perm[n_test:n_test + n_val]
-        train_idx = perm[n_test + n_val:]
-    else:
-        # row indices per class, classes in order of first appearance
-        by_class = {label: np.flatnonzero(flows.labels == label)
-                    for label in dict.fromkeys(flows.labels)}
-        k = len(by_class)
-        for label, idxs in by_class.items():
-            if len(idxs) < k:
-                raise StratifyError(
-                    f"class {label!r} has {len(idxs)} records; stratified "
-                    f"splitting needs at least {k} per class")
-        counts = {c: len(v) for c, v in by_class.items()}
-        test_alloc = _largest_remainder(counts, n_test)
-        remaining = {c: counts[c] - test_alloc[c] for c in counts}
-        val_alloc = _largest_remainder(remaining, n_val)
-
-        # (test, val, train) pieces; the empty first piece splits 0 rows too
-        parts = tuple([np.zeros(0, dtype=int)] for _ in range(3))
-        for label in sorted(by_class, key=str):
-            idxs = by_class[label]
-            rng.shuffle(idxs)
-            cuts = np.cumsum([test_alloc[label], val_alloc[label]])
-            for part, piece in zip(parts, np.split(idxs, cuts)):
-                part.append(piece)
-        # interleave classes so partition prefixes are representative
-        test_idx, val_idx, train_idx = (
-            idx[rng.permutation(len(idx))]
-            for idx in map(np.concatenate, parts))
-
+    # (test, val, train) pieces; the empty first piece splits 0 rows too
+    parts = tuple([np.zeros(0, dtype=int)] for _ in range(3))
+    for label in sorted(by_class, key=str):
+        idxs = by_class[label]
+        rng.shuffle(idxs)
+        cuts = np.cumsum([test_alloc[label], val_alloc[label]])
+        for part, piece in zip(parts, np.split(idxs, cuts)):
+            part.append(piece)
+    # interleave classes so partition prefixes are representative
+    test_idx, val_idx, train_idx = (
+        idx[rng.permutation(len(idx))]
+        for idx in map(np.concatenate, parts))
     return flows[train_idx], flows[val_idx], flows[test_idx]
 
 

@@ -63,14 +63,12 @@ def score_batch(network, batch, policy):
     return scores, scores > policy.threshold, probs
 
 
-def calibrate_threshold(scores, labels, policy, target="max_f1", max_fpr=None):
-    """Pick a threshold from the scores of labeled validation records.
-
-    max_f1: the threshold maximizing benign-vs-rest F1 (anomalous side is
-    positive); ties resolve to the lowest threshold. fpr_at: the smallest
-    threshold whose false-positive rate (benign records flagged) is at most
-    max_fpr. Candidates are 0 and every distinct score; each one's counts
-    come from binary searches in the sorted scores of either side.
+def calibrate_threshold(scores, labels, policy):
+    """Pick a threshold from the scores of labeled validation records: the
+    one maximizing benign-vs-rest F1 (anomalous side is positive), ties
+    resolving to the lowest threshold. Candidates are 0 and every distinct
+    score; each one's counts come from binary searches in the sorted scores
+    of either side.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(labels) != policy.benign_class_index
@@ -84,15 +82,8 @@ def calibrate_threshold(scores, labels, policy, target="max_f1", max_fpr=None):
     # records flagged at threshold t are those scoring strictly above t
     fp = n_neg - np.searchsorted(np.sort(scores[~positives]), candidates,
                                  side="right")
-    if target == "max_f1":
-        tp = n_pos - np.searchsorted(np.sort(scores[positives]), candidates,
-                                     side="right")
-        fn = n_pos - tp
-        f1 = 2 * tp / (2 * tp + fp + fn)  # fn + tp = n_pos > 0
-        return float(candidates[np.argmax(f1)])  # argmax: first, lowest t
-    if target == "fpr_at":
-        if max_fpr is None:
-            raise ValueError("fpr_at target needs max_fpr")
-        within = np.flatnonzero(fp / n_neg <= max_fpr)
-        return float(candidates[within[0]]) if within.size else 1.0
-    raise ValueError(f"unknown calibration target {target!r}")
+    tp = n_pos - np.searchsorted(np.sort(scores[positives]), candidates,
+                                 side="right")
+    fn = n_pos - tp
+    f1 = 2 * tp / (2 * tp + fp + fn)  # fn + tp = n_pos > 0
+    return float(candidates[np.argmax(f1)])  # argmax: first, lowest t

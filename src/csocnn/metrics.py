@@ -247,8 +247,9 @@ def binary_roc(positive_mask, scores):
 
     Thresholds are the distinct scores in descending order, preceded by an
     all-negative point at +inf, so the curve runs (0,0) -> (1,1). Returns
-    (points, auc) with points as (fpr, tpr, threshold) triples and the AUC
-    by the trapezoidal rule.
+    (points, auc): points is an (m, 3) float64 array of (fpr, tpr,
+    threshold) rows, and the AUC is by the trapezoidal rule, summed in
+    curve order.
     """
     y = np.asarray(positive_mask, dtype=bool)
     s = np.asarray(scores, dtype=np.float64)
@@ -264,14 +265,16 @@ def binary_roc(positive_mask, scores):
     tps = np.cumsum(y_sorted)
     fps = np.cumsum(~y_sorted)
     last_of_group = np.r_[np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1]
-    points = [(0.0, 0.0, float("inf"))]
-    for i in last_of_group:
-        points.append((int(fps[i]) / n_neg, int(tps[i]) / n_pos,
-                       float(s_sorted[i])))
-    auc = 0.0
-    for (x0, y0, _), (x1, y1, _) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2
-    return points, auc
+    points = np.empty((last_of_group.size + 1, 3))
+    points[0] = (0.0, 0.0, np.inf)
+    points[1:, 0] = fps[last_of_group] / n_neg
+    points[1:, 1] = tps[last_of_group] / n_pos
+    points[1:, 2] = s_sorted[last_of_group]
+    fpr, tpr = points[:, 0], points[:, 1]
+    # accumulate adds left to right, as a running sum would; np.sum pairs
+    # terms up and can round differently
+    auc = np.add.accumulate((fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2)
+    return points, float(auc[-1])
 
 
 def _check_prob_rows(probabilities):

@@ -215,7 +215,6 @@ class Network:
         self.input_shape = tuple(int(s) for s in input_shape)
         self.dtype = np.dtype(dtype)
         self.shapes = infer_shapes(self.layers, self.input_shape)
-        self.mode = "train"
         self.params = {}
         self.bn_stats = {}
         self._forward_version = 0
@@ -255,7 +254,6 @@ class Network:
         other.input_shape = self.input_shape
         other.dtype = self.dtype
         other.shapes = list(self.shapes)
-        other.mode = self.mode
         other.params = {k: v.copy() for k, v in self.params.items()}
         other.bn_stats = {k: v.copy() for k, v in self.bn_stats.items()}
         other._forward_version = 0
@@ -371,8 +369,8 @@ def _max_pool_backward(dz, x_shape, kh, kw, padding, cache):
     return grad
 
 
-def forward(network, batch, mode=None):
-    """Run a batch through the network.
+def forward(network, batch, mode):
+    """Run a batch through the network in mode "train" or "inference".
 
     Returns (probabilities, cache). In train mode BatchNorm normalizes with
     batch statistics and updates its running stats, and the cache keeps what
@@ -381,7 +379,6 @@ def forward(network, batch, mode=None):
     no layer arrays: each layer's intermediates are dropped once the next
     layer has read them, and backward() rejects the cache.
     """
-    mode = mode or network.mode
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
     x = np.asarray(batch)
@@ -440,7 +437,7 @@ def forward(network, batch, mode=None):
             z = x @ network.params[f"{i}.weight"] + network.params[f"{i}.bias"]
         x = _activate(z, spec.activation)
         if train:
-            cache.update(z=z, a=x)
+            cache["a"] = x
             layer_caches.append(cache)
 
     probs = x
@@ -512,7 +509,8 @@ def backward(network, cache, true_labels):
         if i == len(network.layers) - 1:
             dz = grad
         elif spec.activation == "relu":
-            dz = grad * (lc["z"] > 0)
+            # a = max(z, 0), so a > 0 exactly where z > 0 (NaN fails both)
+            dz = grad * (lc["a"] > 0)
         elif spec.activation == "softmax":
             raise StateError("softmax is only supported on the final layer")
         else:

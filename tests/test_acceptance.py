@@ -101,7 +101,7 @@ def test_criterion_02_gradient_correctness():
 
 def test_criterion_03_cso_convergence():
     start = time.time()
-    sphere = lambda x: float(np.sum(np.asarray(x) ** 2))
+    sphere = lambda x, ctx=None: float(np.sum(np.asarray(x) ** 2))
     config = cso.SwarmConfig(n_cats=30, max_iters=100, seed=42)
     _, sphere_best, history = cso.optimize(sphere, [(-5.0, 5.0)] * 5, config)
     assert sphere_best < 1e-3
@@ -112,7 +112,7 @@ def test_criterion_03_cso_convergence():
     random_best = min(sphere(rng.uniform(-5, 5, 5)) for _ in range(evals))
     assert random_best > 1e-3
 
-    def rosenbrock(x):
+    def rosenbrock(x, ctx):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
     _, rosen_best, _ = cso.optimize(rosenbrock, [(-5.0, 5.0)] * 2, config)

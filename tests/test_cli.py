@@ -311,6 +311,42 @@ def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
     assert not (out / "error.json").exists()
 
 
+@pytest.mark.parametrize("flags, bad", [
+    (["train", "--data", "{missing}"], "{missing}"),
+    (["train", "--data", "{dir}"], "{dir}"),
+    (["evaluate", "--model", "{missing}", "--synthetic"], "{missing}"),
+    (["detect", "--model", "{missing}", "--input", "{stream}"], "{missing}"),
+    (["detect", "--model", "{model}", "--input", "{missing}"], "{missing}"),
+    (["detect", "--model", "{model}", "--input", "{dir}"], "{dir}"),
+], ids=["train-data-missing", "train-data-directory", "evaluate-model-missing",
+        "detect-model-missing", "detect-input-missing",
+        "detect-input-directory"])
+def test_unreadable_input_path_is_usage_error(train_run, tmp_path, capsys,
+                                              flags, bad):
+    paths = {"missing": str(tmp_path / "nope.csv"), "dir": str(tmp_path),
+             "model": str(train_run / "model.model"),
+             "stream": str(_write_stream(tmp_path / "s.csv"))}
+    out = tmp_path / "out"
+    code = cli.main([f.format(**paths) for f in flags]
+                    + ["--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("csocnn: usage error: ")
+    assert bad.format(**paths) in line
+    assert not out.exists()
+
+
+def test_missing_scaler_exits_3(train_run, tmp_path):
+    model = tmp_path / "model.model"
+    model.write_bytes((train_run / "model.model").read_bytes())
+    code = cli.main(["detect", "--model", str(model), "--input",
+                     str(_write_stream(tmp_path / "s.csv")), "--threshold",
+                     "0.5", "--out", str(tmp_path / "out")])
+    assert code == 3
+
+
 @pytest.fixture(scope="module")
 def long_stream(tmp_path_factory):
     """More rows than two inference slices, the last one partial."""
@@ -323,7 +359,7 @@ def test_detect_forwards_at_most_inference_rows(train_run, long_stream,
     original = nn.forward
     rows = []
 
-    def spy(network, batch, mode=None):
+    def spy(network, batch, mode):
         rows.append(len(batch))
         return original(network, batch, mode)
 

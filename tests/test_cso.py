@@ -9,11 +9,12 @@ from csocnn import cso
 from csocnn.errors import BoundsError, FitnessError
 
 
-def sphere(x):
+# Objectives take optimize's (position, ctx) call; ctx is unused here.
+def sphere(x, ctx=None):
     return float(np.sum(np.asarray(x) ** 2))
 
 
-def rosenbrock(x):
+def rosenbrock(x, ctx=None):
     return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
 
@@ -205,7 +206,7 @@ def test_rosenbrock_converges():
 
 def test_constant_fitness_flat_history():
     config = cso.SwarmConfig(n_cats=6, max_iters=10, seed=5)
-    _, best, history = cso.optimize(lambda x: 3.5, BOUNDS5, config)
+    _, best, history = cso.optimize(lambda x, ctx: 3.5, BOUNDS5, config)
     assert best == 3.5
     assert history.best_value == [3.5] * 10
     assert history.mean_fitness == [3.5] * 10
@@ -216,7 +217,7 @@ def test_best_history_is_monotone_for_both_senses():
                            ("maximize", np.less_equal)):
         config = cso.SwarmConfig(n_cats=10, max_iters=30, seed=9,
                                  objective=objective)
-        fn = sphere if objective == "minimize" else lambda x: -sphere(x)
+        fn = sphere if objective == "minimize" else lambda x, ctx: -sphere(x)
         _, _, history = cso.optimize(fn, BOUNDS5, config)
         pairs = zip(history.best_value, history.best_value[1:])
         assert all(cmp(a, b) for a, b in pairs)
@@ -266,7 +267,7 @@ def test_positions_stay_inside_bounds_throughout():
 def test_fitness_failure_carries_position():
     config = cso.SwarmConfig(n_cats=4, max_iters=5, seed=0)
 
-    def flaky(x):
+    def flaky(x, ctx):
         if x[0] > -10:  # always
             raise RuntimeError("boom")
         return 0.0
@@ -296,7 +297,7 @@ def test_property_bounds_and_monotonicity(seed, n_cats, mr, iters):
                              max_iters=iters, seed=seed)
     bounds = [(-2.0, 3.0), (0.5, 1.5)]
 
-    def fn(x):
+    def fn(x, ctx):
         return float(np.sum((np.asarray(x) - 1.0) ** 2))
 
     pos, best, history = cso.optimize(fn, bounds, config)

@@ -62,14 +62,6 @@ def test_missing_label_column(tmp_path):
         data.load_csv(path)
 
 
-def test_extra_column_rejected_with_explicit_schema(tmp_path):
-    path = _write_csv(tmp_path / "flows.csv", ["f0", "f1", "label"],
-                      [[1, 2, "x"]])
-    schema = data.CsvSchema(feature_columns=("f0",))
-    with pytest.raises(SchemaError):
-        data.load_csv(path, schema)
-
-
 def test_expected_feature_count_enforced(tmp_path):
     path = _write_csv(tmp_path / "flows.csv", ["f0", "f1", "label"],
                       [[1, 2, "x"]])
@@ -171,8 +163,7 @@ def test_split_reproduces_canonical_sizes():
 
 def test_split_small_hand_case():
     flows = data.Flows(np.zeros((10, 1)), ["a"] * 10)
-    train, val, test = data.split(
-        flows, data.SplitSpec(stratified=False, seed=1))
+    train, val, test = data.split(flows, data.SplitSpec(seed=1))
     assert (len(train), len(val), len(test)) == (7, 1, 2)
 
 
@@ -246,12 +237,9 @@ def test_label_codec_round_trip():
     assert codec.classes == ("Benign", "Data", "Reconn")
     codes = codec.encode_all(["Reconn", "Benign", "Data", "Benign"])
     assert codes.tolist() == [2, 0, 1, 0]
-    for name, code in zip(codec.classes, codec.encode_all(codec.classes)):
-        assert codec.decode(code) == name
+    assert codec.encode_all(codec.classes).tolist() == [0, 1, 2]
     with pytest.raises(LabelError, match="^unknown class 'Nope'$"):
         codec.encode_all(["Benign", "Nope", "Also"])
-    with pytest.raises(LabelError):
-        codec.decode(3)
 
 
 # --- synthetic blobs --------------------------------------------------------

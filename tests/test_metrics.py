@@ -292,8 +292,8 @@ def test_single_class_report():
 def test_perfectly_separating_scores():
     points, auc = metrics.binary_roc([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1])
     assert auc == 1.0
-    assert points[0][:2] == (0.0, 0.0)
-    assert points[-1][:2] == (1.0, 1.0)
+    assert points[0, :2].tolist() == [0.0, 0.0]
+    assert points[-1, :2].tolist() == [1.0, 1.0]
 
 
 def test_constant_scores_are_chance():
@@ -320,14 +320,60 @@ def test_random_scores_match_concordance_oracle():
         assert auc == pytest.approx(oracle_auc(y.tolist(), s.tolist()))
 
 
+def oracle_binary_roc(positive_mask, scores):
+    """The earlier binary_roc: one tuple per point, AUC summed in a loop."""
+    y = np.asarray(positive_mask, dtype=bool)
+    s = np.asarray(scores, dtype=np.float64)
+    n_pos = int(y.sum())
+    n_neg = int(y.size - n_pos)
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    tps = np.cumsum(y_sorted)
+    fps = np.cumsum(~y_sorted)
+    last_of_group = np.r_[np.nonzero(np.diff(s_sorted))[0], s_sorted.size - 1]
+    points = [(0.0, 0.0, float("inf"))]
+    for i in last_of_group:
+        points.append((int(fps[i]) / n_neg, int(tps[i]) / n_pos,
+                       float(s_sorted[i])))
+    auc = 0.0
+    for (x0, y0, _), (x1, y1, _) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2
+    return points, auc
+
+
+def _roc_oracle_cases():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(2, 400))
+        y = rng.integers(0, 2, n).astype(bool)
+        y[:2] = (True, False)  # both sides present
+        # heavy ties: every score is drawn from at most 150 levels
+        s = rng.choice(rng.random(int(rng.integers(1, 150))), n)
+        yield y, s
+    yield np.array([True, False, True, False]), np.full(4, 0.5)  # all equal
+    yield np.array([True, False]), np.array([0.3, 0.7])  # two records
+    yield np.array([False, True]), np.array([0.3, 0.7])
+    yield np.array([True, False]), np.array([0.4, 0.4])
+
+
+def test_binary_roc_matches_tuple_and_loop_oracle():
+    for y, s in _roc_oracle_cases():
+        points, auc = metrics.binary_roc(y, s)
+        expected_points, expected_auc = oracle_binary_roc(y, s)
+        assert points.dtype == np.float64 and points.shape[1] == 3
+        assert [tuple(p) for p in points.tolist()] == expected_points
+        assert auc == expected_auc  # bit for bit, not approx
+
+
 def test_roc_curve_one_vs_rest_and_micro():
     rng = np.random.default_rng(8)
     y = rng.integers(0, 3, 30)
     logits = rng.normal(size=(30, 3))
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     points, auc = metrics.roc_curve(y, probs, 1)
-    assert points[0][:2] == (0.0, 0.0)
-    assert points[-1][:2] == (1.0, 1.0)
+    assert points[0, :2].tolist() == [0.0, 0.0]
+    assert points[-1, :2].tolist() == [1.0, 1.0]
     assert 0.0 <= auc <= 1.0
     _, micro_auc = metrics.micro_roc_curve(y, probs)
     assert 0.0 <= micro_auc <= 1.0
