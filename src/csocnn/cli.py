@@ -356,7 +356,8 @@ def _open_model(args):
         raise SchemaError(
             f"scaler stats not found at {scaler_path}; pass --scaler PATH "
             f"(written next to the model at training time)")
-    stats = data.ScalerStats.load(scaler_path)
+    with _reading("--scaler", scaler_path):
+        stats = data.ScalerStats.load(scaler_path)
     detector.ensure_scaler_match(bundle.scaler_fingerprint, stats)
     return bundle, stats, str(scaler_path)
 

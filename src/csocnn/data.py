@@ -194,15 +194,15 @@ class ScalerStats:
 
     @classmethod
     def load(cls, path):
+        # a path that cannot be opened raises OSError, unusable content SchemaError
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(
-            median=np.asarray(payload["median"], dtype=np.float64),
-            inf_lo=np.asarray(payload["inf_lo"], dtype=np.float64),
-            inf_hi=np.asarray(payload["inf_hi"], dtype=np.float64),
-            lo=np.asarray(payload["lo"], dtype=np.float64),
-            hi=np.asarray(payload["hi"], dtype=np.float64),
-        )
+            try:
+                payload = json.load(fh)
+                return cls(**{key: np.asarray(payload[key], dtype=np.float64)
+                              for key in ("median", "inf_lo", "inf_hi", "lo", "hi")})
+            except (ValueError, KeyError, TypeError) as exc:
+                raise SchemaError(f"scaler stats at {path} are unusable: "
+                                  f"{type(exc).__name__}: {exc}") from None
 
 
 @dataclass

@@ -3,12 +3,14 @@
 Implements exactly the layer kinds the classifier needs (Input, Conv2D,
 BatchNorm, MaxPool2D, Flatten, Dense) with forward and backward passes on
 numpy arrays in channels-last (N, H, W, C) layout. Convolutions are stride-1
-matrix products over an im2col layout (Chellapilla, Puri & Simard, 2006);
-pooling strides by its own kernel and takes the max over the window's strided
-slots, routing the gradient to the first max as argmax would. The final Dense
-layer carries a softmax so the network emits per-sample class probabilities
-directly. Only a train-mode forward keeps the per-layer arrays backward needs;
-an inference forward frees each layer's intermediates as it goes.
+matrix products over an im2col layout (Chellapilla, Puri & Simard, 2006), and
+their input gradient is one GEMM. BatchNorm's input gradient reuses its
+parameter gradients (Ioffe & Szegedy, 2015). Pooling strides by its own kernel
+and takes the max over the window's strided slots, routing the gradient to the
+first max as argmax would. The final Dense layer carries a softmax so the
+network emits per-sample class probabilities directly. Only a train-mode
+forward keeps the per-layer arrays backward needs; an inference forward frees
+each layer's intermediates as it goes.
 """
 
 import math
@@ -299,11 +301,9 @@ def _col2im(dcols, x_shape, kh, kw):
     n, h, w, c = x_shape
     oh, ow = h - kh + 1, w - kw + 1
     dx = np.zeros(x_shape, dtype=dcols.dtype)
-    slot = 0
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, i:i + oh, j:j + ow, :] += dcols[..., slot * c:(slot + 1) * c]
-            slot += 1
+    for slot in range(kh * kw):
+        i, j = divmod(slot, kw)
+        dx[:, i:i + oh, j:j + ow, :] += dcols[..., slot * c:(slot + 1) * c]
     return dx
 
 
@@ -350,23 +350,35 @@ def _max_pool(x, kh, kw, padding, train):
 
 def _max_pool_backward(dz, x_shape, kh, kw, padding, cache):
     """Input gradient of _max_pool: each output's gradient goes to the slot
-    its train-mode cache recorded."""
-    pn, ph, pw, c = cache["padded_shape"]
-    oh, ow = dz.shape[1], dz.shape[2]
-    dwin = np.zeros((pn, oh, ow, kh * kw, c), dtype=dz.dtype)
-    np.put_along_axis(dwin, cache["argmax"][:, :, :, None, :],
-                      dz[:, :, :, None, :], axis=3)
-    dxp = (dwin.reshape(pn, oh, ow, kh, kw, c)
-           .transpose(0, 1, 3, 2, 4, 5)
-           .reshape(pn, ph, pw, c))
-    if padding == "same":
-        bh, bw = cache["offsets"]
-        return dxp[:, bh:bh + x_shape[1], bw:bw + x_shape[2], :]
-    # valid pooling dropped any trailing remainder; those inputs get zero
-    # gradient
-    grad = np.zeros(x_shape, dtype=dz.dtype)
-    grad[:, :ph, :pw, :] = dxp
-    return grad
+    its train-mode cache recorded, masked into that slot's strided view as
+    unsigned integers (a float product would leave -0.0 or NaN elsewhere)."""
+    n, h, w, c = x_shape
+    ph, pw = cache["padded_shape"][1:3]
+    # the slots fill a same-padded buffer; valid pooling dropped any trailing
+    # remainder, whose gradient stays zero
+    alloc = np.empty if padding == "same" else np.zeros
+    dx = alloc((n, max(ph, h), max(pw, w), c), dtype=dz.dtype)
+    u = np.dtype(f"u{dz.itemsize}")
+    for s in range(kh * kw):
+        np.multiply(dz.view(u), cache["argmax"] == s,
+                    out=dx.view(u)[:, s // kw:ph:kh, s % kw:pw:kw, :])
+    bh, bw = cache["offsets"]
+    return dx[:, bh:bh + h, bw:bw + w, :]
+
+
+def _batch_norm_backward(dz, xhat, std, gamma):
+    """(grad, dgamma, dbeta) of a train-mode BatchNorm over the (N, H, W)
+    axes, given its cached xhat and batch std. The input gradient reuses the
+    parameter gradients, gamma / std * (dz - (dbeta + xhat * dgamma) / m),
+    in the buffer that dgamma's product filled."""
+    m = dz.size // dz.shape[-1]
+    grad = dz * xhat
+    dgamma, dbeta = grad.sum(axis=(0, 1, 2)), dz.sum(axis=(0, 1, 2))
+    np.multiply(xhat, dgamma / m, out=grad)
+    grad += dbeta / m
+    np.subtract(dz, grad, out=grad)
+    grad *= gamma / std
+    return grad, dgamma, dbeta
 
 
 def forward(network, batch, mode):
@@ -481,7 +493,8 @@ def loss_sparse_ce(probs, labels):
 
 def backward(network, cache, true_labels):
     """Gradients of the mean sparse cross-entropy loss for every trainable
-    parameter, given the cache of a train-mode forward on the same batch."""
+    parameter, given the cache of a train-mode forward on the same batch.
+    Layer 1's GEMM input gradient, which would go to the batch, is skipped."""
     if cache["mode"] != "train":
         raise StateError("backward requires a train-mode forward cache")
     if cache["version"] != network._forward_version:
@@ -503,41 +516,29 @@ def backward(network, cache, true_labels):
     grad /= n
 
     grads = {}
-    for i in range(len(network.layers) - 1, -1, -1):
+    for i in range(len(network.layers) - 1, 0, -1):
         spec = network.layers[i]
         lc = cache["layers"][i]
-        if i == len(network.layers) - 1:
-            dz = grad
-        elif spec.activation == "relu":
-            # a = max(z, 0), so a > 0 exactly where z > 0 (NaN fails both)
-            dz = grad * (lc["a"] > 0)
-        elif spec.activation == "softmax":
+        dz = grad
+        if spec.activation == "relu":
+            # a = max(z, 0), so a > 0 exactly where z > 0 (NaN fails both);
+            # each layer's input gradient is a new array, so mask in place
+            np.multiply(dz, lc["a"] > 0, out=dz)
+        elif spec.activation == "softmax" and i < len(network.layers) - 1:
             raise StateError("softmax is only supported on the final layer")
-        else:
-            dz = grad
         x = lc["x"]
-        if spec.kind == "Input":
-            grad = dz
-        elif spec.kind == "Conv2D":
-            kh, kw = spec.kernel
-            f = spec.filters_or_units
-            cols = lc["cols"]
-            kmat = network.params[f"{i}.kernel"].reshape(-1, f)
+        if spec.kind == "Conv2D":
+            cols, kernel = lc["cols"], network.params[f"{i}.kernel"]
+            dz2 = dz.reshape(-1, spec.filters_or_units)
             grads[f"{i}.bias"] = dz.sum(axis=(0, 1, 2))
             grads[f"{i}.kernel"] = (
-                cols.reshape(-1, cols.shape[-1]).T @ dz.reshape(-1, f)
-            ).reshape(network.params[f"{i}.kernel"].shape)
-            grad = _col2im(dz @ kmat.T, x.shape, kh, kw)
+                cols.reshape(-1, cols.shape[-1]).T @ dz2).reshape(kernel.shape)
+            if i > 1:
+                dcols = dz2 @ kernel.reshape(-1, dz2.shape[1]).T
+                grad = _col2im(dcols.reshape(cols.shape), x.shape, *spec.kernel)
         elif spec.kind == "BatchNorm":
-            xhat, std = lc["xhat"], lc["std"]
-            gamma = network.params[f"{i}.gamma"]
-            m = x.shape[0] * x.shape[1] * x.shape[2]
-            grads[f"{i}.gamma"] = (dz * xhat).sum(axis=(0, 1, 2))
-            grads[f"{i}.beta"] = dz.sum(axis=(0, 1, 2))
-            dxhat = dz * gamma
-            s1 = dxhat.sum(axis=(0, 1, 2))
-            s2 = (dxhat * xhat).sum(axis=(0, 1, 2))
-            grad = (dxhat - (s1 + xhat * s2) / m) / std
+            grad, grads[f"{i}.gamma"], grads[f"{i}.beta"] = _batch_norm_backward(
+                dz, lc["xhat"], lc["std"], network.params[f"{i}.gamma"])
         elif spec.kind == "MaxPool2D":
             grad = _max_pool_backward(dz, x.shape, *spec.kernel, spec.padding, lc)
         elif spec.kind == "Flatten":
@@ -545,5 +546,6 @@ def backward(network, cache, true_labels):
         elif spec.kind == "Dense":
             grads[f"{i}.weight"] = x.T @ dz
             grads[f"{i}.bias"] = dz.sum(axis=0)
-            grad = dz @ network.params[f"{i}.weight"].T
+            if i > 1:
+                grad = dz @ network.params[f"{i}.weight"].T
     return grads

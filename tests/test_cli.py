@@ -347,6 +347,43 @@ def test_missing_scaler_exits_3(train_run, tmp_path):
     assert code == 3
 
 
+def _with_scaler(train_run, tmp_path, command, scaler):
+    """Exit code of evaluate or detect on the train_run model with --scaler."""
+    inputs = (["--synthetic"] if command == "evaluate" else
+              ["--input", str(_write_stream(tmp_path / "s.csv")),
+               "--threshold", "0.5"])
+    return cli.main([command, "--model", str(train_run / "model.model"),
+                     "--scaler", str(scaler), *inputs, "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "detect"])
+@pytest.mark.parametrize("content", ["{not json", "drop-lo"],
+                         ids=["garbled", "missing-key"])
+def test_unusable_scaler_exits_3(train_run, tmp_path, capsys, command, content):
+    scaler = tmp_path / "scaler.json"
+    if content == "drop-lo":
+        payload = json.loads((train_run / "scaler.json").read_text())
+        del payload["lo"]
+        content = json.dumps(payload)
+    scaler.write_text(content)
+    assert _with_scaler(train_run, tmp_path, command, scaler) == 3
+    assert capsys.readouterr().out == ""
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "SchemaError"
+    assert str(scaler) in record["message"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "detect"])
+def test_scaler_directory_is_usage_error(train_run, tmp_path, capsys, command):
+    assert _with_scaler(train_run, tmp_path, command, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"csocnn: usage error: cannot read --scaler {tmp_path}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def long_stream(tmp_path_factory):
     """More rows than two inference slices, the last one partial."""

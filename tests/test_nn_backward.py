@@ -90,3 +90,60 @@ def test_gradients_shape_congruent_with_parameters():
     assert set(grads) == set(net.params)
     for key, g in grads.items():
         assert g.shape == net.params[key].shape
+
+
+def _three_pass_batch_norm_backward(dz, xhat, std, gamma):
+    """The BatchNorm backward that _batch_norm_backward replaced: scale dz by
+    gamma, then take the two sums of the scaled gradient."""
+    m = dz.shape[0] * dz.shape[1] * dz.shape[2]
+    dgamma = (dz * xhat).sum(axis=(0, 1, 2))
+    dbeta = dz.sum(axis=(0, 1, 2))
+    dxhat = dz * gamma
+    s1 = dxhat.sum(axis=(0, 1, 2))
+    s2 = (dxhat * xhat).sum(axis=(0, 1, 2))
+    return (dxhat - (s1 + xhat * s2) / m) / std, dgamma, dbeta
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("shape", [(97, 70, 1, 64), (33, 7, 3, 5), (1, 1, 1, 4)])
+def test_batch_norm_backward_matches_three_pass_formula(shape, dtype, rtol):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(3.0, 20.0, size=shape).astype(dtype)
+    xc = x - x.mean(axis=(0, 1, 2))
+    std = np.sqrt(np.square(xc).mean(axis=(0, 1, 2)) + nn.BN_EPSILON)
+    xhat = xc / std
+    dz = rng.normal(size=shape).astype(dtype)
+    gamma = rng.uniform(0.5, 2.0, size=shape[-1]).astype(dtype)
+    grad, dgamma, dbeta = nn._batch_norm_backward(dz, xhat, std, gamma)
+    want, want_dgamma, want_dbeta = _three_pass_batch_norm_backward(
+        dz, xhat, std, gamma)
+    assert dgamma.tobytes() == want_dgamma.tobytes()
+    assert dbeta.tobytes() == want_dbeta.tobytes()
+    assert grad.dtype == dtype
+    # entries where dz and the mean terms cancel carry both formulas'
+    # rounding at the operands' scale, so the absolute slack is rtol times
+    # the largest gradient
+    np.testing.assert_allclose(grad, want, rtol=rtol,
+                               atol=rtol * np.abs(want).max())
+
+
+def test_first_layer_input_gradient_is_skipped(monkeypatch):
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=2)
+    rng = np.random.default_rng(6)
+    x = rng.random((24, 75, 1, 1)).astype(np.float32)
+    y = rng.integers(0, 5, size=24)
+    want = _train_step_grads(net.clone(), x, y)
+    original = nn._col2im
+    shapes = []
+
+    def spy(dcols, x_shape, kh, kw):
+        shapes.append(x_shape)
+        return original(dcols, x_shape, kh, kw)
+
+    monkeypatch.setattr(nn, "_col2im", spy)
+    grads = _train_step_grads(net, x, y)
+    # only the convolutions at layers 4 and 7 fold an input gradient back
+    assert shapes == [(24, *net.shapes[6]), (24, *net.shapes[3])]
+    assert set(grads) == set(want)
+    for key in want:
+        assert grads[key].tobytes() == want[key].tobytes(), key

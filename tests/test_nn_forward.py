@@ -210,6 +210,44 @@ def test_max_pool_matches_argmax_oracle(kernel, padding, shape, values, dtype):
     assert inference_cache == {}
 
 
+def _odd_gradients(rng, shape, dtype):
+    """Upstream gradients mixing normals with NaNs (quiet, negative and with
+    a payload), +-inf and both zeros."""
+    u = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    nan = np.array(np.nan, dtype=dtype)
+    odd = [nan, -nan, (nan.view(u) | 1).view(dtype), np.inf, -np.inf, -0.0, 0.0]
+    dz = rng.normal(size=shape).astype(dtype)
+    picks = rng.integers(0, 2 * len(odd), size=shape)
+    for k, value in enumerate(odd):
+        dz[picks == k] = value
+    return dz
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("values", sorted(_POOL_INPUTS))
+@pytest.mark.parametrize("kernel,padding,shape", [
+    ((2, 1), "same", (6, 70, 1, 4)),
+    ((2, 1), "same", (6, 33, 1, 4)),
+    ((2, 1), "valid", (6, 33, 1, 4)),
+    ((2, 2), "same", (5, 7, 5, 3)),
+    ((2, 2), "valid", (5, 7, 5, 3)),
+    ((3, 2), "same", (4, 8, 5, 2)),
+    ((4, 3), "same", (3, 5, 4, 2)),    # -inf rows and columns on both sides
+])
+def test_max_pool_backward_routes_odd_gradients_bit_for_bit(
+        kernel, padding, shape, values, dtype):
+    # every chosen slot carries its upstream bits (NaN payload and sign,
+    # -0.0) unchanged, and every other slot is +0.0
+    rng = np.random.default_rng([*kernel, *shape, padding == "same",
+                                 sorted(_POOL_INPUTS).index(values), 1])
+    x = _POOL_INPUTS[values](rng, shape).astype(dtype)
+    pooled, cache = nn._max_pool(x, *kernel, padding, train=True)
+    dz = _odd_gradients(rng, pooled.shape, dtype)
+    grad = nn._max_pool_backward(dz, x.shape, *kernel, padding, cache)
+    _, want_grad = _argmax_pool_oracle(x, *kernel, padding, dz)
+    assert _same_bits(grad, want_grad)
+
+
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("kernel", [(2, 1), (2, 2)])
 def test_max_pool_propagates_nan(kernel, train):
