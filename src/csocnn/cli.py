@@ -85,7 +85,10 @@ def build_parser():
     p_opt.add_argument("--lr-range", type=float, nargs=2, default=(1e-4, 1e-2))
     p_opt.add_argument("--batch-range", type=int, nargs=2, default=(32, 1024))
     p_opt.add_argument("--epoch-range", type=int, nargs=2, default=(1, 5))
-    p_opt.add_argument("--workers", type=int, default=None)
+    p_opt.add_argument("--workers", type=int,
+                       default=hyperopt.default_workers(),
+                       help="candidate trainings at once (default: usable "
+                       "cores / BLAS threads)")
 
     p_eval = sub.add_parser("evaluate", help="score a model on labeled data")
     _add_data_flags(p_eval)

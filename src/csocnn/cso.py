@@ -17,7 +17,7 @@ cat-index order so runs are reproducible regardless of scheduling.
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,6 +48,7 @@ class SwarmConfig:
     mixture_ratio: fraction of the swarm in tracing mode each iteration.
     c1: tracing acceleration constant.
     vmax_fraction: velocity clamp as a fraction of each dimension's span.
+    n_workers: candidate evaluations run at once; None or 1 is serial.
     """
 
     n_cats: int = 30
@@ -80,6 +81,8 @@ class SwarmConfig:
             raise ValueError("c1 must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.n_workers is not None and self.n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
         if self.objective not in ("minimize", "maximize"):
             raise ValueError("objective must be 'minimize' or 'maximize'")
 
@@ -234,10 +237,18 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
                 raise FitnessError(
                     f"fitness function failed at {np.asarray(pos)}: {exc}",
                     position=np.array(pos, copy=True)) from exc
-        if config.n_workers and config.n_workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-                return list(pool.map(one, jobs))
-        return [one(job) for job in jobs]
+        if config.n_workers in (None, 1) or len(jobs) < 2:
+            return [one(job) for job in jobs]
+        pool = ThreadPoolExecutor(max_workers=config.n_workers)
+        try:
+            futures = [pool.submit(one, job) for job in jobs]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # a failure, or the SystemExit a signal raises here, drops the
+            # candidates no worker has started
+            pool.shutdown(cancel_futures=True)
+        # every job ran unless one failed; then this raises the first failure
+        return [f.result() for f in futures if not f.cancelled()]
 
     cats = init_swarm(config, bounds)
     fits = evaluate([(c.position, EvalContext(0, i)) for i, c in enumerate(cats)])

@@ -10,6 +10,7 @@ weights project to the accuracy component.
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,6 +86,22 @@ def decode(position, space):
         batch_size=round(b_lo + p1 * (b_hi - b_lo)),
         epochs=round(e_lo + p2 * (e_hi - e_lo)),
     )
+
+
+def default_workers():
+    """Candidate trainings to run at once: the usable cores over the BLAS
+    threads each training's products use, at least 1. The BLAS threads are
+    the first positive integer in OPENBLAS_NUM_THREADS, then
+    OMP_NUM_THREADS; with neither set, OpenBLAS starts one per core."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdecimal() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
 
 
 def candidate_seed(global_seed, cat_index, iteration):

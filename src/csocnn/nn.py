@@ -385,8 +385,10 @@ def forward(network, batch, mode):
     """Run a batch through the network in mode "train" or "inference".
 
     Returns (probabilities, cache). In train mode BatchNorm normalizes with
-    batch statistics and updates its running stats, and the cache keeps what
-    backward() needs of every layer. In inference mode BatchNorm uses the
+    batch statistics and updates its running stats, and the cache keeps only
+    what backward() reads of every layer: its input's shape, conv columns,
+    BatchNorm's xhat and std, pool indices, a Dense layer's input and a bool
+    mask per ReLU. In inference mode BatchNorm uses the
     stored running stats, the call has no side effects, and the cache holds
     no layer arrays: each layer's intermediates are dropped once the next
     layer has read them, and backward() rejects the cache.
@@ -404,9 +406,10 @@ def forward(network, batch, mode):
         network._forward_version += 1
     layer_caches = []
     for i, spec in enumerate(network.layers):
-        # an inference cache dies with its layer; the dels below stop the
-        # locals from keeping its arrays alive through the layers after it
-        cache = {"x": x}
+        # a train cache keeps only what backward reads; an inference cache
+        # dies with its layer, and the dels below stop the locals from
+        # keeping its arrays alive through the layers after it
+        cache = {"shape": x.shape}
         if spec.kind == "Input":
             z = x
         elif spec.kind == "Conv2D":
@@ -447,9 +450,12 @@ def forward(network, batch, mode):
             z = x.reshape(x.shape[0], -1)
         elif spec.kind == "Dense":
             z = x @ network.params[f"{i}.weight"] + network.params[f"{i}.bias"]
+            cache["x"] = x
         x = _activate(z, spec.activation)
         if train:
-            cache["a"] = x
+            if spec.activation == "relu":
+                # a = max(z, 0) > 0 exactly where z > 0 (NaN fails both)
+                cache["mask"] = x > 0
             layer_caches.append(cache)
 
     probs = x
@@ -494,9 +500,13 @@ def loss_sparse_ce(probs, labels):
 def backward(network, cache, true_labels):
     """Gradients of the mean sparse cross-entropy loss for every trainable
     parameter, given the cache of a train-mode forward on the same batch.
-    Layer 1's GEMM input gradient, which would go to the batch, is skipped."""
+    Layer 1's GEMM input gradient, which would go to the batch, is skipped.
+    Backward consumes the cache: it drops each layer's entry as it passes
+    it, and a spent cache is rejected."""
     if cache["mode"] != "train":
         raise StateError("backward requires a train-mode forward cache")
+    if None in cache["layers"]:
+        raise StateError("cache is spent: backward already consumed it")
     if cache["version"] != network._forward_version:
         raise StateError("cache is stale: another forward ran since it was built")
     if network.layers[-1].activation != "softmax":
@@ -516,35 +526,41 @@ def backward(network, cache, true_labels):
     grad /= n
 
     grads = {}
+    layer_caches = cache["layers"]
     for i in range(len(network.layers) - 1, 0, -1):
         spec = network.layers[i]
-        lc = cache["layers"][i]
+        # the entry is dropped here and its arrays go once lc is rebound (the
+        # dels below do the same for the locals), so the large early layers
+        # run with the later layers' arrays freed
+        lc, layer_caches[i] = layer_caches[i], None
         dz = grad
         if spec.activation == "relu":
-            # a = max(z, 0), so a > 0 exactly where z > 0 (NaN fails both);
             # each layer's input gradient is a new array, so mask in place
-            np.multiply(dz, lc["a"] > 0, out=dz)
+            np.multiply(dz, lc["mask"], out=dz)
         elif spec.activation == "softmax" and i < len(network.layers) - 1:
             raise StateError("softmax is only supported on the final layer")
-        x = lc["x"]
         if spec.kind == "Conv2D":
-            cols, kernel = lc["cols"], network.params[f"{i}.kernel"]
+            kernel = network.params[f"{i}.kernel"]
             dz2 = dz.reshape(-1, spec.filters_or_units)
             grads[f"{i}.bias"] = dz.sum(axis=(0, 1, 2))
-            grads[f"{i}.kernel"] = (
-                cols.reshape(-1, cols.shape[-1]).T @ dz2).reshape(kernel.shape)
+            grads[f"{i}.kernel"] = (lc["cols"].reshape(-1, lc["cols"].shape[-1]).T
+                                    @ dz2).reshape(kernel.shape)
             if i > 1:
                 dcols = dz2 @ kernel.reshape(-1, dz2.shape[1]).T
-                grad = _col2im(dcols.reshape(cols.shape), x.shape, *spec.kernel)
+                grad = _col2im(dcols.reshape(lc["cols"].shape), lc["shape"],
+                               *spec.kernel)
+                del dcols
+            del dz2
         elif spec.kind == "BatchNorm":
             grad, grads[f"{i}.gamma"], grads[f"{i}.beta"] = _batch_norm_backward(
                 dz, lc["xhat"], lc["std"], network.params[f"{i}.gamma"])
         elif spec.kind == "MaxPool2D":
-            grad = _max_pool_backward(dz, x.shape, *spec.kernel, spec.padding, lc)
+            grad = _max_pool_backward(dz, lc["shape"], *spec.kernel,
+                                      spec.padding, lc)
         elif spec.kind == "Flatten":
-            grad = dz.reshape(x.shape)
+            grad = dz.reshape(lc["shape"])
         elif spec.kind == "Dense":
-            grads[f"{i}.weight"] = x.T @ dz
+            grads[f"{i}.weight"] = lc["x"].T @ dz
             grads[f"{i}.bias"] = dz.sum(axis=0)
             if i > 1:
                 grad = dz @ network.params[f"{i}.weight"].T

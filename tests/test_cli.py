@@ -238,8 +238,30 @@ def test_optimize_smoke_and_convergence_rows(tmp_path):
     assert best_values == sorted(best_values)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["metrics"]["best_fitness"][0] >= best_values[0]
+    workers = manifest["config"]["workers"]  # the resolved default
+    assert type(workers) is int and workers >= 1
     assert (out / "best_hyperparams.json").exists()
     assert (out / "model.model").exists()
+
+
+def test_optimize_workers_give_identical_artifacts(tmp_path):
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"opt-w{workers}"
+        code = cli.main(["optimize", "--synthetic", "--synthetic-samples", "400",
+                         "--seed", "6", "--out", str(out), "--workers", workers,
+                         "--cats", "3", "--iters", "2",
+                         "--epoch-range", "1", "2", "--batch-range", "64", "128"])
+        assert code == 0
+        runs[workers] = out
+    serial, parallel = runs["1"], runs["2"]
+    for name in ("convergence.csv", "best_hyperparams.json", "model.model",
+                 "scaler.json"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text())
+                 for out in (serial, parallel)]
+    assert manifests[0]["metrics"] == manifests[1]["metrics"]
+    assert [m["config"]["workers"] for m in manifests] == [1, 2]
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -302,7 +324,9 @@ def test_header_only_csv_exits_3(train_run, tmp_path, command):
     ["optimize", "--cats", "0"],
     ["optimize", "--lr-range", "1e-2", "1e-4"],
     ["train", "--synthetic-samples", "3"],
-], ids=["epochs-0", "cats-0", "lr-range-reversed", "synthetic-samples-3"])
+    ["optimize", "--workers", "0"],
+], ids=["epochs-0", "cats-0", "lr-range-reversed", "synthetic-samples-3",
+        "workers-0"])
 def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
     out = tmp_path / "out"
     code = cli.main([*flags, "--synthetic", "--seed", "1", "--out", str(out)])

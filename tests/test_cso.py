@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +70,9 @@ def test_config_validation():
         cso.SwarmConfig(smp=1, spc=True)
     with pytest.raises(ValueError):
         cso.SwarmConfig(mixture_ratio=1.5)
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            cso.SwarmConfig(n_workers=workers)
 
 
 # --- seeking (through optimize) ------------------------------------------
@@ -276,6 +281,26 @@ def test_fitness_failure_carries_position():
         cso.optimize(flaky, BOUNDS5, config)
     assert info.value.position is not None
     assert len(info.value.position) == 5
+
+
+def test_parallel_failure_cancels_queued_candidates():
+    # cat 0 trains slowly, cat 1 fails at once and the rest are quick: the
+    # failure must stop the candidates queued behind it, not wait for cat 0
+    config = cso.SwarmConfig(n_cats=10, max_iters=1, seed=0, n_workers=2)
+    calls = []
+    lock = threading.Lock()
+
+    def fitness(x, ctx):
+        with lock:
+            calls.append(ctx.cat_index)
+        if ctx.cat_index == 1:
+            raise RuntimeError("boom")
+        time.sleep(1.0 if ctx.cat_index == 0 else 0.05)
+        return 0.0
+
+    with pytest.raises(FitnessError):
+        cso.optimize(fitness, BOUNDS5, config)
+    assert len(calls) < config.n_cats
 
 
 def test_history_csv_schema(tmp_path):

@@ -9,6 +9,34 @@ from csocnn.errors import TrainingDiverged
 SPACE = hyperopt.SearchSpace()
 
 
+@pytest.mark.parametrize("env, expected", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+], ids=["openblas-1", "unset", "omp-only", "non-numeric-then-omp",
+        "zero-then-omp", "non-numeric", "more-threads-than-cores"])
+def test_default_workers_divides_cores_by_blas_threads(monkeypatch, env,
+                                                        expected):
+    monkeypatch.setattr(hyperopt.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert hyperopt.default_workers() == expected
+
+
+def test_default_workers_without_affinity_counts_cpus(monkeypatch):
+    monkeypatch.delattr(hyperopt.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(hyperopt.os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert hyperopt.default_workers() == 3
+
+
 def test_decode_lower_corner():
     hp = hyperopt.decode([0.0, 0.0, 0.0], SPACE)
     assert hp.learning_rate == pytest.approx(1e-4, rel=1e-12)

@@ -75,6 +75,16 @@ def test_stale_cache_rejected():
         backward(net, old_cache, np.array([0, 1]))
 
 
+def test_spent_cache_rejected():
+    net = nn.Network(toy_layers(), (9, 1, 1), seed=0)
+    x = np.zeros((2, 9, 1, 1), dtype=np.float32)
+    _, cache = forward(net, x, "train")
+    backward(net, cache, np.array([0, 1]))
+    assert cache["layers"][1:] == [None] * (len(net.layers) - 1)
+    with pytest.raises(StateError):
+        backward(net, cache, np.array([0, 1]))
+
+
 def test_label_out_of_range_rejected():
     net = nn.Network(toy_layers(), (9, 1, 1), seed=0)
     x = np.zeros((2, 9, 1, 1), dtype=np.float32)

@@ -147,6 +147,32 @@ def test_inference_cache_holds_no_layer_arrays():
                    for lc in cache["layers"] for v in lc.values())
 
 
+def test_train_cache_keeps_only_what_backward_reads(monkeypatch):
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=0)
+    x = np.random.default_rng(8).random((16, 75, 1, 1)).astype(np.float32)
+    outputs = []
+    activate = nn._activate
+
+    def recording(z, activation):
+        outputs.append(activate(z, activation))
+        return outputs[-1]
+
+    monkeypatch.setattr(nn, "_activate", recording)
+    _, cache = forward(net, x, "train")
+    # conv outputs feed BatchNorm and BatchNorm's ReLU outputs feed pools;
+    # neither reader keeps them
+    unread = [outputs[i] for i, spec in enumerate(net.layers)
+              if spec.kind in ("Conv2D", "BatchNorm")]
+    for spec, lc in zip(net.layers, cache["layers"]):
+        assert "a" not in lc
+        assert ("mask" in lc) == (spec.activation == "relu")
+        if "mask" in lc:
+            assert lc["mask"].dtype == bool
+        for value in lc.values():
+            if isinstance(value, np.ndarray):
+                assert not any(np.shares_memory(value, out) for out in unread)
+
+
 # --- MaxPool against the argmax pool it replaced ----------------------------
 
 def _argmax_pool_oracle(x, kh, kw, padding, dz):
