@@ -9,6 +9,7 @@ exactly. Artifact plots are SVG derived from sibling CSVs. Exit codes:
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import secrets
@@ -196,6 +197,37 @@ def _load_records(args, seed):
     raise UsageError("provide --data PATH or --synthetic")
 
 
+@contextlib.contextmanager
+def _csv_chunks(flag, path, schema, need_labels):
+    """Open the CSV a flag names (standard input when path is None), check
+    its header and yield its lazy chunks (see data.read_csv_chunks)."""
+    with _reading(flag, path):
+        stream = (open(path, newline="", encoding="utf-8") if path
+                  else contextlib.nullcontext(sys.stdin))
+    with stream as fh:
+        yield data.read_csv_chunks(fh, schema, path or "stdin",
+                                   need_labels)[1]
+
+
+def _scored(network, stats, chunks):
+    """Yield (class probabilities, labels) per chunk of (features, labels):
+    the one path from parsed rows to probabilities, scale_features then
+    nn.predict, so memory is bounded by the chunk."""
+    for features, labels in chunks:
+        x, _ = data.scale_features(features, stats)
+        yield nn.predict(network, x[:, :, None, None]), labels
+
+
+def _gather(scored, codec):
+    """Keep only the K probabilities and the label code of every record;
+    no records raises SchemaError."""
+    kept = [(probs, codec.encode_all(labels)) for probs, labels in scored]
+    if not kept:
+        raise SchemaError("no records to process")
+    return (np.concatenate([p for p, _ in kept]),
+            np.concatenate([y for _, y in kept]))
+
+
 class UsageError(Exception):
     pass
 
@@ -361,23 +393,34 @@ def _open_model(args):
             f"(written next to the model at training time)")
     with _reading("--scaler", scaler_path):
         stats = data.ScalerStats.load(scaler_path)
-    detector.ensure_scaler_match(bundle.scaler_fingerprint, stats)
+    if bundle.scaler_fingerprint not in (None, stats.fingerprint()):
+        raise ScalerMismatch(
+            f"scaler stats fingerprint {stats.fingerprint()} does not match "
+            f"the model's {bundle.scaler_fingerprint}; re-export the stats "
+            f"saved at training time")
     return bundle, stats, str(scaler_path)
 
 
 def cmd_evaluate(args):
     seed, out = _seed_and_out(args)
     bundle, stats, scaler_path = _open_model(args)
-    flows, inputs = _load_records(args, seed)
+    codec = data.LabelCodec(tuple(bundle.class_names))
     manifest = RunManifest(out, "evaluate", _config_snapshot(args), seed,
-                           inputs + [args.model, scaler_path])
-    with _SignalGuard(manifest):
+                           [args.data or "synthetic", args.model, scaler_path])
+    with contextlib.ExitStack() as stack:
+        if args.data and not args.synthetic:
+            schema = data.CsvSchema(args.label_column, stats.n_features)
+            chunks = stack.enter_context(
+                _csv_chunks("--data", args.data, schema, need_labels=True))
+        else:  # the synthetic blobs as one chunk, or a usage error
+            flows, _ = _load_records(args, seed)
+            chunks = [(flows.features, flows.labels)]
+        stack.enter_context(_SignalGuard(manifest))
         out.mkdir(parents=True, exist_ok=True)
-        codec = data.LabelCodec(tuple(bundle.class_names))
-        scaled = data.clean_and_scale(flows, stats)
-        batch, labels = data.to_network_input(scaled.flows, codec)
-        test_loss, test_acc, predictions, probs = trainer.evaluate(
-            bundle.network, (batch, labels))
+        probs, labels = _gather(_scored(bundle.network, stats, chunks), codec)
+        test_loss = nn.loss_sparse_ce(probs, labels)
+        predictions = probs.argmax(axis=1)
+        test_acc = float(np.mean(predictions == labels))
 
         cm = metrics.confusion(labels, predictions, len(codec), codec.classes)
         report = metrics.class_report(cm, zero_division="zero")
@@ -452,17 +495,6 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _write_verdicts(writer, scores, flags, probs, class_names):
-    """Write one verdict line per record; returns how many are anomalous."""
-    writer.writerows(
-        [repr(score), "anomalous" if flag else "normal", class_names[pred]]
-        + [repr(p) for p in row]
-        for score, flag, pred, row in zip(
-            scores.tolist(), flags.tolist(), probs.argmax(axis=1).tolist(),
-            probs.tolist()))
-    return int(flags.sum())
-
-
 def cmd_detect(args):
     seed, out = _seed_and_out(args)
     bundle, stats, scaler_path = _open_model(args)
@@ -481,55 +513,36 @@ def cmd_detect(args):
                 threshold=0.5 if args.threshold is None else args.threshold,
                 score_kind=args.score_kind,
                 benign_class_index=class_names.index(benign_name))
-        codec = data.LabelCodec(class_names)
-        schema = data.CsvSchema(label_column=args.label_column,
-                                expected_features=stats.n_features)
-        header = (["score", "verdict", "predicted_class"]
-                  + [f"p_{c}" for c in class_names])
         writer = csv.writer(sys.stdout)
-        kept = []  # --calibrate: (probabilities, label codes) per chunk
         n_records = n_anomalous = 0
-        with _reading("--input", args.input):
-            stream = (open(args.input, newline="", encoding="utf-8")
-                      if args.input else contextlib.nullcontext(sys.stdin))
-        with stream as fh:
-            labeled, _, chunks = data.read_csv_chunks(
-                fh, schema, source=args.input or "stdin")
-            if args.calibrate and not labeled:
-                raise SchemaError(
-                    "--calibrate needs labeled records (a label column)")
-            if not args.calibrate:
-                writer.writerow(header)
-            for features, labels in chunks:
-                x, _ = data.scale_features(features, stats)
-                scores, flags, probs = detector.score_batch(
-                    bundle.network, x[:, :, None, None], policy)
-                if args.calibrate:
-                    kept.append((probs, codec.encode_all(labels)))
-                    continue
+        schema = data.CsvSchema(args.label_column, stats.n_features)
+        with _csv_chunks("--input", args.input, schema,
+                         need_labels=args.calibrate) as chunks:
+            scored = _scored(bundle.network, stats, chunks)
+            if args.calibrate:
+                probs, codes = _gather(scored, data.LabelCodec(class_names))
+                threshold = detector.calibrate_threshold(
+                    detector.score(probs, policy)[0], codes, policy)
+                print(f"calibrated threshold: {threshold!r}")
+                policy = dataclasses.replace(policy, threshold=threshold)
+                scored = [(probs, None)]
+            writer.writerow(["score", "verdict", "predicted_class"]
+                            + [f"p_{c}" for c in class_names])
+            for probs, _ in scored:
+                scores, flags = detector.score(probs, policy)
+                writer.writerows(
+                    [repr(score), "anomalous" if flag else "normal",
+                     class_names[pred]] + [repr(p) for p in row]
+                    for score, flag, pred, row in zip(
+                        scores.tolist(), flags.tolist(),
+                        probs.argmax(axis=1).tolist(), probs.tolist()))
                 n_records += len(scores)
-                n_anomalous += _write_verdicts(writer, scores, flags, probs,
-                                               class_names)
+                n_anomalous += int(flags.sum())
                 sys.stdout.flush()
-
-        threshold = policy.threshold
-        if args.calibrate:
-            if not kept:
-                raise SchemaError(
-                    "--calibrate needs labeled records (a label column)")
-            probs = np.concatenate([p for p, _ in kept])
-            scores = detector.scores_from_probabilities(probs, policy)
-            threshold = detector.calibrate_threshold(
-                scores, np.concatenate([y for _, y in kept]), policy)
-            print(f"calibrated threshold: {threshold!r}")
-            writer.writerow(header)
-            n_records = len(scores)
-            n_anomalous = _write_verdicts(writer, scores, scores > threshold,
-                                          probs, class_names)
         manifest.set_metrics({
             "records": n_records,
             "anomalous": n_anomalous,
-            "threshold": threshold,
+            "threshold": policy.threshold,
         })
         manifest.write()
     return EXIT_OK

@@ -48,7 +48,7 @@ class SwarmConfig:
     mixture_ratio: fraction of the swarm in tracing mode each iteration.
     c1: tracing acceleration constant.
     vmax_fraction: velocity clamp as a fraction of each dimension's span.
-    n_workers: candidate evaluations run at once; None or 1 is serial.
+    n_workers: candidate evaluations run at once; 1 is serial.
     """
 
     n_cats: int = 30
@@ -62,7 +62,7 @@ class SwarmConfig:
     max_iters: int = 100
     seed: int = 0
     objective: str = "minimize"
-    n_workers: int | None = None
+    n_workers: int = 1
 
     def __post_init__(self):
         if self.n_cats < 1:
@@ -81,7 +81,7 @@ class SwarmConfig:
             raise ValueError("c1 must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.n_workers is not None and self.n_workers < 1:
+        if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if self.objective not in ("minimize", "maximize"):
             raise ValueError("objective must be 'minimize' or 'maximize'")
@@ -237,7 +237,7 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
                 raise FitnessError(
                     f"fitness function failed at {np.asarray(pos)}: {exc}",
                     position=np.array(pos, copy=True)) from exc
-        if config.n_workers in (None, 1) or len(jobs) < 2:
+        if config.n_workers == 1 or len(jobs) < 2:
             return [one(job) for job in jobs]
         pool = ThreadPoolExecutor(max_workers=config.n_workers)
         try:
@@ -277,7 +277,7 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
                 positions, spc_index = _seeking_candidates(cat, config, bounds, rng)
                 need = []
                 for j, pos in enumerate(positions):
-                    if j == spc_index and cat.fitness is not None:
+                    if j == spc_index:
                         need.append(None)
                     else:
                         need.append(len(jobs))

@@ -2,10 +2,10 @@
 
 CSV ingestion into one columnar Flows table, an explicit cleaning policy
 (NaN -> train median, ±Inf -> train extreme finite values, everything
-counted), min-max scaling fitted on the training split only, stratified
-splitting, and reshaping to the (n, features, 1, 1) layout the network
-consumes. A synthetic Gaussian blob generator stands in for real flow
-captures at desk scale.
+counted), min-max scaling fitted on the training split only, and stratified
+splitting into the (n, features, 1, 1) layout the network consumes. A
+synthetic Gaussian blob generator stands in for real flow captures at desk
+scale.
 """
 
 import csv
@@ -25,9 +25,9 @@ DAPT_CLASSES = ("Benign", "Data", "Establish", "Lateral", "Reconn")
 
 @dataclass
 class Flows:
-    """Network flows as columns: an (n, d) float feature matrix (float64 as
-    parsed, float32 once scaled) and the n class labels, an object array of
-    Python str. len() is n; indexing by an index array selects those rows."""
+    """Network flows as columns: an (n, d) float feature matrix and the n
+    class labels, an object array of Python str. len() is n; indexing by an
+    index array selects those rows."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -88,10 +88,7 @@ def load_csv(path, schema=CsvSchema()):
     read_csv_chunks); a header-only file gives a (0, d) table, and a header
     without the label column raises SchemaError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        labeled, n_features, chunks = read_csv_chunks(fh, schema, source=path)
-        if not labeled:
-            raise SchemaError(
-                f"{path}: label column {schema.label_column!r} not in header")
+        n_features, chunks = read_csv_chunks(fh, schema, path, need_labels=True)
         features, labels = [np.empty((0, n_features))], []
         for chunk, chunk_labels in chunks:
             features.append(chunk)
@@ -99,12 +96,12 @@ def load_csv(path, schema=CsvSchema()):
     return Flows(np.concatenate(features), labels)
 
 
-def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
+def read_csv_chunks(fh, schema=CsvSchema(), source="input", need_labels=False):
     """Check a flow-feature CSV's header now; parse its rows lazily.
 
-    Returns (labeled, n_features, chunks). Every non-label column is a
-    feature; labeled is False when the header has no label column, and the
-    labels are then None. chunks yields (features, labels) for up to
+    Returns (n_features, chunks). Every non-label column is a feature; with
+    no label column the labels are None, or, with need_labels, the header
+    raises SchemaError. chunks yields (features, labels) for up to
     INFERENCE_ROWS rows at a time: a float64 matrix with one row per record
     and the stripped label strings. Unparseable numeric cells become NaN so
     the cleaning policy can impute and count them; structurally bad rows
@@ -124,6 +121,9 @@ def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
             f"{source}: expected {schema.expected_features} feature columns, "
             f"found {len(feature_idx)}")
     labeled = schema.label_column in header
+    if need_labels and not labeled:
+        raise SchemaError(
+            f"{source}: label column {schema.label_column!r} not in header")
     label_idx = header.index(schema.label_column) if labeled else None
 
     def chunks():
@@ -150,7 +150,7 @@ def read_csv_chunks(fh, schema=CsvSchema(), source="input"):
         if rows:
             yield np.stack(rows), labels if labeled else None
 
-    return labeled, len(feature_idx), chunks()
+    return len(feature_idx), chunks()
 
 
 @dataclass
@@ -158,7 +158,8 @@ class ScalerStats:
     """Column statistics fitted on the training split only.
 
     median / inf_lo / inf_hi drive imputation (NaN, -Inf, +Inf); lo / hi
-    drive the min-max scaling to [0, 1].
+    drive the min-max scaling to [0, 1]. A non-finite statistic or hi - lo
+    raises SchemaError, so scale_features' output is finite.
     """
 
     median: np.ndarray
@@ -166,6 +167,32 @@ class ScalerStats:
     inf_hi: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+
+    def __post_init__(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = vars(self) | {"hi - lo": self.hi - self.lo}
+        for name, stat in values.items():
+            bad = np.flatnonzero(~np.isfinite(stat))
+            if bad.size:
+                raise SchemaError(
+                    f"feature column {bad[0]} has a non-finite {name}")
+
+    @classmethod
+    def fit(cls, features):
+        """Fit on a training feature matrix: each column's median, min and
+        max over its finite values (0 where it has none; constant columns
+        scale to 0). No rows, or finite values spanning past float64, raise
+        SchemaError."""
+        if not len(features):
+            raise SchemaError("no records to process")
+        finite = np.where(np.isfinite(features), features, np.nan)
+        finite[:, np.all(np.isnan(finite), axis=0)] = 0.0
+        # Imputed values lie within a column's finite range, so the imputed
+        # column's min and max are its finite min and max.
+        lo = np.nanmin(finite, axis=0)
+        hi = np.nanmax(finite, axis=0)
+        return cls(median=np.nanmedian(finite, axis=0),
+                   inf_lo=lo, inf_hi=hi, lo=lo, hi=hi)
 
     @property
     def n_features(self):
@@ -203,44 +230,6 @@ class ScalerStats:
             except (ValueError, KeyError, TypeError) as exc:
                 raise SchemaError(f"scaler stats at {path} are unusable: "
                                   f"{type(exc).__name__}: {exc}") from None
-
-
-@dataclass
-class ScaledData:
-    flows: Flows
-    stats: ScalerStats
-    n_nan_imputed: int = 0
-    n_inf_imputed: int = 0
-    n_clamped: int = 0
-
-
-def clean_and_scale(flows, stats=None):
-    """Impute NaN/±Inf, then min-max scale to [0, 1] through scale_features.
-
-    With stats=None the statistics are fitted on these flows first (the
-    training call); otherwise the given train-fitted stats are applied.
-    Constant columns scale to 0. An empty table raises SchemaError.
-    """
-    if not len(flows):
-        raise SchemaError("no records to process")
-    f = flows.features
-    if stats is None:
-        finite = np.where(np.isfinite(f), f, np.nan)
-        finite[:, np.all(np.isnan(finite), axis=0)] = 0.0
-        # Imputed values lie within a column's finite range, so the imputed
-        # column's min and max are its finite min and max.
-        lo = np.nanmin(finite, axis=0)
-        hi = np.nanmax(finite, axis=0)
-        stats = ScalerStats(median=np.nanmedian(finite, axis=0),
-                            inf_lo=lo, inf_hi=hi, lo=lo, hi=hi)
-    scaled, clamped = scale_features(f, stats)
-    return ScaledData(
-        flows=Flows(scaled, flows.labels),
-        stats=stats,
-        n_nan_imputed=int(np.isnan(f).sum()),
-        n_inf_imputed=int(np.isinf(f).sum()),
-        n_clamped=clamped,
-    )
 
 
 def scale_features(f, stats):
@@ -334,17 +323,6 @@ def split(flows, spec=SplitSpec()):
     return flows[train_idx], flows[val_idx], flows[test_idx]
 
 
-def to_network_input(flows, codec=None):
-    """Reshape a Flows table into the (n, features, 1, 1) batch layout.
-    Feature k of row i lands at element (i, k, 0, 0); labels come from the
-    codec. Raises ValueError when a feature is NaN or infinite."""
-    if codec is None:
-        codec = LabelCodec.from_labels(flows.labels)
-    if not np.all(np.isfinite(flows.features)):
-        raise ValueError("network input contains NaN or Inf values")
-    return flows.features[:, :, None, None], codec.encode_all(flows.labels)
-
-
 def make_synthetic_blobs(n, k_classes=5, d=75, separation=3.0, seed=0):
     """Gaussian clusters standing in for flow captures, as a Flows table.
 
@@ -384,22 +362,19 @@ class PreparedData:
 
 
 def prepare_dataset(flows, spec=SplitSpec(), codec=None):
-    """split -> fit scaler on train -> apply to val/test -> tensorize."""
-    train, val, test = split(flows, spec)
+    """split -> fit the scaler on train -> scale every split into the
+    (n, features, 1, 1) network layout, labels encoded by the codec. Feature
+    k of row i lands at element (i, k, 0, 0)."""
+    parts = split(flows, spec)
     if codec is None:
         codec = LabelCodec.from_labels(flows.labels)
-    fitted = clean_and_scale(train)
-    val_scaled = clean_and_scale(val, fitted.stats)
-    test_scaled = clean_and_scale(test, fitted.stats)
+    stats = ScalerStats.fit(parts[0].features)
+    scaled = [scale_features(part.features, stats) for part in parts]
     return PreparedData(
-        train=to_network_input(fitted.flows, codec),
-        val=to_network_input(val_scaled.flows, codec),
-        test=to_network_input(test_scaled.flows, codec),
-        codec=codec,
-        stats=fitted.stats,
-        n_nan_imputed=fitted.n_nan_imputed + val_scaled.n_nan_imputed
-        + test_scaled.n_nan_imputed,
-        n_inf_imputed=fitted.n_inf_imputed + val_scaled.n_inf_imputed
-        + test_scaled.n_inf_imputed,
-        n_clamped=val_scaled.n_clamped + test_scaled.n_clamped,
+        *[(x[:, :, None, None], codec.encode_all(part.labels))
+          for (x, _), part in zip(scaled, parts)],
+        codec=codec, stats=stats,
+        n_nan_imputed=int(np.isnan(flows.features).sum()),
+        n_inf_imputed=int(np.isinf(flows.features).sum()),
+        n_clamped=sum(clamped for _, clamped in scaled),
     )

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClass, ScalerMismatch
-from .nn import predict
+from .errors import DegenerateClass
 
 SCORE_KINDS = ("non_benign_mass", "one_minus_max_prob")
 
@@ -31,36 +30,22 @@ class DetectionPolicy:
             raise ValueError("benign_class_index must be >= 0")
 
 
-def ensure_scaler_match(model_fingerprint, stats):
-    """Guard against scoring with stats the model was not trained with."""
-    if model_fingerprint is not None and stats is not None:
-        actual = stats.fingerprint()
-        if actual != model_fingerprint:
-            raise ScalerMismatch(
-                f"scaler stats fingerprint {actual} does not match the model's "
-                f"{model_fingerprint}; re-export the stats saved at training time")
+def score(probs, policy):
+    """Score classifier probability rows, one row per record.
 
-
-def scores_from_probabilities(probs, policy):
-    p = np.asarray(probs, dtype=np.float64)
-    if policy.score_kind == "non_benign_mass":
-        return 1.0 - p[:, policy.benign_class_index]
-    return 1.0 - p.max(axis=1)
-
-
-def score_batch(network, batch, policy):
-    """Score preprocessed records in the network layout.
-
-    Returns (scores, anomalous flags, probabilities), one row per record in
-    input order.
+    Returns (scores, anomalous flags) in row order. Raises ValueError when
+    the policy's benign class is not a column of probs.
     """
-    if policy.benign_class_index >= network.num_classes:
+    p = np.asarray(probs, dtype=np.float64)
+    if policy.benign_class_index >= p.shape[1]:
         raise ValueError(
             f"benign_class_index {policy.benign_class_index} outside "
-            f"[0, {network.num_classes})")
-    probs = predict(network, batch)
-    scores = scores_from_probabilities(probs, policy)
-    return scores, scores > policy.threshold, probs
+            f"[0, {p.shape[1]})")
+    if policy.score_kind == "non_benign_mass":
+        scores = 1.0 - p[:, policy.benign_class_index]
+    else:
+        scores = 1.0 - p.max(axis=1)
+    return scores, scores > policy.threshold
 
 
 def calibrate_threshold(scores, labels, policy):

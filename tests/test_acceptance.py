@@ -347,7 +347,7 @@ def test_criterion_11_detector_consistency(small_blobs):
     x, y = prep.test
     benign = list(prep.codec.classes).index("Benign")
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=benign)
-    scores, _, _ = detector.score_batch(best, x, policy)
+    scores, _ = detector.score(nn.predict(best, x), policy)
     assert scores.min() > 0.0
 
     y_bin = (np.asarray(y) != benign).astype(int)
@@ -368,7 +368,7 @@ def test_criterion_11_detector_consistency(small_blobs):
     x20 = x[sel]
     y20 = np.asarray(y)[sel]
     assert (y20 == benign).any() and (y20 != benign).any()
-    s20, _, _ = detector.score_batch(best, x20, policy)
+    s20, _ = detector.score(nn.predict(best, x20), policy)
     got = detector.calibrate_threshold(s20, y20, policy)
     positives = y20 != benign
     best_t, best_f1 = 0.0, -1.0

@@ -213,8 +213,8 @@ def test_detect_calibrate_prints_threshold(train_run, tmp_path, capsys):
 
 
 def test_detect_scaler_mismatch_exits_3(train_run, tmp_path):
-    flows = data.Flows(np.arange(75.0) + np.arange(4.0)[:, None], ["x"] * 4)
-    other_stats = data.clean_and_scale(flows).stats
+    other_stats = data.ScalerStats.fit(
+        np.arange(75.0) + np.arange(4.0)[:, None])
     other = tmp_path / "other-scaler.json"
     other_stats.save(other)
     stream = _write_stream(tmp_path / "stream.csv", n=2)
@@ -222,6 +222,8 @@ def test_detect_scaler_mismatch_exits_3(train_run, tmp_path):
                      "--scaler", str(other), "--input", str(stream),
                      "--out", str(tmp_path / "detmm")])
     assert code == 3
+    error = json.loads((tmp_path / "detmm" / "error.json").read_text())
+    assert error["error"] == "ScalerMismatch"
 
 
 def test_optimize_smoke_and_convergence_rows(tmp_path):
@@ -339,11 +341,12 @@ def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
     (["train", "--data", "{missing}"], "{missing}"),
     (["train", "--data", "{dir}"], "{dir}"),
     (["evaluate", "--model", "{missing}", "--synthetic"], "{missing}"),
+    (["evaluate", "--model", "{model}", "--data", "{missing}"], "{missing}"),
     (["detect", "--model", "{missing}", "--input", "{stream}"], "{missing}"),
     (["detect", "--model", "{model}", "--input", "{missing}"], "{missing}"),
     (["detect", "--model", "{model}", "--input", "{dir}"], "{dir}"),
 ], ids=["train-data-missing", "train-data-directory", "evaluate-model-missing",
-        "detect-model-missing", "detect-input-missing",
+        "evaluate-data-missing", "detect-model-missing", "detect-input-missing",
         "detect-input-directory"])
 def test_unreadable_input_path_is_usage_error(train_run, tmp_path, capsys,
                                               flags, bad):
@@ -446,11 +449,78 @@ def test_detect_probabilities_equal_evaluate(train_run, long_stream, tmp_path,
 
     bundle = load_model(train_run / "model.model")
     stats = data.ScalerStats.load(train_run / "scaler.json")
-    codec = data.LabelCodec(tuple(bundle.class_names))
-    scaled = data.clean_and_scale(data.load_csv(long_stream), stats)
-    _, _, _, probs = trainer.evaluate(
-        bundle.network, data.to_network_input(scaled.flows, codec))
+    x, _ = data.scale_features(data.load_csv(long_stream).features, stats)
+    probs = nn.predict(bundle.network, x[:, :, None, None])
     assert len(rows) == len(probs) == 2500
     for row, expected in zip(rows, probs):
-        assert [row[f"p_{c}"] for c in codec.classes] == \
+        assert [row[f"p_{c}"] for c in bundle.class_names] == \
             [repr(float(p)) for p in expected]
+
+
+def test_evaluate_streams_at_most_inference_rows(train_run, long_stream,
+                                                 tmp_path, monkeypatch):
+    original = nn.forward
+    rows = []
+
+    def spy(network, batch, mode):
+        rows.append(len(batch))
+        return original(network, batch, mode)
+
+    def no_load_csv(*args, **kwargs):
+        raise AssertionError("evaluate loaded the whole CSV")
+
+    monkeypatch.setattr(nn, "forward", spy)
+    monkeypatch.setattr(data, "load_csv", no_load_csv)
+    code = cli.main(["evaluate", "--model", str(train_run / "model.model"),
+                     "--data", str(long_stream), "--seed", "1",
+                     "--out", str(tmp_path / "evallong")])
+    assert code == 0
+    assert sum(rows) == 2500
+    assert max(rows) <= nn.INFERENCE_ROWS
+
+
+def test_train_on_column_spanning_past_float64_exits_3(tmp_path):
+    data_path = _write_stream(tmp_path / "flows.csv", n=40)
+    lines = data_path.read_text().splitlines()
+    for i in range(1, len(lines)):  # f0 alternates between +-1e308
+        lines[i] = f"{(-1) ** i * 1e308!r}," + lines[i].split(",", 1)[1]
+    data_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "train"
+    code = cli.main(["train", "--data", str(data_path), "--seed", "1",
+                     "--epochs", "1", "--out", str(out)])
+    assert code == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "SchemaError"
+    assert "feature column 0" in error["message"]
+
+
+def test_evaluate_without_label_column_exits_3(train_run, tmp_path):
+    data_path = _write_stream(tmp_path / "flows.csv", n=20)
+    lines = data_path.read_text().splitlines()
+    data_path.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines)
+                         + "\n")
+    out = tmp_path / "evalnolabel"
+    code = cli.main(["evaluate", "--model", str(train_run / "model.model"),
+                     "--data", str(data_path), "--seed", "1",
+                     "--out", str(out)])
+    assert code == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("rows", ["unlabeled", "header-only"])
+def test_detect_calibrate_without_labeled_records_exits_3(
+        train_run, tmp_path, capsys, rows):
+    features = [f"f{i}" for i in range(75)]
+    stream = tmp_path / "stream.csv"
+    if rows == "unlabeled":
+        lines = _write_stream(stream, n=20).read_text().splitlines()
+        stream.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines)
+                          + "\n")
+    else:
+        stream.write_text(",".join(features + ["label"]) + "\n")
+    out = tmp_path / "detcal"
+    code = cli.main(["detect", "--model", str(train_run / "model.model"),
+                     "--input", str(stream), "--calibrate", "--out", str(out)])
+    assert code == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
+    assert capsys.readouterr().out == ""

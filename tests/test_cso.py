@@ -73,6 +73,9 @@ def test_config_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             cso.SwarmConfig(n_workers=workers)
+    assert cso.SwarmConfig().n_workers == 1  # serial has one spelling
+    with pytest.raises(TypeError):
+        cso.SwarmConfig(n_workers=None)
 
 
 # --- seeking (through optimize) ------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -83,9 +85,9 @@ def test_inf_value_retained_and_counted(tmp_path):
                       [[1.0, "a"], ["Infinity", "a"], [3.0, "b"], [5.0, "b"]])
     flows = data.load_csv(path)
     assert len(flows) == 4
-    scaled = data.clean_and_scale(flows)
-    assert scaled.n_inf_imputed == 1
-    values = scaled.flows.features[:, 0]
+    assert data.prepare_dataset(flows).n_inf_imputed == 1
+    values, _ = _fit_and_scale(flows.features)
+    values = values[:, 0]
     assert np.all(np.isfinite(values))
     # +Inf became the max finite observed (5.0), which scales to 1.0
     assert values[1] == values[3] == 1.0
@@ -93,44 +95,49 @@ def test_inf_value_retained_and_counted(tmp_path):
 
 def test_unparseable_cell_routed_to_cleaning(tmp_path):
     path = _write_csv(tmp_path / "flows.csv", ["f0", "label"],
-                      [[1.0, "a"], ["wat", "a"], [3.0, "b"]])
+                      [[1.0, "a"], ["wat", "a"], [3.0, "b"], [5.0, "b"]])
     flows = data.load_csv(path)
-    assert len(flows) == 3
-    scaled = data.clean_and_scale(flows)
-    assert scaled.n_nan_imputed == 1
+    assert len(flows) == 4
+    assert data.prepare_dataset(flows).n_nan_imputed == 1
 
 
-# --- clean_and_scale --------------------------------------------------------
+# --- ScalerStats.fit and scale_features -------------------------------------
 
 def _flows(columns, labels=None):
     arr = np.asarray(columns, dtype=float)
     return data.Flows(arr, labels or ["x"] * len(arr))
 
 
+def _fit_and_scale(columns):
+    """(scaled matrix, stats) of a matrix scaled with its own fitted stats."""
+    f = np.asarray(columns, dtype=float)
+    stats = data.ScalerStats.fit(f)
+    return data.scale_features(f, stats)[0], stats
+
+
 def test_minmax_endpoints():
-    scaled = data.clean_and_scale(_flows([[0.0], [5.0], [10.0]]))
-    assert scaled.flows.features[:, 0].tolist() == [0.0, 0.5, 1.0]
+    scaled, _ = _fit_and_scale([[0.0], [5.0], [10.0]])
+    assert scaled[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_constant_column_scales_to_zero():
-    scaled = data.clean_and_scale(_flows([[7.0], [7.0], [7.0]]))
-    assert scaled.flows.features[:, 0].tolist() == [0.0, 0.0, 0.0]
+    scaled, _ = _fit_and_scale([[7.0], [7.0], [7.0]])
+    assert scaled[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_nan_imputed_with_train_median():
-    train = data.clean_and_scale(_flows([[0.0], [4.0], [8.0]]))
-    holdout = data.clean_and_scale(_flows([[np.nan]]), train.stats)
-    assert holdout.n_nan_imputed == 1
+    _, stats = _fit_and_scale([[0.0], [4.0], [8.0]])
+    holdout, _ = data.scale_features(np.array([[np.nan]]), stats)
     # median 4.0 scales to 0.5
-    assert holdout.flows.features[0, 0] == 0.5
+    assert holdout[0, 0] == 0.5
 
 
 def test_out_of_range_eval_value_clamped_and_counted():
-    train = data.clean_and_scale(_flows([[0.0], [10.0]]))
-    holdout = data.clean_and_scale(_flows([[25.0], [5.0]]), train.stats)
-    assert holdout.n_clamped == 1
-    assert holdout.flows.features[0, 0] == 1.0
-    assert holdout.flows.features[1, 0] == 0.5
+    _, stats = _fit_and_scale([[0.0], [10.0]])
+    holdout, clamped = data.scale_features(np.array([[25.0], [5.0]]), stats)
+    assert clamped == 1
+    assert holdout[0, 0] == 1.0
+    assert holdout[1, 0] == 0.5
 
 
 def test_all_outputs_in_unit_interval_and_finite():
@@ -139,17 +146,34 @@ def test_all_outputs_in_unit_interval_and_finite():
     cols[3, 1] = np.nan
     cols[7, 2] = np.inf
     cols[9, 0] = -np.inf
-    scaled = data.clean_and_scale(_flows(cols))
-    values = scaled.flows.features
+    values, _ = _fit_and_scale(cols)
     assert np.all(np.isfinite(values))
     assert values.min() >= 0.0 and values.max() <= 1.0
 
 
 def test_scaler_stats_round_trip(tmp_path):
-    train = data.clean_and_scale(_flows([[0.0, 1.0], [4.0, 3.0]]))
-    path = train.stats.save(tmp_path / "scaler.json")
+    _, stats = _fit_and_scale([[0.0, 1.0], [4.0, 3.0]])
+    path = stats.save(tmp_path / "scaler.json")
     loaded = data.ScalerStats.load(path)
-    assert loaded.fingerprint() == train.stats.fingerprint()
+    assert loaded.fingerprint() == stats.fingerprint()
+
+
+def test_scaler_stats_reject_non_finite(tmp_path):
+    # finite values whose span overflows float64 would scale to NaN
+    with pytest.raises(SchemaError,
+                       match="^feature column 1 has a non-finite hi - lo$"):
+        data.ScalerStats.fit(np.array([[0.0, 1e308], [1.0, -1e308]]))
+    with pytest.raises(SchemaError, match="^no records to process$"):
+        data.ScalerStats.fit(np.empty((0, 2)))
+    _, stats = _fit_and_scale([[0.0, 1.0], [4.0, 3.0]])
+    path = stats.save(tmp_path / "scaler.json")
+    for bad in (np.nan, np.inf):
+        payload = json.loads(path.read_text())
+        payload["lo"][1] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="feature column 1 has a "
+                           "non-finite lo"):
+            data.ScalerStats.load(path)
 
 
 # --- split ------------------------------------------------------------------
@@ -199,37 +223,38 @@ def test_split_class_too_small():
         data.split(flows, data.SplitSpec(seed=0))
 
 
-# --- to_network_input -------------------------------------------------------
+# --- prepare_dataset's network layout ---------------------------------------
 
 def test_single_record_shape():
-    flows = _flows(np.zeros((1, 75)))
-    batch, labels = data.to_network_input(flows)
+    # five records of one class leave one record in the test split
+    batch, labels = data.prepare_dataset(_flows(np.zeros((5, 75)))).test
     assert batch.shape == (1, 75, 1, 1)
     assert labels.tolist() == [0]
 
 
 def test_layout_identity():
-    flows = _flows(np.arange(8.0).reshape(2, 4))
-    batch, _ = data.to_network_input(flows)
-    for i in range(2):
+    flows = _flows(np.arange(40.0).reshape(10, 4))
+    spec = data.SplitSpec(seed=3)
+    prep = data.prepare_dataset(flows, spec)
+    train = data.split(flows, spec)[0]
+    scaled, _ = data.scale_features(train.features, prep.stats)
+    batch = prep.train[0]
+    for i in range(len(train)):
         for k in range(4):
-            assert batch[i, k, 0, 0] == flows.features[i, k]
-
-
-def test_network_input_rejects_non_finite():
-    for bad in (np.nan, np.inf):
-        flows = _flows(np.array([[1.0, bad], [0.0, 2.0]]))
-        with pytest.raises(ValueError):
-            data.to_network_input(flows)
+            assert batch[i, k, 0, 0] == scaled[i, k]
 
 
 def test_round_trip_is_bit_equal():
     flows = data.make_synthetic_blobs(20, k_classes=2, d=6, seed=4)
-    scaled = data.clean_and_scale(flows)
-    batch, _ = data.to_network_input(scaled.flows)
-    flat = batch.reshape(len(scaled.flows), -1)
-    for i, row in enumerate(scaled.flows.features):
-        assert np.array_equal(flat[i], row)
+    spec = data.SplitSpec(seed=4)
+    prep = data.prepare_dataset(flows, spec)
+    for part, (batch, labels) in zip(data.split(flows, spec),
+                                     (prep.train, prep.val, prep.test)):
+        scaled, _ = data.scale_features(part.features, prep.stats)
+        flat = batch.reshape(len(part), -1)
+        for i, row in enumerate(scaled):
+            assert np.array_equal(flat[i], row)
+        assert labels.tolist() == prep.codec.encode_all(part.labels).tolist()
 
 
 def test_label_codec_round_trip():
@@ -286,9 +311,8 @@ def test_scaler_fitted_on_train_only():
     spec = data.SplitSpec(seed=12)
     prep = data.prepare_dataset(flows, spec)
     train, val, _ = data.split(flows, spec)
-    fit_train_only = data.clean_and_scale(train).stats
-    fit_with_val = data.clean_and_scale(data.Flows(
-        np.concatenate([train.features, val.features]),
-        np.concatenate([train.labels, val.labels]))).stats
+    fit_train_only = data.ScalerStats.fit(train.features)
+    fit_with_val = data.ScalerStats.fit(
+        np.concatenate([train.features, val.features]))
     assert prep.stats.fingerprint() == fit_train_only.fingerprint()
     assert prep.stats.fingerprint() != fit_with_val.fingerprint()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csocnn import data, detector, metrics, nn, trainer
-from csocnn.errors import DegenerateClass, ScalerMismatch
+from csocnn.errors import DegenerateClass
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,8 @@ def test_pure_benign_probability_scores_zero():
     x = np.zeros((1, 5), dtype=np.float32)
     x[0, 0] = 8.0  # saturates class 0
     policy = detector.DetectionPolicy(threshold=0.2, benign_class_index=0)
-    scores, flags, probs = detector.score_batch(net, x[:1], policy)
+    probs = nn.predict(net, x[:1])
+    scores, flags = detector.score(probs, policy)
     assert scores[0] < 0.01
     assert not flags[0]
     assert probs[0].argmax() == 0
@@ -58,25 +59,26 @@ def test_uniform_probabilities_score():
                                     score_kind="non_benign_mass")
     top = detector.DetectionPolicy(threshold=0.5,
                                    score_kind="one_minus_max_prob")
-    assert detector.score_batch(net, x[:1], mass)[0][0] == pytest.approx(0.8)
-    assert detector.score_batch(net, x[:1], top)[0][0] == pytest.approx(0.8)
+    probs = nn.predict(net, x[:1])
+    assert detector.score(probs, mass)[0][0] == pytest.approx(0.8)
+    assert detector.score(probs, top)[0][0] == pytest.approx(0.8)
 
 
 def test_verdict_strictly_greater_than_threshold():
     net = _probe_network()
     x = np.zeros((1, 5), dtype=np.float32)
-    score = detector.score_batch(
-        net, x[:1], detector.DetectionPolicy(threshold=0.5))[0][0]
+    probs = nn.predict(net, x[:1])
+    score = detector.score(probs, detector.DetectionPolicy(threshold=0.5))[0][0]
     at_score = detector.DetectionPolicy(threshold=score)
     below = detector.DetectionPolicy(threshold=max(score - 1e-6, 0.0))
-    assert not detector.score_batch(net, x[:1], at_score)[1][0]
-    assert detector.score_batch(net, x[:1], below)[1][0]
+    assert not detector.score(probs, at_score)[1][0]
+    assert detector.score(probs, below)[1][0]
 
 
 def test_scores_live_in_unit_interval(trained_setup):
     prep, net = trained_setup
     policy = detector.DetectionPolicy(threshold=0.5)
-    scores, _, _ = detector.score_batch(net, prep.test[0], policy)
+    scores, _ = detector.score(nn.predict(net, prep.test[0]), policy)
     assert len(scores) == len(prep.test[0])
     assert np.all((scores >= 0.0) & (scores <= 1.0))
 
@@ -84,9 +86,10 @@ def test_scores_live_in_unit_interval(trained_setup):
 def test_verdicts_monotone_in_threshold(trained_setup):
     prep, net = trained_setup
     flagged = []
+    probs = nn.predict(net, prep.test[0])
     for threshold in (0.1, 0.4, 0.7, 0.95):
         policy = detector.DetectionPolicy(threshold=threshold)
-        _, flags, _ = detector.score_batch(net, prep.test[0], policy)
+        _, flags = detector.score(probs, policy)
         flagged.append(set(np.flatnonzero(flags).tolist()))
     for wider, narrower in zip(flagged, flagged[1:]):
         assert narrower <= wider
@@ -96,9 +99,9 @@ def test_batch_scoring_is_order_equivariant(trained_setup):
     prep, net = trained_setup
     x = prep.test[0][:40]
     policy = detector.DetectionPolicy(threshold=0.5)
-    base_scores, base_flags, _ = detector.score_batch(net, x, policy)
+    base_scores, base_flags = detector.score(nn.predict(net, x), policy)
     perm = np.random.default_rng(0).permutation(len(x))
-    scores, flags, _ = detector.score_batch(net, x[perm], policy)
+    scores, flags = detector.score(nn.predict(net, x[perm]), policy)
     for out_pos, in_pos in enumerate(perm):
         assert scores[out_pos] == base_scores[in_pos]
         assert flags[out_pos] == base_flags[in_pos]
@@ -109,7 +112,8 @@ def test_threshold_sweep_reproduces_roc_points(trained_setup):
     x, y = prep.test
     benign = list(prep.codec.classes).index("Benign")
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=benign)
-    scores, _, _ = detector.score_batch(net, x, policy)
+    probs = nn.predict(net, x)
+    scores, _ = detector.score(probs, policy)
     assert scores.min() > 0.0  # keeps every ROC point reachable by strict >
 
     # benign-vs-rest via the one-vs-rest ROC op on (p_benign, 1-p_benign)
@@ -126,9 +130,9 @@ def test_threshold_sweep_reproduces_roc_points(trained_setup):
     for fpr, tpr, roc_threshold in points:
         t = scores.max() if roc_threshold == float("inf") \
             else realize[roc_threshold]
-        _, flagged, _ = detector.score_batch(
-            net, x, detector.DetectionPolicy(threshold=t,
-                                             benign_class_index=benign))
+        _, flagged = detector.score(
+            probs, detector.DetectionPolicy(threshold=t,
+                                            benign_class_index=benign))
         assert int((flagged & (y_bin == 1)).sum()) / n_pos == tpr
         assert int((flagged & (y_bin == 0)).sum()) / n_neg == fpr
 
@@ -140,10 +144,11 @@ def test_calibrate_perfectly_separable():
     x[3:, 1] = 8.0   # attack, p_benign ~ 0
     y = np.array([0, 0, 0, 1, 1, 1])
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=0)
-    scores, _, _ = detector.score_batch(net, x, policy)
+    probs = nn.predict(net, x)
+    scores, _ = detector.score(probs, policy)
     t = detector.calibrate_threshold(scores, y, policy)
-    _, flags, _ = detector.score_batch(
-        net, x, detector.DetectionPolicy(threshold=t, benign_class_index=0))
+    _, flags = detector.score(
+        probs, detector.DetectionPolicy(threshold=t, benign_class_index=0))
     assert flags.tolist() == [False] * 3 + [True] * 3
 
 
@@ -152,7 +157,7 @@ def test_calibrate_all_equal_scores_returns_zero():
     x = np.zeros((4, 2), dtype=np.float32)  # identical rows, equal scores
     y = np.array([0, 0, 1, 1])
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=0)
-    scores, _, _ = detector.score_batch(net, x, policy)
+    scores, _ = detector.score(nn.predict(net, x), policy)
     assert detector.calibrate_threshold(scores, y, policy) == 0.0
 
 
@@ -164,7 +169,7 @@ def test_calibrate_matches_exhaustive_enumeration(trained_setup):
     if not ((y == benign).any() and (y != benign).any()):
         pytest.skip("20-sample slice lost one side")
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=benign)
-    scores, _, _ = detector.score_batch(net, x, policy)
+    scores, _ = detector.score(nn.predict(net, x), policy)
     got = detector.calibrate_threshold(scores, y, policy)
     assert got == _exhaustive_max_f1(scores, y != benign)
 
@@ -195,19 +200,18 @@ def test_calibrate_degenerate_sides():
     net = _probe_network(2)
     x = np.zeros((3, 2), dtype=np.float32)
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=0)
-    scores, _, _ = detector.score_batch(net, x, policy)
+    scores, _ = detector.score(nn.predict(net, x), policy)
     with pytest.raises(DegenerateClass):
         detector.calibrate_threshold(scores, np.array([0, 0, 0]), policy)
 
 
-def test_scaler_mismatch_guard():
-    a = data.clean_and_scale(
-        data.Flows(np.array([[0.0, 1.0], [2.0, 3.0]]), ["x", "x"])).stats
-    b = data.clean_and_scale(
-        data.Flows(np.array([[5.0, 1.0], [9.0, 3.0]]), ["x", "x"])).stats
-    detector.ensure_scaler_match(a.fingerprint(), a)  # same: fine
-    with pytest.raises(ScalerMismatch):
-        detector.ensure_scaler_match(a.fingerprint(), b)
+def test_benign_index_must_be_a_probability_column():
+    probs = np.full((2, 5), 0.2)
+    assert detector.score(probs, detector.DetectionPolicy(
+        benign_class_index=4))[0].tolist() == pytest.approx([0.8, 0.8])
+    with pytest.raises(ValueError, match=r"^benign_class_index 5 outside "
+                       r"\[0, 5\)$"):
+        detector.score(probs, detector.DetectionPolicy(benign_class_index=5))
 
 
 def test_policy_validation():

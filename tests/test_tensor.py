@@ -7,12 +7,12 @@ from csocnn.nn import forward
 
 
 def test_numpy_interop():
-    flows = data.make_synthetic_blobs(10, k_classes=2, d=9, seed=0)
-    batch, _ = data.to_network_input(flows)
+    flows = data.make_synthetic_blobs(20, k_classes=2, d=9, seed=0)
+    batch, labels = data.prepare_dataset(flows).train
     assert np.asarray(batch) is batch
-    assert len(batch) == 10
+    assert len(batch) == len(labels) == 14
 
     net = nn.Network(toy_layers(), (9, 1, 1), seed=0)
     probs, _ = forward(net, batch, "inference")
     assert np.asarray(probs) is probs
-    assert len(probs) == 10
+    assert len(probs) == 14
