@@ -305,7 +305,7 @@ def cmd_train(args):
     manifest = RunManifest(out, "train", _config_snapshot(args), seed, inputs)
     with _SignalGuard(manifest):
         out.mkdir(parents=True, exist_ok=True)
-        prep = data.prepare_dataset(flows, data.SplitSpec(seed=seed))
+        prep = data.prepare_dataset(flows, seed)
         best, state = _train_seeded(prep, config)
 
         test_loss, test_acc, predictions, probs = trainer.evaluate(
@@ -347,7 +347,7 @@ def cmd_optimize(args):
     manifest = RunManifest(out, "optimize", _config_snapshot(args), seed, inputs)
     with _SignalGuard(manifest):
         out.mkdir(parents=True, exist_ok=True)
-        prep = data.prepare_dataset(flows, data.SplitSpec(seed=seed))
+        prep = data.prepare_dataset(flows, seed)
         best_hp, best_fit, history = hyperopt.optimize_hyperparams(
             space, (prep.train, prep.val),
             nn.default_architecture(len(prep.codec)), swarm_config)
@@ -423,7 +423,7 @@ def cmd_evaluate(args):
         test_acc = float(np.mean(predictions == labels))
 
         cm = metrics.confusion(labels, predictions, len(codec), codec.classes)
-        report = metrics.class_report(cm, zero_division="zero")
+        report = metrics.class_report(cm)
         report_path = out / "classification_report.txt"
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_text())
@@ -456,7 +456,7 @@ def cmd_evaluate(args):
              for name, pts, auc in curves],
             x_label="false positive rate", y_label="true positive rate"))
 
-        m = metrics.scalar_metrics(cm, zero_division="zero")
+        m = metrics.scalar_metrics(cm)
         averaged = {
             field_name: {
                 "macro": m["macro"][key],

@@ -1,10 +1,11 @@
 """Cat Swarm Optimization over box-bounded real vectors.
 
 A population of cats alternates between two behaviors, reassigned at random
-every iteration: seeking (clone the position a few times, mutate a fraction
-of the dimensions by up to srd of their current magnitude, keep one clone by
-fitness-weighted roulette) and tracing (velocity update pulling the cat
-toward the best position found so far, starting each stint from rest).
+every iteration: seeking (smp candidates, the current position and smp - 1
+clones that mutate a fraction of the dimensions by up to srd of their
+current magnitude; keep one by fitness-weighted roulette) and tracing
+(velocity update pulling the cat toward the best position found so far,
+clamped to VMAX_FRACTION of each span, starting each stint from rest).
 
 The fitness function is called as ``fitness_fn(position, ctx)``, where ctx
 is the EvalContext naming the iteration and cat the evaluation belongs to.
@@ -24,6 +25,8 @@ import numpy as np
 
 from .errors import BoundsError, FitnessError
 
+VMAX_FRACTION = 0.5  # tracing velocity clamp, as a fraction of each span
+
 
 @dataclass
 class Cat:
@@ -39,15 +42,14 @@ class Cat:
 class SwarmConfig:
     """Engine parameters.
 
-    smp: candidate copies per seeking move (seeking memory pool).
+    smp: candidates per seeking move, the current position included
+        (seeking memory pool).
     srd: seeking range of the selected dimension; mutated coordinates move
         by a uniform-random fraction of srd times their current magnitude
         (times the bound span for coordinates sitting exactly at zero).
     cdc: fraction of dimensions mutated per candidate.
-    spc: whether the current position occupies one candidate slot.
     mixture_ratio: fraction of the swarm in tracing mode each iteration.
     c1: tracing acceleration constant.
-    vmax_fraction: velocity clamp as a fraction of each dimension's span.
     n_workers: candidate evaluations run at once; 1 is serial.
     """
 
@@ -56,9 +58,7 @@ class SwarmConfig:
     smp: int = 5
     srd: float = 0.2
     cdc: float = 0.8
-    spc: bool = True
     c1: float = 2.0
-    vmax_fraction: float = 0.5
     max_iters: int = 100
     seed: int = 0
     objective: str = "minimize"
@@ -69,10 +69,9 @@ class SwarmConfig:
             raise ValueError("n_cats must be >= 1")
         if not 0 < self.mixture_ratio < 1:
             raise ValueError("mixture_ratio must lie in (0, 1)")
-        if self.smp < 1:
-            raise ValueError("smp must be >= 1")
-        if self.spc and self.smp < 2:
-            raise ValueError("spc reserves one slot, so smp must be >= 2")
+        if self.smp < 2:
+            raise ValueError("smp must be >= 2: the current position takes "
+                             "one slot")
         if not 0 < self.srd <= 1:
             raise ValueError("srd must lie in (0, 1]")
         if not 0 < self.cdc <= 1:
@@ -165,18 +164,13 @@ def _reassign_modes(cats, config, rng):
 
 
 def _seeking_candidates(cat, config, bounds, rng):
-    """The smp candidate positions for one seeking move. Returns
-    (positions, spc_index) where spc_index marks the untouched current
-    position when self-position consideration is on."""
+    """The smp candidate positions for one seeking move, the untouched
+    current position first."""
     lo, hi = _check_bounds(bounds)
     span = hi - lo
     d = len(cat.position)
     n_mut = min(d, max(1, math.ceil(config.cdc * d)))
-    positions = []
-    spc_index = None
-    if config.spc:
-        positions.append(cat.position.copy())
-        spc_index = 0
+    positions = [cat.position.copy()]
     while len(positions) < config.smp:
         candidate = cat.position.copy()
         dims = rng.choice(d, n_mut, replace=False)
@@ -186,7 +180,7 @@ def _seeking_candidates(cat, config, bounds, rng):
         # to the bound span so they can still move.
         candidate[dims] = base + np.where(base != 0.0, base, span[dims]) * delta
         positions.append(np.clip(candidate, lo, hi))
-    return positions, spc_index
+    return positions
 
 
 def _select_candidate(fitnesses, config, rng, weight_key):
@@ -207,7 +201,7 @@ def tracing_move(cat, global_best, config, bounds, rng):
     """One tracing-mode step: accelerate toward the global best, with the
     velocity clamped per dimension and the position clamped to bounds."""
     lo, hi = _check_bounds(bounds)
-    vmax = config.vmax_fraction * (hi - lo)
+    vmax = VMAX_FRACTION * (hi - lo)
     r = rng.random(len(cat.position))
     velocity = cat.velocity + r * config.c1 * (np.asarray(global_best) - cat.position)
     velocity = np.clip(velocity, -vmax, vmax)
@@ -268,45 +262,35 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
 
         # Phase 1: draw every random move first, so evaluation can be
         # parallel while RNG consumption stays in cat order.
+        # plans: (first job index, candidate positions or moved cat, rng)
         jobs = []
         plans = []
         for i, cat in enumerate(cats):
             rng = _rng(config.seed, iteration, i)
             ctx = EvalContext(iteration, i)
             if cat.mode == "seeking":
-                positions, spc_index = _seeking_candidates(cat, config, bounds, rng)
-                need = []
-                for j, pos in enumerate(positions):
-                    if j == spc_index:
-                        need.append(None)
-                    else:
-                        need.append(len(jobs))
-                        jobs.append((pos, ctx))
-                plans.append(("seeking", positions, need, spc_index, rng))
+                # the current position's fitness is known; it is not re-run
+                positions = _seeking_candidates(cat, config, bounds, rng)
+                plans.append((len(jobs), positions, rng))
+                jobs.extend((pos, ctx) for pos in positions[1:])
             else:
                 moved = tracing_move(cat, best_position, config, bounds, rng)
-                plans.append(("tracing", moved, len(jobs), None, rng))
+                plans.append((len(jobs), moved, rng))
                 jobs.append((moved.position, ctx))
 
         results = evaluate(jobs)
 
         # Phase 2: commit moves and update the global best in cat order.
-        for i, cat in enumerate(cats):
-            kind = plans[i][0]
-            if kind == "seeking":
-                _, positions, need, spc_index, rng = plans[i]
-                fitnesses = [
-                    cat.fitness if slot is None else results[slot]
-                    for slot in need
-                ]
+        for cat, (start, move, rng) in zip(cats, plans):
+            if cat.mode == "seeking":
+                fitnesses = [cat.fitness] + results[start:start + len(move) - 1]
                 idx = _select_candidate(fitnesses, config, rng, weight_key)
-                cat.position = positions[idx]
+                cat.position = move[idx]
                 cat.fitness = fitnesses[idx]
             else:
-                _, moved, slot, _, _ = plans[i]
-                cat.position = moved.position
-                cat.velocity = moved.velocity
-                cat.fitness = results[slot]
+                cat.position = move.position
+                cat.velocity = move.velocity
+                cat.fitness = results[start]
             if _better(cat.fitness, best_fitness, config.objective):
                 best_fitness = cat.fitness
                 best_position = cat.position.copy()

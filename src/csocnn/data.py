@@ -22,6 +22,9 @@ from .nn import INFERENCE_ROWS
 # Multi-stage attack labels used by DAPT2020-shaped exports.
 DAPT_CLASSES = ("Benign", "Data", "Establish", "Lateral", "Reconn")
 
+TEST_FRACTION = 0.20
+VAL_FRACTION = 0.10  # of the remainder after the test cut
+
 
 @dataclass
 class Flows:
@@ -70,17 +73,6 @@ class CsvSchema:
 
     label_column: str = "label"
     expected_features: int | None = None
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    test_fraction: float = 0.20
-    val_fraction: float = 0.10  # of the remainder after the test cut
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.test_fraction < 1 or not 0 < self.val_fraction < 1:
-            raise ValueError("split fractions must lie in (0, 1)")
 
 
 def load_csv(path, schema=CsvSchema()):
@@ -158,8 +150,8 @@ class ScalerStats:
     """Column statistics fitted on the training split only.
 
     median / inf_lo / inf_hi drive imputation (NaN, -Inf, +Inf); lo / hi
-    drive the min-max scaling to [0, 1]. A non-finite statistic or hi - lo
-    raises SchemaError, so scale_features' output is finite.
+    drive the min-max scaling to [0, 1]. Anything but five finite 1-D arrays
+    of one length with a finite hi - lo raises SchemaError.
     """
 
     median: np.ndarray
@@ -169,6 +161,9 @@ class ScalerStats:
     hi: np.ndarray
 
     def __post_init__(self):
+        shapes = [np.shape(stat) for stat in vars(self).values()]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise SchemaError(f"scaler statistics have shapes {shapes}")
         with np.errstate(over="ignore", invalid="ignore"):
             values = vars(self) | {"hi - lo": self.hi - self.lo}
         for name, stat in values.items():
@@ -257,13 +252,13 @@ def scale_features(f, stats):
     return f.astype(np.float32), clamped
 
 
-def split_sizes(n, spec):
-    """(train, val, test) sizes: the test cut keeps floor(n*(1-test_fraction))
-    records, then the remainder keeps floor(remainder*(1-val_fraction)) for
+def split_sizes(n):
+    """(train, val, test) sizes: the test cut keeps floor(n*(1-TEST_FRACTION))
+    records, then the remainder keeps floor(remainder*(1-VAL_FRACTION)) for
     training."""
-    keep = math.floor(n * (1.0 - spec.test_fraction))
+    keep = math.floor(n * (1.0 - TEST_FRACTION))
     n_test = n - keep
-    n_train = math.floor(keep * (1.0 - spec.val_fraction))
+    n_train = math.floor(keep * (1.0 - VAL_FRACTION))
     n_val = keep - n_train
     return n_train, n_val, n_test
 
@@ -285,15 +280,15 @@ def _largest_remainder(class_counts, take):
     return alloc
 
 
-def split(flows, spec=SplitSpec()):
+def split(flows, seed=0):
     """Deterministic stratified (train, val, test) partition of a Flows
-    table.
+    table, seeded by seed.
 
     Class ratios hold within ±1 record per class in every part; a class
     with fewer records than there are classes raises StratifyError.
     """
-    _, n_val, n_test = split_sizes(len(flows), spec)
-    rng = np.random.default_rng(spec.seed)
+    _, n_val, n_test = split_sizes(len(flows))
+    rng = np.random.default_rng(seed)
     # row indices per class, classes in order of first appearance
     by_class = {label: np.flatnonzero(flows.labels == label)
                 for label in dict.fromkeys(flows.labels)}
@@ -361,13 +356,12 @@ class PreparedData:
     n_clamped: int = 0
 
 
-def prepare_dataset(flows, spec=SplitSpec(), codec=None):
+def prepare_dataset(flows, seed=0):
     """split -> fit the scaler on train -> scale every split into the
-    (n, features, 1, 1) network layout, labels encoded by the codec. Feature
-    k of row i lands at element (i, k, 0, 0)."""
-    parts = split(flows, spec)
-    if codec is None:
-        codec = LabelCodec.from_labels(flows.labels)
+    (n, features, 1, 1) network layout, labels encoded in sorted class
+    order. Feature k of row i lands at element (i, k, 0, 0)."""
+    parts = split(flows, seed)
+    codec = LabelCodec.from_labels(flows.labels)
     stats = ScalerStats.fit(parts[0].features)
     scaled = [scale_features(part.features, stats) for part in parts]
     return PreparedData(

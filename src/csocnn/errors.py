@@ -47,7 +47,7 @@ class StratifyError(ValueError):
 
 
 class UndefinedMetric(ArithmeticError):
-    """A metric's denominator is zero and no coercion policy was requested."""
+    """A metric set was asked of an empty confusion matrix."""
 
 
 class DegenerateClass(ValueError):

@@ -4,8 +4,8 @@ Every scalar is computed as a single float division of exact integer
 counts (or an expression over such ratios), so independent implementations
 that count the same label pairs agree bit-for-bit in 64-bit arithmetic.
 
-Zero-denominator metrics surface as explicit None ("undefined") by default;
-pass zero_division="zero" to coerce them to 0.0 for report aggregation.
+A metric whose denominator is zero reads 0.0; its numerator is then 0 too.
+An empty confusion matrix raises UndefinedMetric.
 """
 
 import csv
@@ -76,24 +76,24 @@ def basic_rates(cm, class_index):
 
 
 def _ratio(num, den):
-    return num / den if den else None
+    return num / den if den else 0.0
+
+
+def _f1(precision, recall):
+    return _ratio(2 * precision * recall, precision + recall)
 
 
 def _class_values(cm):
-    """Per-class one-vs-rest metric dict; zero-denominator entries are None."""
+    """Per-class one-vs-rest metric dicts."""
     values = []
     for i in range(cm.k):
         tp, fp, tn, fn = basic_rates(cm, i)
         precision = _ratio(tp, tp + fp)
         recall = _ratio(tp, tp + fn)
-        if precision is None or recall is None or precision + recall == 0:
-            f1 = None if (precision is None or recall is None) else 0.0
-        else:
-            f1 = 2 * precision * recall / (precision + recall)
         values.append({
             "precision": precision,
             "recall": recall,
-            "f1": f1,
+            "f1": _f1(precision, recall),
             "sensitivity": recall,  # same computation, second name
             "specificity": _ratio(tn, tn + fp),
             "ppv": precision,  # same computation, second name
@@ -107,16 +107,7 @@ _AGG_FIELDS = ("precision", "recall", "f1", "sensitivity", "specificity",
                "ppv", "npv")
 
 
-def _resolve(value, zero_division, what):
-    if value is not None:
-        return value
-    if zero_division == "zero":
-        return 0.0
-    raise UndefinedMetric(
-        f"{what} has a zero denominator; pass zero_division='zero' to coerce")
-
-
-def scalar_metrics(cm, zero_division="undefined"):
+def scalar_metrics(cm):
     """The full metric set over a confusion matrix.
 
     Returns accuracy, Cohen's kappa, per-class one-vs-rest values, and
@@ -135,15 +126,9 @@ def scalar_metrics(cm, zero_division="undefined"):
     macro = {}
     weighted = {}
     for field in _AGG_FIELDS:
-        vals = [_resolve(v[field], zero_division, f"{field} of class {name}")
-                for v, name in zip(per_class, cm.class_names)]
+        vals = [v[field] for v in per_class]
         macro[field] = sum(vals) / cm.k
         weighted[field] = sum(v * s for v, s in zip(vals, supports)) / total
-    if zero_division == "zero":
-        for v in per_class:
-            for field in _AGG_FIELDS:
-                if v[field] is None:
-                    v[field] = 0.0
 
     micro = {}
     tps = fps = tns = fns = 0
@@ -153,31 +138,22 @@ def scalar_metrics(cm, zero_division="undefined"):
         fps += fp
         tns += tn
         fns += fn
-    micro["precision"] = _resolve(_ratio(tps, tps + fps), zero_division,
-                                  "micro precision")
-    micro["recall"] = _resolve(_ratio(tps, tps + fns), zero_division,
-                               "micro recall")
-    pr, rc = micro["precision"], micro["recall"]
-    micro["f1"] = 2 * pr * rc / (pr + rc) if pr + rc else 0.0
+    micro["precision"] = _ratio(tps, tps + fps)
+    micro["recall"] = _ratio(tps, tps + fns)
+    micro["f1"] = _f1(micro["precision"], micro["recall"])
     micro["sensitivity"] = micro["recall"]
-    micro["specificity"] = _resolve(_ratio(tns, tns + fps), zero_division,
-                                    "micro specificity")
+    micro["specificity"] = _ratio(tns, tns + fps)
     micro["ppv"] = micro["precision"]
-    micro["npv"] = _resolve(_ratio(tns, tns + fns), zero_division, "micro npv")
+    micro["npv"] = _ratio(tns, tns + fns)
 
     # Chance agreement from the row/column marginals; the numerator stays an
     # exact integer so the division happens once.
     pe_num = sum(int(r) * int(c)
                  for r, c in zip(cm.row_totals(), cm.col_totals()))
     p_e = pe_num / (total * total)
-    if p_e == 1.0:
-        kappa = _resolve(None, zero_division, "kappa (chance agreement is 1)")
-    else:
-        kappa = (accuracy - p_e) / (1 - p_e)
-
     return {
         "accuracy": accuracy,
-        "kappa": kappa,
+        "kappa": _ratio(accuracy - p_e, 1 - p_e),
         "per_class": {name: vals for name, vals
                       in zip(cm.class_names, per_class)},
         "macro": macro,
@@ -217,13 +193,13 @@ class ClassReport:
 
 
 def _fmt(value):
-    return f"{value:>9.2f}" if value is not None else f"{'n/a':>9s}"
+    return f"{value:>9.2f}"
 
 
-def class_report(cm, zero_division="undefined"):
+def class_report(cm):
     """Per-class precision/recall/f1/support with macro and weighted
     averages, in that column order."""
-    m = scalar_metrics(cm, zero_division=zero_division)
+    m = scalar_metrics(cm)
     rows = [
         (name,
          m["per_class"][name]["precision"],

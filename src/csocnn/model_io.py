@@ -109,7 +109,8 @@ def load_model(path):
     """Read a model file back into a ModelBundle.
 
     Raises ModelFormatError whenever the header, manifest, or blob are
-    inconsistent (wrong magic, truncated blob, shape mismatch).
+    inconsistent (wrong magic, truncated blob, malformed tensor table, shape
+    mismatch, class names that do not match the output units).
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -131,6 +132,8 @@ def load_model(path):
             raise ModelFormatError(f"{path}: manifest is not valid JSON") from exc
         blob = fh.read()
 
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{path}: manifest is not a JSON object")
     if len(blob) != manifest.get("blob_nbytes"):
         raise ModelFormatError(
             f"{path}: blob has {len(blob)} bytes, manifest says "
@@ -142,30 +145,37 @@ def load_model(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: bad layer table ({exc})") from exc
 
-    table = {t["name"]: t for t in manifest["tensors"]}
-    for key, is_stat in _tensor_names(network):
-        entry = table.pop(key, None)
-        if entry is None:
-            raise ModelFormatError(f"{path}: tensor {key} missing from manifest")
-        target = (network.bn_stats if is_stat else network.params)[key]
-        if tuple(entry["shape"]) != target.shape:
-            raise ModelFormatError(
-                f"{path}: tensor {key} shape {entry['shape']} does not match "
-                f"architecture shape {target.shape}")
-        raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"] or len(raw) != target.size * 4:
-            raise ModelFormatError(f"{path}: blob truncated at tensor {key}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(target.shape)
-        if is_stat:
-            network.bn_stats[key] = arr.astype(network.dtype)
-        else:
-            network.params[key] = arr.astype(network.dtype)
+    try:
+        table = {t["name"]: t for t in manifest["tensors"]}
+        for key, is_stat in _tensor_names(network):
+            entry = table.pop(key, None)
+            if entry is None:
+                raise ModelFormatError(f"{path}: tensor {key} missing from manifest")
+            target = (network.bn_stats if is_stat else network.params)[key]
+            if tuple(entry["shape"]) != target.shape:
+                raise ModelFormatError(
+                    f"{path}: tensor {key} shape {entry['shape']} does not match "
+                    f"architecture shape {target.shape}")
+            raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+            if len(raw) != entry["nbytes"] or len(raw) != target.size * 4:
+                raise ModelFormatError(f"{path}: blob truncated at tensor {key}")
+            arr = np.frombuffer(raw, dtype="<f4").reshape(target.shape)
+            if is_stat:
+                network.bn_stats[key] = arr.astype(network.dtype)
+            else:
+                network.params[key] = arr.astype(network.dtype)
+    except (KeyError, TypeError) as exc:
+        raise ModelFormatError(f"{path}: bad tensor table ({exc!r})") from exc
     if table:
         raise ModelFormatError(f"{path}: manifest lists unknown tensors {sorted(table)}")
 
+    class_names = manifest.get("class_names")
+    if not isinstance(class_names, list) or len(class_names) != network.num_classes:
+        raise ModelFormatError(f"{path}: class names {class_names!r} do not "
+                               f"match the {network.num_classes} output units")
     return ModelBundle(
         network=network,
-        class_names=list(manifest.get("class_names", [])),
+        class_names=class_names,
         scaler_fingerprint=manifest.get("scaler_fingerprint"),
         training_metrics=manifest.get("training_metrics"),
     )

@@ -261,15 +261,6 @@ class Network:
         other._forward_version = 0
         return other
 
-    def astype(self, dtype):
-        """Copy of the network with all tensors cast (e.g. float64 for
-        gradient checking)."""
-        other = self.clone()
-        other.dtype = np.dtype(dtype)
-        other.params = {k: v.astype(dtype) for k, v in other.params.items()}
-        other.bn_stats = {k: v.astype(dtype) for k, v in other.bn_stats.items()}
-        return other
-
 
 def _softmax(z):
     z = z - z.max(axis=-1, keepdims=True)

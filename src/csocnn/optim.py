@@ -9,13 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-7
+
 
 @dataclass
 class AdamState:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
     step: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -29,9 +30,8 @@ def adam_step(state, params, grads):
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     for key, g in grads.items():
         p = params[key]
         m = state.first_moment.get(key)
@@ -40,9 +40,9 @@ def adam_step(state, params, grads):
         v = state.second_moment.get(key)
         if v is None:
             v = state.second_moment[key] = np.zeros_like(p)
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * (g * g)
-        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * (g * g)
+        p -= state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + EPSILON)
     return params, state

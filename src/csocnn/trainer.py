@@ -22,28 +22,25 @@ from .model_io import save_model
 from .nn import Network, backward, forward, loss_sparse_ce, predict
 from .optim import AdamState, adam_step
 
+LR_FACTOR = 0.5  # plateau reduction multiplies the learning rate by this
+LR_PATIENCE = 2  # epochs without improvement before a reduction
+MIN_LR = 1e-5  # the reduction's floor
+EARLY_STOP_PATIENCE = 2  # epochs without improvement before stopping
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 5
     batch_size: int = 640
     initial_lr: float = 1e-3
-    lr_factor: float = 0.5
-    lr_patience: int = 2
-    min_lr: float = 1e-5
-    early_stop_patience: int = 2
     seed: int = 0
     checkpoint_dir: str | None = None  # None: no files written
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not 0 < self.lr_factor < 1:
-            raise ValueError("lr_factor must lie in (0, 1)")
-        if self.min_lr > self.initial_lr:
-            raise ValueError("min_lr must not exceed initial_lr")
-        if self.lr_patience < 0 or self.early_stop_patience < 0:
-            raise ValueError("patience values must be >= 0")
+        if self.initial_lr < MIN_LR:
+            raise ValueError(f"initial_lr must be at least {MIN_LR}")
 
 
 @dataclass
@@ -103,7 +100,7 @@ def checkpoint(network, state, epoch, val_loss, val_acc):
     return state
 
 
-def epoch_end(network, state, config, adam, epoch, val_loss, val_acc):
+def epoch_end(network, state, adam, epoch, val_loss, val_acc):
     """Apply the callback ladder; returns True when training should stop."""
     improved = val_acc > state.best_val_acc
     checkpoint(network, state, epoch, val_loss, val_acc)
@@ -113,11 +110,10 @@ def epoch_end(network, state, config, adam, epoch, val_loss, val_acc):
     else:
         state.lr_stall_epochs += 1
         state.stop_stall_epochs += 1
-    if state.lr_stall_epochs >= config.lr_patience:
-        adam.learning_rate = max(adam.learning_rate * config.lr_factor,
-                                 config.min_lr)
+    if state.lr_stall_epochs >= LR_PATIENCE:
+        adam.learning_rate = max(adam.learning_rate * LR_FACTOR, MIN_LR)
         state.lr_stall_epochs = 0
-    return state.stop_stall_epochs >= config.early_stop_patience
+    return state.stop_stall_epochs >= EARLY_STOP_PATIENCE
 
 
 def evaluate(network, dataset):
@@ -168,7 +164,7 @@ def train(network, train_set, val_set, config, class_names=None):
         val_loss, val_acc, _, _ = evaluate(network, val_set)
         state.record_epoch(epoch, loss_sum / n, correct / n,
                            val_loss, val_acc, lr_this_epoch)
-        if epoch_end(network, state, config, adam, epoch, val_loss, val_acc):
+        if epoch_end(network, state, adam, epoch, val_loss, val_acc):
             state.stopped_early = True
             break
 

@@ -60,4 +60,4 @@ def small_blobs():
     """1500 well-separated 75-feature records, prepared leakage-free."""
     flows = data.make_synthetic_blobs(1500, k_classes=5, d=75,
                                       separation=3.0, seed=11)
-    return data.prepare_dataset(flows, data.SplitSpec(seed=11))
+    return data.prepare_dataset(flows, seed=11)

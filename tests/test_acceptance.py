@@ -141,7 +141,7 @@ def test_criterion_04_metric_oracle_equivalence():
     for _ in range(1000):
         t, p, k = random_label_pairs(rng, k_max=6, n_max=200)
         cm = metrics.confusion(t, p, k)
-        got = metrics.scalar_metrics(cm, zero_division="zero")
+        got = metrics.scalar_metrics(cm)
         accuracy, per_class, macro, weighted, kappa = oracle_metrics(t, p, k)
         assert got["accuracy"] == accuracy
         assert got["kappa"] == kappa
@@ -184,7 +184,7 @@ def test_criterion_06_split_fidelity():
     n = len(labels)
     # each row's feature is its own index, so the parts trace back to rows
     flows = data.Flows(np.arange(n, dtype=np.float64)[:, None], labels)
-    train, val, test = data.split(flows, data.SplitSpec(seed=6))
+    train, val, test = data.split(flows, seed=6)
     sizes = (len(train), len(val), len(test))
     assert sizes == (55262, 6141, 15351)
     for part in (train, val, test):
@@ -211,7 +211,7 @@ def _drive(config, val_accs, tmp_path):
     lr_after_epoch = []
     stop_epoch = None
     for epoch, acc in enumerate(val_accs, start=1):
-        stop = trainer.epoch_end(net, state, config, adam, epoch,
+        stop = trainer.epoch_end(net, state, adam, epoch,
                                  val_loss=1 - acc, val_acc=acc)
         lr_after_epoch.append(adam.learning_rate)
         if stop:
@@ -243,7 +243,7 @@ def test_criterion_08_desk_scale_training():
     start = time.time()
     flows = data.make_synthetic_blobs(10000, k_classes=5, d=75,
                                       separation=3.0, seed=8)
-    prep = data.prepare_dataset(flows, data.SplitSpec(seed=8))
+    prep = data.prepare_dataset(flows, seed=8)
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=8)
     config = trainer.TrainConfig(seed=8)  # defaults: 5 epochs, batch 640
     best, state = trainer.train(net, prep.train, prep.val, config,

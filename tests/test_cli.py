@@ -327,8 +327,10 @@ def test_header_only_csv_exits_3(train_run, tmp_path, command):
     ["optimize", "--lr-range", "1e-2", "1e-4"],
     ["train", "--synthetic-samples", "3"],
     ["optimize", "--workers", "0"],
+    ["train", "--lr", "1e-6"],
+    ["optimize", "--smp", "1"],
 ], ids=["epochs-0", "cats-0", "lr-range-reversed", "synthetic-samples-3",
-        "workers-0"])
+        "workers-0", "lr-below-floor", "smp-1"])
 def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
     out = tmp_path / "out"
     code = cli.main([*flags, "--synthetic", "--seed", "1", "--out", str(out)])

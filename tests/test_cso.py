@@ -67,7 +67,7 @@ def test_inverted_bounds_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        cso.SwarmConfig(smp=1, spc=True)
+        cso.SwarmConfig(smp=1)
     with pytest.raises(ValueError):
         cso.SwarmConfig(mixture_ratio=1.5)
     for workers in (0, -1):
@@ -110,12 +110,12 @@ def _seeking_run(fitness, bounds, max_iters=10, **overrides):
 
 
 def test_seeking_keeps_position_when_candidates_worse():
-    # The start scores 0 and every later candidate scores worse; with spc
-    # the start keeps one of the two slots and the roulette gives it all
+    # The start scores 0 and every later candidate scores worse; the start
+    # keeps one of the two slots and the roulette gives it all
     # the weight.
     evals, steps = _seeking_run(
         lambda x, ctx: 0.0 if ctx.iteration == 0 else 1.0 + sphere(x),
-        [(-5.0, 5.0)], smp=2, spc=True)
+        [(-5.0, 5.0)], smp=2)
     start = steps[0][0]
     for t in range(1, len(steps)):
         assert len(evals[t]) == 1  # the start's fitness is not re-evaluated
@@ -126,9 +126,9 @@ def test_seeking_keeps_position_when_candidates_worse():
 def test_seeking_candidate_range():
     # srd=0.2, cdc=1: every mutated candidate lies within 20% of the
     # position it was drawn from, and the move commits one of the smp
-    # candidates (the current position included, through spc).
+    # candidates (the current position included).
     evals, steps = _seeking_run(lambda x, ctx: sphere(x), [(-5.0, 5.0)],
-                                smp=5, spc=True, cdc=1.0, srd=0.2)
+                                smp=5, cdc=1.0, srd=0.2)
     for t in range(1, len(steps)):
         prev = float(steps[t - 1][0][0])
         mutated = [float(x[0]) for x, _ in evals[t]]
@@ -143,7 +143,7 @@ def test_seeking_constant_fitness_stays_in_bounds():
     # srd=1 pushes candidates past the narrow bounds, so they get clipped.
     lo, hi = np.array([0.5, -1.0]), np.array([1.0, -0.5])
     evals, steps = _seeking_run(lambda x, ctx: 7.0, list(zip(lo, hi)),
-                                max_iters=20, smp=4, spc=True, srd=1.0)
+                                max_iters=20, smp=4, srd=1.0)
     evaluated = [x for per_iter in evals for x, _ in per_iter]
     for x in evaluated + [position for position, _ in steps]:
         assert np.all(x >= lo) and np.all(x <= hi)
@@ -157,8 +157,7 @@ def test_seeking_roulette_never_picks_worst():
     for objective, fn, worst in (("minimize", sphere, max),
                                  ("maximize", lambda x: -sphere(x), min)):
         evals, steps = _seeking_run(lambda x, ctx: fn(x), [(-5.0, 5.0)] * 3,
-                                    max_iters=30, smp=5, spc=True,
-                                    objective=objective)
+                                    max_iters=30, smp=5, objective=objective)
         for t in range(1, len(steps)):
             fits = [steps[t - 1][1]] + [f for _, f in evals[t]]
             assert len(set(fits)) == len(fits)
@@ -188,7 +187,7 @@ def test_tracing_hand_arithmetic():
 
 
 def test_tracing_clamps_velocity_and_position():
-    config = cso.SwarmConfig(n_cats=2, c1=2.0, vmax_fraction=0.5, seed=0)
+    config = cso.SwarmConfig(n_cats=2, c1=2.0, seed=0)
     cat = cso.Cat(position=np.array([-5.0]), velocity=np.zeros(1),
                   mode="tracing")
     moved = cso.tracing_move(cat, np.array([5.0]), config, [(-5.0, 5.0)],

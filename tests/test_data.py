@@ -176,18 +176,30 @@ def test_scaler_stats_reject_non_finite(tmp_path):
             data.ScalerStats.load(path)
 
 
+def test_scaler_stats_reject_unequal_shapes(tmp_path):
+    # a 1-entry-short median, and a scalar median numpy would broadcast
+    _, stats = _fit_and_scale([[0.0, 1.0, 2.0], [4.0, 3.0, 2.0]])
+    path = stats.save(tmp_path / "scaler.json")
+    for bad in ([0.5, 0.5], 0.5):
+        payload = json.loads(path.read_text())
+        payload["median"] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="shapes"):
+            data.ScalerStats.load(path)
+
+
 # --- split ------------------------------------------------------------------
 
 def test_split_reproduces_canonical_sizes():
     labels = ["a"] * 40000 + ["b"] * 36754
     flows = data.Flows(np.zeros((len(labels), 1)), labels)
-    train, val, test = data.split(flows, data.SplitSpec(seed=0))
+    train, val, test = data.split(flows, seed=0)
     assert (len(train), len(val), len(test)) == (55262, 6141, 15351)
 
 
 def test_split_small_hand_case():
     flows = data.Flows(np.zeros((10, 1)), ["a"] * 10)
-    train, val, test = data.split(flows, data.SplitSpec(seed=1))
+    train, val, test = data.split(flows, seed=1)
     assert (len(train), len(val), len(test)) == (7, 1, 2)
 
 
@@ -195,8 +207,8 @@ def test_split_is_deterministic_and_partitions():
     blobs = data.make_synthetic_blobs(300, k_classes=3, d=4, seed=5)
     # tag each row with its index so the parts can be traced back to rows
     flows = data.Flows(np.arange(300.0)[:, None], blobs.labels)
-    a = data.split(flows, data.SplitSpec(seed=9))
-    b = data.split(flows, data.SplitSpec(seed=9))
+    a = data.split(flows, seed=9)
+    b = data.split(flows, seed=9)
     for part_a, part_b in zip(a, b):
         assert part_a.features.tolist() == part_b.features.tolist()
         assert part_a.labels.tolist() == part_b.labels.tolist()
@@ -209,7 +221,7 @@ def test_split_is_deterministic_and_partitions():
 
 def test_split_stratification_within_one_record():
     flows = data.make_synthetic_blobs(1000, k_classes=5, d=3, seed=2)
-    train, val, test = data.split(flows, data.SplitSpec(seed=3))
+    train, val, test = data.split(flows, seed=3)
     for part in (train, val, test):
         share = len(part) / 1000
         for cls in data.DAPT_CLASSES:
@@ -220,7 +232,7 @@ def test_split_stratification_within_one_record():
 def test_split_class_too_small():
     flows = data.Flows(np.zeros((81, 1)), ["a"] * 40 + ["b"] * 40 + ["c"])
     with pytest.raises(StratifyError, match="^class 'c' has 1 records"):
-        data.split(flows, data.SplitSpec(seed=0))
+        data.split(flows, seed=0)
 
 
 # --- prepare_dataset's network layout ---------------------------------------
@@ -234,9 +246,8 @@ def test_single_record_shape():
 
 def test_layout_identity():
     flows = _flows(np.arange(40.0).reshape(10, 4))
-    spec = data.SplitSpec(seed=3)
-    prep = data.prepare_dataset(flows, spec)
-    train = data.split(flows, spec)[0]
+    prep = data.prepare_dataset(flows, seed=3)
+    train = data.split(flows, seed=3)[0]
     scaled, _ = data.scale_features(train.features, prep.stats)
     batch = prep.train[0]
     for i in range(len(train)):
@@ -246,9 +257,8 @@ def test_layout_identity():
 
 def test_round_trip_is_bit_equal():
     flows = data.make_synthetic_blobs(20, k_classes=2, d=6, seed=4)
-    spec = data.SplitSpec(seed=4)
-    prep = data.prepare_dataset(flows, spec)
-    for part, (batch, labels) in zip(data.split(flows, spec),
+    prep = data.prepare_dataset(flows, seed=4)
+    for part, (batch, labels) in zip(data.split(flows, seed=4),
                                      (prep.train, prep.val, prep.test)):
         scaled, _ = data.scale_features(part.features, prep.stats)
         flat = batch.reshape(len(part), -1)
@@ -308,9 +318,8 @@ def test_scaler_fitted_on_train_only():
     rng = np.random.default_rng(12)
     flows = data.make_synthetic_blobs(400, k_classes=2, d=3,
                                       separation=2.0, seed=12)
-    spec = data.SplitSpec(seed=12)
-    prep = data.prepare_dataset(flows, spec)
-    train, val, _ = data.split(flows, spec)
+    prep = data.prepare_dataset(flows, seed=12)
+    train, val, _ = data.split(flows, seed=12)
     fit_train_only = data.ScalerStats.fit(train.features)
     fit_with_val = data.ScalerStats.fit(
         np.concatenate([train.features, val.features]))

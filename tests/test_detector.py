@@ -9,7 +9,7 @@ from csocnn.errors import DegenerateClass
 def trained_setup():
     flows = data.make_synthetic_blobs(1200, k_classes=5, d=75,
                                       separation=2.0, seed=17)
-    prep = data.prepare_dataset(flows, data.SplitSpec(seed=17))
+    prep = data.prepare_dataset(flows, seed=17)
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=17)
     config = trainer.TrainConfig(epochs=2, batch_size=128, initial_lr=3e-3,
                                  seed=17)

@@ -128,7 +128,7 @@ def tiny_sets(request):
     from csocnn import data
     flows = data.make_synthetic_blobs(1500, k_classes=5, d=75,
                                       separation=4.0, seed=31)
-    prep = data.prepare_dataset(flows, data.SplitSpec(seed=31))
+    prep = data.prepare_dataset(flows, seed=31)
     return prep
 
 

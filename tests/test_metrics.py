@@ -148,7 +148,7 @@ def test_scalar_metrics_agree_with_oracle_bit_for_bit():
     for _ in range(200):
         t, p, k = random_label_pairs(rng)
         cm = metrics.confusion(t, p, k)
-        got = metrics.scalar_metrics(cm, zero_division="zero")
+        got = metrics.scalar_metrics(cm)
         accuracy, per_class, macro, weighted, kappa = oracle_metrics(t, p, k)
         assert got["accuracy"] == accuracy
         assert got["kappa"] == kappa
@@ -179,7 +179,7 @@ def test_accuracy_from_published_diagonal():
     cm = metrics.ConfusionMatrix(counts, ("Benign", "Data", "Establish",
                                           "Lateral", "Reconn"))
     assert cm.total == 15351
-    m = metrics.scalar_metrics(cm, zero_division="zero")
+    m = metrics.scalar_metrics(cm)
     assert round(m["accuracy"], 4) == 0.9835
 
 
@@ -195,12 +195,13 @@ def test_kappa_hand_example():
     assert m["kappa"] == pytest.approx(0.4)
 
 
-def test_undefined_metric_raised_without_policy():
+def test_zero_denominator_metric_reads_zero():
     cm = metrics.confusion([0, 0], [0, 0], 2)  # class 1 never appears
+    m = metrics.scalar_metrics(cm)
+    assert m["per_class"]["class_1"]["precision"] == 0.0
+    assert m["kappa"] == 0.0  # chance agreement is 1
     with pytest.raises(UndefinedMetric):
-        metrics.scalar_metrics(cm)
-    coerced = metrics.scalar_metrics(cm, zero_division="zero")
-    assert coerced["per_class"]["class_1"]["precision"] == 0.0
+        metrics.scalar_metrics(metrics.confusion([], [], 2))
 
 
 def test_accuracy_equals_observed_agreement():
@@ -209,7 +210,7 @@ def test_accuracy_equals_observed_agreement():
     for _ in range(100):
         t, p, k = random_label_pairs(rng)
         cm = metrics.confusion(t, p, k)
-        m = metrics.scalar_metrics(cm, zero_division="zero")
+        m = metrics.scalar_metrics(cm)
         p_o = int(np.trace(cm.counts)) / cm.total
         assert m["accuracy"] == p_o
 
@@ -218,8 +219,7 @@ def test_sensitivity_is_recall_identical():
     rng = np.random.default_rng(4)
     for _ in range(30):
         t, p, k = random_label_pairs(rng)
-        m = metrics.scalar_metrics(metrics.confusion(t, p, k),
-                                   zero_division="zero")
+        m = metrics.scalar_metrics(metrics.confusion(t, p, k))
         for vals in m["per_class"].values():
             assert vals["sensitivity"] == vals["recall"]
             assert vals["ppv"] == vals["precision"]
@@ -232,8 +232,7 @@ def test_sensitivity_is_recall_identical():
 def test_f1_is_harmonic_mean_property(pairs):
     t = [a for a, _ in pairs]
     p = [b for _, b in pairs]
-    m = metrics.scalar_metrics(metrics.confusion(t, p, 4),
-                               zero_division="zero")
+    m = metrics.scalar_metrics(metrics.confusion(t, p, 4))
     for vals in m["per_class"].values():
         pr, rc, f1 = vals["precision"], vals["recall"], vals["f1"]
         assert min(pr, rc) - 1e-12 <= f1 <= max(pr, rc) + 1e-12
@@ -248,12 +247,11 @@ def test_kappa_bounded_by_accuracy(pairs):
     t = [a for a, _ in pairs]
     p = [b for _, b in pairs]
     cm = metrics.confusion(t, p, 3)
-    m = metrics.scalar_metrics(cm, zero_division="zero")
-    if m["kappa"] is not None:
-        assert m["kappa"] <= m["accuracy"] + 1e-12
-        off_diagonal = cm.total - int(np.trace(cm.counts))
-        if m["kappa"] == 1.0:
-            assert off_diagonal == 0
+    m = metrics.scalar_metrics(cm)
+    assert m["kappa"] <= m["accuracy"] + 1e-12
+    off_diagonal = cm.total - int(np.trace(cm.counts))
+    if m["kappa"] == 1.0:
+        assert off_diagonal == 0
 
 
 # --- class report --------------------------------------------------------------
@@ -261,7 +259,7 @@ def test_kappa_bounded_by_accuracy(pairs):
 def test_report_layout_and_rounding():
     cm = metrics.confusion([0, 0, 1, 1, 1], [0, 1, 1, 1, 0], 2,
                            ("Benign", "Reconn"))
-    text = metrics.class_report(cm, zero_division="zero").to_text()
+    text = metrics.class_report(cm).to_text()
     lines = text.splitlines()
     assert lines[0].split() == ["precision", "recall", "f1-score", "support"]
     benign_row = next(l for l in lines if l.strip().startswith("Benign"))
@@ -275,14 +273,13 @@ def test_weighted_recall_equals_accuracy():
     rng = np.random.default_rng(9)
     for _ in range(30):
         t, p, k = random_label_pairs(rng)
-        m = metrics.scalar_metrics(metrics.confusion(t, p, k),
-                                   zero_division="zero")
+        m = metrics.scalar_metrics(metrics.confusion(t, p, k))
         assert m["weighted"]["recall"] == pytest.approx(m["accuracy"])
 
 
 def test_single_class_report():
     cm = metrics.confusion([0, 0, 0], [0, 0, 0], 1, ("only",))
-    report = metrics.class_report(cm, zero_division="zero")
+    report = metrics.class_report(cm)
     assert len(report.rows) == 1
     assert report.accuracy == report.rows[0][2]  # accuracy equals recall
 

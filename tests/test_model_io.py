@@ -73,16 +73,30 @@ def test_garbled_manifest_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ModelFormatError):
         load_model(path)
-    # valid JSON asking for a Conv2D padding the network does not support
-    save_model(path, net, ["a", "b", "c"])
-    header, rest = path.read_bytes().split(b"\n", 1)
-    magic, version, n = header.split()
-    manifest = json.loads(rest[:int(n)])
-    manifest["layers"][1]["padding"] = "same"
-    body = json.dumps(manifest).encode("utf-8")
-    path.write_bytes(b"%s %s %d\n" % (magic, version, len(body))
-                     + body + rest[int(n):])
-    with pytest.raises(ModelFormatError, match="layer table"):
+    # valid JSON: a Conv2D padding the network does not support, no tensor
+    # table, a tensor entry that is not an object, an offset that is not a
+    # number, and a manifest that is a list rather than an object. An edit
+    # changes the manifest in place or returns its replacement.
+    edits = [
+        (lambda m: m["layers"][1].update(padding="same"), "layer table"),
+        (lambda m: m.__delitem__("tensors"), "tensor table"),
+        (lambda m: m["tensors"].__setitem__(0, None), "tensor table"),
+        (lambda m: m["tensors"][0].update(offset="0"), "tensor table"),
+        (lambda m: [m], "not a JSON object"),
+    ]
+    for edit, message in edits:
+        save_model(path, net, ["a", "b", "c"])
+        header, rest = path.read_bytes().split(b"\n", 1)
+        magic, version, n = header.split()
+        manifest = json.loads(rest[:int(n)])
+        body = json.dumps(edit(manifest) or manifest).encode("utf-8")
+        path.write_bytes(b"%s %s %d\n" % (magic, version, len(body))
+                         + body + rest[int(n):])
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+    # more class names than the 3 output units
+    save_model(path, net, ["a", "b", "c", "d", "e"])
+    with pytest.raises(ModelFormatError, match="3 output units"):
         load_model(path)
 
 

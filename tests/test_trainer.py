@@ -23,7 +23,7 @@ def _scripted_run(val_accs, config, tmp_path, network=None):
     stopped_at = None
     for epoch, val_acc in enumerate(val_accs, start=1):
         lrs.append(adam.learning_rate)
-        stop = trainer.epoch_end(network, state, config, adam, epoch,
+        stop = trainer.epoch_end(network, state, adam, epoch,
                                  val_loss=1.0 - val_acc, val_acc=val_acc)
         if stop:
             stopped_at = epoch
@@ -54,8 +54,7 @@ def test_early_stop_after_two_non_improving_epochs(tmp_path):
 
 
 def test_early_stop_never_fires_before_patience_plus_one(tmp_path):
-    config = trainer.TrainConfig(initial_lr=1e-3, epochs=10,
-                                 early_stop_patience=2)
+    config = trainer.TrainConfig(initial_lr=1e-3, epochs=10)
     _, stopped, _, _ = _scripted_run([0.5, 0.4], config, tmp_path)
     assert stopped is None  # only 2 epochs ran; needs patience+1 = 3
 
@@ -108,7 +107,7 @@ def trained(small_blobs_module, tmp_path_factory):
 def small_blobs_module():
     flows = data.make_synthetic_blobs(900, k_classes=5, d=75,
                                       separation=3.0, seed=21)
-    return data.prepare_dataset(flows, data.SplitSpec(seed=21))
+    return data.prepare_dataset(flows, seed=21)
 
 
 def test_histories_line_up(trained):
@@ -124,8 +123,8 @@ def test_lr_trajectory_is_non_increasing_and_floored(trained):
     _, _, state, config = trained
     for a, b in zip(state.lr, state.lr[1:]):
         assert b <= a
-        assert b in (a, max(a * config.lr_factor, config.min_lr))
-    assert all(lr >= config.min_lr for lr in state.lr)
+        assert b in (a, max(a * trainer.LR_FACTOR, trainer.MIN_LR))
+    assert all(lr >= trainer.MIN_LR for lr in state.lr)
 
 
 def test_returned_network_equals_checkpoint_file(trained):
@@ -147,9 +146,9 @@ def test_train_without_checkpoint_dir_keeps_best_in_memory(
     snapshots = {}
     epoch_end = trainer.epoch_end
 
-    def snapshot_then_epoch_end(network, state, config, adam, epoch, *rest):
+    def snapshot_then_epoch_end(network, state, adam, epoch, *rest):
         snapshots[epoch] = network.clone()
-        return epoch_end(network, state, config, adam, epoch, *rest)
+        return epoch_end(network, state, adam, epoch, *rest)
 
     monkeypatch.setattr(trainer, "epoch_end", snapshot_then_epoch_end)
     prep = small_blobs_module
