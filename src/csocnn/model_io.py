@@ -110,7 +110,8 @@ def load_model(path):
 
     Raises ModelFormatError whenever the header, manifest, or blob are
     inconsistent (wrong magic, truncated blob, malformed tensor table, shape
-    mismatch, class names that do not match the output units).
+    mismatch, class names that do not match the output units) or a tensor
+    cannot be scored (a non-finite value, a negative running variance).
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -160,6 +161,15 @@ def load_model(path):
             if len(raw) != entry["nbytes"] or len(raw) != target.size * 4:
                 raise ModelFormatError(f"{path}: blob truncated at tensor {key}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(target.shape)
+            # training leaves neither; through a NaN weight or the sqrt of a
+            # negative variance every score comes out NaN, which no
+            # threshold flags, so every row would read as normal
+            if not np.isfinite(arr).all():
+                raise ModelFormatError(
+                    f"{path}: tensor {key} holds a non-finite value")
+            if key.endswith(".var") and (arr < 0).any():
+                raise ModelFormatError(
+                    f"{path}: running variance {key} has a negative entry")
             if is_stat:
                 network.bn_stats[key] = arr.astype(network.dtype)
             else:

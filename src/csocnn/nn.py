@@ -10,7 +10,8 @@ and takes the max over the window's strided slots, routing the gradient to the
 first max as argmax would. The final Dense layer carries a softmax so the
 network emits per-sample class probabilities directly. Only a train-mode
 forward keeps the per-layer arrays backward needs; an inference forward frees
-each layer's intermediates as it goes.
+each layer's intermediates as it goes, and folds each Conv2D -> BatchNorm
+pair into one conv whose product is a single 2-D GEMM (Jacob et al., 2018).
 """
 
 import math
@@ -372,6 +373,27 @@ def _batch_norm_backward(dz, xhat, std, gamma):
     return grad, dgamma, dbeta
 
 
+def _folds_into_batch_norm(layers, i):
+    """Whether inference folds the BatchNorm after Conv2D layer i into it:
+    the conv has no activation of its own and a BatchNorm reads its output."""
+    return (layers[i].activation == "none" and i + 1 < len(layers)
+            and layers[i + 1].kind == "BatchNorm")
+
+
+def _fold_batch_norm(network, i):
+    """(K, F) kernel and bias of Conv2D layer i with the inference BatchNorm
+    at i + 1 folded in (Jacob et al., 2018, section 3.2): kernel W*g/s and
+    bias (b - mean)*g/s + beta, with s = sqrt(running_var + BN_EPSILON).
+    Computed in float64 and cast once; the network's arrays are only read."""
+    p, j = network.params, i + 1
+    var = network.bn_stats[f"{j}.var"].astype(np.float64)
+    scale = p[f"{j}.gamma"] / np.sqrt(var + BN_EPSILON)
+    kernel = p[f"{i}.kernel"].reshape(-1, scale.size) * scale
+    bias = ((p[f"{i}.bias"].astype(np.float64) - network.bn_stats[f"{j}.mean"])
+            * scale + p[f"{j}.beta"])
+    return kernel.astype(network.dtype), bias.astype(network.dtype)
+
+
 def forward(network, batch, mode):
     """Run a batch through the network in mode "train" or "inference".
 
@@ -382,7 +404,11 @@ def forward(network, batch, mode):
     mask per ReLU. In inference mode BatchNorm uses the
     stored running stats, the call has no side effects, and the cache holds
     no layer arrays: each layer's intermediates are dropped once the next
-    layer has read them, and backward() rejects the cache.
+    layer has read them, and backward() rejects the cache. Inference folds
+    each Conv2D with no activation into the BatchNorm that follows it: one
+    2-D GEMM with the folded kernel and bias, then the BatchNorm's
+    activation. Its rounding differs from the unfolded pair's in the last
+    bits; a BatchNorm with no such conv before it normalizes as in training.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -396,7 +422,10 @@ def forward(network, batch, mode):
     if train:
         network._forward_version += 1
     layer_caches = []
+    folded = None  # index of the BatchNorm the previous conv absorbed
     for i, spec in enumerate(network.layers):
+        if i == folded:
+            continue
         # a train cache keeps only what backward reads; an inference cache
         # dies with its layer, and the dels below stop the locals from
         # keeping its arrays alive through the layers after it
@@ -406,9 +435,18 @@ def forward(network, batch, mode):
         elif spec.kind == "Conv2D":
             kh, kw = spec.kernel
             cols = _im2col(x, kh, kw)
-            kmat = network.params[f"{i}.kernel"].reshape(-1, spec.filters_or_units)
-            z = cols @ kmat + network.params[f"{i}.bias"]
-            cache["cols"] = cols
+            if not train and _folds_into_batch_norm(network.layers, i):
+                kmat, bias = _fold_batch_norm(network, i)
+                z = (cols.reshape(-1, cols.shape[-1]) @ kmat).reshape(
+                    *cols.shape[:-1], -1)
+                z += bias
+                # the BatchNorm's activation runs on the folded output
+                folded, spec = i + 1, network.layers[i + 1]
+            else:
+                kmat = network.params[f"{i}.kernel"].reshape(
+                    -1, spec.filters_or_units)
+                z = cols @ kmat + network.params[f"{i}.bias"]
+                cache["cols"] = cols
             del cols
         elif spec.kind == "BatchNorm":
             gamma, beta = network.params[f"{i}.gamma"], network.params[f"{i}.beta"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from csocnn import cli, data, detector, nn, trainer
-from csocnn.model_io import load_model
+from csocnn.model_io import load_model, save_model
 
 TRAIN_FLAGS = ["--synthetic", "--synthetic-samples", "800",
                "--synthetic-separation", "3.0", "--seed", "13",
@@ -114,6 +114,31 @@ def test_evaluate_corrupt_model_exits_3(train_run, tmp_path):
     assert code == 3
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ModelFormatError"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "detect"])
+@pytest.mark.parametrize("key,value", [("2.var", -1.0), ("1.kernel", np.nan)])
+def test_unscorable_model_exits_3(train_run, tmp_path, capsys, command, key,
+                                  value):
+    # unchecked, every row scores NaN, which passes no threshold: detect
+    # would print "nan,normal,..." for each record and exit 0
+    bundle = load_model(train_run / "model.model")
+    net = bundle.network
+    (net.bn_stats if key in net.bn_stats else net.params)[key].flat[3] = value
+    broken = tmp_path / "unscorable.model"
+    save_model(broken, net, bundle.class_names, bundle.scaler_fingerprint)
+    stream = _write_stream(tmp_path / "stream.csv", n=20)
+    out = tmp_path / "out"
+    source = ["--data", str(stream)] if command == "evaluate" else \
+        ["--input", str(stream), "--threshold", "0.5"]
+    code = cli.main([command, "--model", str(broken),
+                     "--scaler", str(train_run / "scaler.json"), *source,
+                     "--out", str(out)])
+    assert code == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ModelFormatError"
+    assert key in error["message"]
+    assert capsys.readouterr().out == ""
 
 
 def test_detect_streams_in_order(train_run, tmp_path, capsys):

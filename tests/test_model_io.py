@@ -103,3 +103,27 @@ def test_garbled_manifest_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_model(tmp_path / "absent.model")
+
+
+@pytest.mark.parametrize("key,index,value,message", [
+    ("2.var", 1, -1.0, "running variance 2.var has a negative entry"),
+    ("2.var", 0, np.inf, "tensor 2.var holds a non-finite value"),
+    ("2.mean", 2, np.nan, "tensor 2.mean holds a non-finite value"),
+    ("1.kernel", 0, np.nan, "tensor 1.kernel holds a non-finite value"),
+    ("6.bias", 1, -np.inf, "tensor 6.bias holds a non-finite value"),
+])
+def test_unscorable_tensor_rejected(tmp_path, key, index, value, message):
+    # values training never leaves; the NaN and the negative variance
+    # turn every inference probability NaN
+    net = _trained_like_network()
+    tensors = net.bn_stats if key in net.bn_stats else net.params
+    tensors[key].reshape(-1)[index] = value
+    path = tmp_path / "m.model"
+    save_model(path, net, ["a", "b", "c"])
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+    # zero in the same place loads; for a running variance it is in range,
+    # since BN_EPSILON keeps the sqrt positive
+    tensors[key].reshape(-1)[index] = 0.0
+    save_model(path, net, ["a", "b", "c"])
+    load_model(path)

@@ -4,6 +4,7 @@ import pytest
 from conftest import toy_layers
 from csocnn import nn
 from csocnn.errors import ShapeError
+from csocnn.model_io import save_model
 from csocnn.nn import forward
 
 
@@ -288,3 +289,101 @@ def test_max_pool_propagates_nan(kernel, train):
     nan_windows = {(0, 0, 0, 0), (1, 1, 1 // kw, 1), (2, 2, 2 // kw, 2)}
     assert set(map(tuple, np.argwhere(np.isnan(pooled)))) == nan_windows
     np.testing.assert_array_equal(pooled, want)
+
+
+# --- Conv2D -> BatchNorm folding at inference --------------------------------
+
+def _unfolded_inference(network, batch):
+    """The inference forward before folding: every layer on its own, the
+    conv as the 4-D cols @ kernel product and BatchNorm as
+    (x - mean) / std * gamma + beta, in that order."""
+    x = np.asarray(batch).astype(network.dtype, copy=False)
+    for i, spec in enumerate(network.layers):
+        p = network.params
+        if spec.kind == "Input":
+            z = x
+        elif spec.kind == "Conv2D":
+            kmat = p[f"{i}.kernel"].reshape(-1, spec.filters_or_units)
+            z = nn._im2col(x, *spec.kernel) @ kmat + p[f"{i}.bias"]
+        elif spec.kind == "BatchNorm":
+            z = x - network.bn_stats[f"{i}.mean"]
+            z /= np.sqrt(network.bn_stats[f"{i}.var"] + nn.BN_EPSILON)
+            z *= p[f"{i}.gamma"]
+            z += p[f"{i}.beta"]
+        elif spec.kind == "MaxPool2D":
+            z, _ = nn._max_pool(x, *spec.kernel, spec.padding, train=False)
+        elif spec.kind == "Flatten":
+            z = x.reshape(len(x), -1)
+        elif spec.kind == "Dense":
+            z = x @ p[f"{i}.weight"] + p[f"{i}.bias"]
+        x = nn._activate(z, spec.activation)
+    return x
+
+
+def _randomized_network(layers, input_shape, dtype, seed=0):
+    """A network whose every tensor is off its initial value: conv biases,
+    gamma, beta and running means nonzero, running variances spread
+    log-uniformly over 1e-2..1e1."""
+    net = nn.Network(layers, input_shape, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for i, spec in enumerate(net.layers):
+        if spec.kind == "Conv2D":
+            net.params[f"{i}.bias"][:] = rng.uniform(-0.1, 0.1,
+                                                     spec.filters_or_units)
+        elif spec.kind == "BatchNorm":
+            c = net.params[f"{i}.gamma"].size
+            net.params[f"{i}.gamma"][:] = rng.uniform(0.5, 2.0, c)
+            net.params[f"{i}.beta"][:] = rng.normal(0.0, 0.5, c)
+            net.bn_stats[f"{i}.mean"][:] = rng.normal(0.0, 0.5, c)
+            net.bn_stats[f"{i}.var"][:] = 10.0 ** rng.uniform(-2.0, 1.0, c)
+    return net
+
+
+@pytest.mark.parametrize("dtype,atol", [
+    # 64 float32 ulps of 1.0: the folded and unfolded pairs each round a
+    # few times per layer, through three conv blocks and three Dense layers
+    (np.float32, 64 * np.finfo(np.float32).eps),
+    (np.float64, 1e-12),
+])
+def test_folded_inference_matches_unfolded(dtype, atol):
+    net = _randomized_network(nn.default_architecture(5), (75, 1, 1), dtype)
+    # a smaller last layer keeps the softmax off saturation, where a
+    # difference in the logits would not show in the probabilities
+    net.params["13.weight"] *= 0.05
+    # more rows than one inference slice, the last slice partial
+    x = np.random.default_rng(1).random((1100, 75, 1, 1))
+    probs = nn.predict(net, x)
+    want = _unfolded_inference(net, x)
+    assert probs.dtype == want.dtype == dtype
+    assert np.abs(probs - want).max() <= atol
+    assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers,input_shape", [
+    # a BatchNorm with no conv before it
+    ([nn.input_layer(), nn.batch_norm(activation="relu"), nn.flatten(),
+      nn.dense(3, activation="softmax")], (6, 1, 2)),
+    # a conv with its own activation: its BatchNorm is not folded
+    ([nn.input_layer(), nn.conv2d(4, (3, 1), activation="relu"),
+      nn.batch_norm(), nn.flatten(), nn.dense(3, activation="softmax")],
+     (6, 1, 2)),
+])
+def test_unfoldable_batch_norm_keeps_unfolded_bits(layers, input_shape, dtype):
+    net = _randomized_network(layers, input_shape, dtype, seed=3)
+    x = np.random.default_rng(4).normal(size=(50, *input_shape))
+    assert _same_bits(nn.predict(net, x), _unfolded_inference(net, x))
+
+
+def test_predict_leaves_model_untouched(tmp_path):
+    net = _randomized_network(nn.default_architecture(5), (75, 1, 1),
+                              np.float32)
+    snapshot = {k: v.tobytes() for k, v in (*net.params.items(),
+                                            *net.bn_stats.items())}
+    before, after = tmp_path / "before.model", tmp_path / "after.model"
+    save_model(before, net, list("abcde"))
+    nn.predict(net, np.random.default_rng(2).random((40, 75, 1, 1)))
+    assert {k: v.tobytes() for k, v in (*net.params.items(),
+                                        *net.bn_stats.items())} == snapshot
+    save_model(after, net, list("abcde"))
+    assert after.read_bytes() == before.read_bytes()
