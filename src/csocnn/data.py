@@ -88,6 +88,21 @@ def load_csv(path, schema=CsvSchema()):
     return Flows(np.concatenate(features), labels)
 
 
+def _records(fh, source):
+    """csv.reader over fh, with bytes it cannot read raising ParseError that
+    names source and the reader's line count: a field longer than the csv
+    module's limit fails on the line just read, and bytes that are not
+    UTF-8 fail while the lines after the last one read are decoded."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{source}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: bytes after line {reader.line_num} are "
+                         f"not UTF-8 ({exc.reason})") from None
+
+
 def read_csv_chunks(fh, schema=CsvSchema(), source="input", need_labels=False):
     """Check a flow-feature CSV's header now; parse its rows lazily.
 
@@ -97,10 +112,12 @@ def read_csv_chunks(fh, schema=CsvSchema(), source="input", need_labels=False):
     INFERENCE_ROWS rows at a time: a float64 matrix with one row per record
     and the stripped label strings. Unparseable numeric cells become NaN so
     the cleaning policy can impute and count them; structurally bad rows
-    (wrong field count) raise ParseError with their 1-based row number. A
-    feature count other than schema.expected_features raises SchemaError.
+    (wrong field count) raise ParseError with their 1-based row number; a
+    field longer than the csv module's limit or bytes that are not UTF-8, in
+    the header or any row, raise ParseError naming the line. A feature count
+    other than schema.expected_features raises SchemaError.
     """
-    reader = csv.reader(fh)
+    reader = _records(fh, source)
     try:
         header = next(reader)
     except StopIteration:

@@ -2,16 +2,20 @@
 
 Implements exactly the layer kinds the classifier needs (Input, Conv2D,
 BatchNorm, MaxPool2D, Flatten, Dense) with forward and backward passes on
-numpy arrays in channels-last (N, H, W, C) layout. Convolutions are stride-1
-matrix products over an im2col layout (Chellapilla, Puri & Simard, 2006), and
-their input gradient is one GEMM. BatchNorm's input gradient reuses its
-parameter gradients (Ioffe & Szegedy, 2015). Pooling strides by its own kernel
+numpy arrays in channels-last (N, H, W, C) layout. Every convolution is
+stride-1 and runs as one 2-D GEMM over an im2col layout (Chellapilla, Puri &
+Simard, 2006) in both modes, and its input gradient is one GEMM too. A conv
+with no activation of its own that feeds a BatchNorm has an inert bias: the
+batch mean cancels it (Ioffe & Szegedy, 2015, section 3.2), so a train
+forward adds none and backward gives it an exact-zero gradient, which keeps
+it at its initial 0. BatchNorm's input gradient reuses its parameter
+gradients (Ioffe & Szegedy, 2015). Pooling strides by its own kernel
 and takes the max over the window's strided slots, routing the gradient to the
 first max as argmax would. The final Dense layer carries a softmax so the
 network emits per-sample class probabilities directly. Only a train-mode
 forward keeps the per-layer arrays backward needs; an inference forward frees
 each layer's intermediates as it goes, and folds each Conv2D -> BatchNorm
-pair into one conv whose product is a single 2-D GEMM (Jacob et al., 2018).
+pair into one conv (Jacob et al., 2018).
 """
 
 import math
@@ -374,8 +378,9 @@ def _batch_norm_backward(dz, xhat, std, gamma):
 
 
 def _folds_into_batch_norm(layers, i):
-    """Whether inference folds the BatchNorm after Conv2D layer i into it:
-    the conv has no activation of its own and a BatchNorm reads its output."""
+    """Whether inference folds the BatchNorm after Conv2D layer i into it,
+    and so whether the conv's bias is inert in training: the conv has no
+    activation of its own and a BatchNorm reads its output."""
     return (layers[i].activation == "none" and i + 1 < len(layers)
             and layers[i + 1].kind == "BatchNorm")
 
@@ -401,14 +406,19 @@ def forward(network, batch, mode):
     batch statistics and updates its running stats, and the cache keeps only
     what backward() reads of every layer: its input's shape, conv columns,
     BatchNorm's xhat and std, pool indices, a Dense layer's input and a bool
-    mask per ReLU. In inference mode BatchNorm uses the
+    mask per ReLU. Every Conv2D is one 2-D GEMM of its (N*H*W, K) columns
+    by its (K, F) kernel. A train forward adds no bias to a conv that feeds
+    a BatchNorm with no activation between: the batch mean cancels it. In
+    inference mode BatchNorm uses the
     stored running stats, the call has no side effects, and the cache holds
     no layer arrays: each layer's intermediates are dropped once the next
     layer has read them, and backward() rejects the cache. Inference folds
-    each Conv2D with no activation into the BatchNorm that follows it: one
-    2-D GEMM with the folded kernel and bias, then the BatchNorm's
+    each Conv2D with no activation into the BatchNorm that follows it: the
+    same GEMM with the folded kernel and bias, then the BatchNorm's
     activation. Its rounding differs from the unfolded pair's in the last
     bits; a BatchNorm with no such conv before it normalizes as in training.
+    The fold keeps the conv bias's (b - mean) term, so a model file whose
+    conv biases are nonzero still scores exactly.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -435,17 +445,21 @@ def forward(network, batch, mode):
         elif spec.kind == "Conv2D":
             kh, kw = spec.kernel
             cols = _im2col(x, kh, kw)
-            if not train and _folds_into_batch_norm(network.layers, i):
+            inert = _folds_into_batch_norm(network.layers, i)
+            if inert and not train:
                 kmat, bias = _fold_batch_norm(network, i)
-                z = (cols.reshape(-1, cols.shape[-1]) @ kmat).reshape(
-                    *cols.shape[:-1], -1)
-                z += bias
                 # the BatchNorm's activation runs on the folded output
                 folded, spec = i + 1, network.layers[i + 1]
             else:
                 kmat = network.params[f"{i}.kernel"].reshape(
                     -1, spec.filters_or_units)
-                z = cols @ kmat + network.params[f"{i}.bias"]
+                # the next BatchNorm's batch mean cancels an inert bias
+                bias = None if inert else network.params[f"{i}.bias"]
+            z = (cols.reshape(-1, cols.shape[-1]) @ kmat).reshape(
+                *cols.shape[:-1], -1)
+            if bias is not None:
+                z += bias
+            if train:
                 cache["cols"] = cols
             del cols
         elif spec.kind == "BatchNorm":
@@ -530,6 +544,9 @@ def backward(network, cache, true_labels):
     """Gradients of the mean sparse cross-entropy loss for every trainable
     parameter, given the cache of a train-mode forward on the same batch.
     Layer 1's GEMM input gradient, which would go to the batch, is skipped.
+    A conv bias that the train forward left inert (the conv feeds a
+    BatchNorm with no activation between) gets an exact-zero gradient, so
+    Adam never moves it.
     Backward consumes the cache: it drops each layer's entry as it passes
     it, and a spent cache is rejected."""
     if cache["mode"] != "train":
@@ -571,7 +588,10 @@ def backward(network, cache, true_labels):
         if spec.kind == "Conv2D":
             kernel = network.params[f"{i}.kernel"]
             dz2 = dz.reshape(-1, spec.filters_or_units)
-            grads[f"{i}.bias"] = dz.sum(axis=(0, 1, 2))
+            grads[f"{i}.bias"] = (
+                np.zeros_like(network.params[f"{i}.bias"])
+                if _folds_into_batch_norm(network.layers, i)
+                else dz.sum(axis=(0, 1, 2)))
             grads[f"{i}.kernel"] = (lc["cols"].reshape(-1, lc["cols"].shape[-1]).T
                                     @ dz2).reshape(kernel.shape)
             if i > 1:

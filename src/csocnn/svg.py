@@ -4,11 +4,16 @@ Plots are derived views of data already written to sibling CSVs; output is
 deterministic text and valid XML.
 """
 
-from xml.sax.saxutils import escape
-
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 50, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def escape(text):
+    """text with &, > and < as XML entities, & first: what
+    xml.sax.saxutils.escape does, without that module's import of
+    urllib.request, http.client and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v):

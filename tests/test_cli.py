@@ -551,3 +551,48 @@ def test_detect_calibrate_without_labeled_records_exits_3(
     assert code == 3
     assert json.loads((out / "error.json").read_text())["error"] == "SchemaError"
     assert capsys.readouterr().out == ""
+
+
+def _spoil_csv(path, fault, where):
+    """Put fault, a field past the csv module's 131 072-character limit or a
+    byte that is not UTF-8, into the header or the last row of a CSV file.
+    The rows before the last span more than one decode buffer, so the bad
+    byte is read after the header. Returns the spoiled line's number."""
+    lines = path.read_bytes().splitlines()
+    at = 0 if where == "header" else len(lines) - 1
+    bad = b"9" * 140_000 if fault == "long-field" else b"\xff"
+    lines[at] = bad + lines[at]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return at + 1
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+@pytest.mark.parametrize("fault", ["long-field", "not-utf8"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "detect"])
+def test_unreadable_csv_bytes_exit_3(train_run, tmp_path, capsys, command,
+                                     fault, where):
+    stream = _write_stream(tmp_path / "flows.csv", n=40)
+    line = _spoil_csv(stream, fault, where)
+    out = tmp_path / "out"
+    flags = {
+        "train": ["--data", str(stream), "--epochs", "1"],
+        "evaluate": ["--model", str(train_run / "model.model"),
+                     "--data", str(stream)],
+        "detect": ["--model", str(train_run / "model.model"),
+                   "--input", str(stream), "--threshold", "0.5"],
+    }[command]
+    code = cli.main([command, *flags, "--seed", "1", "--out", str(out)])
+    assert code == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(f"{stream}: ")
+    if fault == "long-field":
+        assert f"line {line}: field larger than field limit" in error["message"]
+    else:
+        # the decoder reads ahead of the reader, so the message names the
+        # last line read; past the header when the bad byte is in a row
+        after = int(error["message"].split("bytes after line ")[1].split()[0])
+        assert 0 < after < line if where == "row" else after == 0
+        assert "are not UTF-8" in error["message"]
+    # detect may have written its header row; no record follows it
+    assert capsys.readouterr().out.splitlines()[1:] == []

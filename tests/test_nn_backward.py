@@ -157,3 +157,34 @@ def test_first_layer_input_gradient_is_skipped(monkeypatch):
     assert set(grads) == set(want)
     for key in want:
         assert grads[key].tobytes() == want[key].tobytes(), key
+
+
+def test_conv_bias_before_batch_norm_gets_exact_zero_gradient():
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=4)
+    rng = np.random.default_rng(7)
+    x = rng.random((32, 75, 1, 1)).astype(np.float32)
+    grads = _train_step_grads(net, x, rng.integers(0, 5, size=32))
+    for i in (1, 4, 7):
+        g = grads[f"{i}.bias"]
+        assert g.dtype == net.params[f"{i}.bias"].dtype
+        assert g.tobytes() == np.zeros_like(g).tobytes(), i
+        assert np.any(grads[f"{i}.kernel"] != 0), i
+
+
+@pytest.mark.parametrize("layers", [
+    # a conv with its own activation ahead of a BatchNorm
+    [nn.input_layer(), nn.conv2d(4, (3, 1), activation="relu"),
+     nn.batch_norm(), nn.flatten(), nn.dense(3, activation="softmax")],
+    # a conv that no BatchNorm reads
+    [nn.input_layer(), nn.conv2d(4, (3, 1)), nn.flatten(),
+     nn.dense(3, activation="softmax")],
+])
+def test_conv_bias_outside_the_rule_keeps_its_gradient(layers):
+    net = nn.Network(layers, (6, 1, 2), seed=5, dtype=np.float64)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(6, 6, 1, 2))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    analytic = _train_step_grads(net, x, y)
+    assert np.all(analytic["1.bias"] != 0)
+    numeric = finite_difference_gradients(net, x, y, keys=["1.bias"])
+    assert max_relative_error({"1.bias": analytic["1.bias"]}, numeric) < 1e-4

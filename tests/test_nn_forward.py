@@ -295,8 +295,8 @@ def test_max_pool_propagates_nan(kernel, train):
 
 def _unfolded_inference(network, batch):
     """The inference forward before folding: every layer on its own, the
-    conv as the 4-D cols @ kernel product and BatchNorm as
-    (x - mean) / std * gamma + beta, in that order."""
+    conv as the 2-D (N*H*W, K) @ (K, F) product plus its bias and BatchNorm
+    as (x - mean) / std * gamma + beta, in that order."""
     x = np.asarray(batch).astype(network.dtype, copy=False)
     for i, spec in enumerate(network.layers):
         p = network.params
@@ -304,7 +304,9 @@ def _unfolded_inference(network, batch):
             z = x
         elif spec.kind == "Conv2D":
             kmat = p[f"{i}.kernel"].reshape(-1, spec.filters_or_units)
-            z = nn._im2col(x, *spec.kernel) @ kmat + p[f"{i}.bias"]
+            cols = nn._im2col(x, *spec.kernel)
+            z = (cols.reshape(-1, cols.shape[-1]) @ kmat).reshape(
+                *cols.shape[:-1], -1) + p[f"{i}.bias"]
         elif spec.kind == "BatchNorm":
             z = x - network.bn_stats[f"{i}.mean"]
             z /= np.sqrt(network.bn_stats[f"{i}.var"] + nn.BN_EPSILON)

@@ -165,6 +165,22 @@ def test_train_without_checkpoint_dir_keeps_best_in_memory(
         assert np.array_equal(best.bn_stats[key], value)
 
 
+def test_training_keeps_conv_biases_before_batch_norm_at_zero(
+        small_blobs_module):
+    prep = small_blobs_module
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=2)
+    config = trainer.TrainConfig(epochs=2, batch_size=128, initial_lr=1e-2,
+                                 seed=2)
+    best, _ = trainer.train(net, prep.train, prep.val, config)
+    for network in (net, best):
+        for i, spec in enumerate(network.layers):
+            if spec.kind == "Conv2D":
+                bias = network.params[f"{i}.bias"]
+                assert bias.tobytes() == np.zeros_like(bias).tobytes(), i
+        # the Dense biases did train
+        assert np.any(network.params["11.bias"] != 0)
+
+
 def test_training_is_deterministic(small_blobs_module, tmp_path):
     prep = small_blobs_module
     histories = []
