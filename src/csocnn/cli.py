@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import secrets
@@ -401,6 +402,39 @@ def _open_model(args):
     return bundle, stats, str(scaler_path)
 
 
+ROC_BLOCK_POINTS = 4096
+
+
+def _write_roc_csv(path, curves):
+    """roc.csv: a curve,fpr,tpr,threshold row per point of every (name,
+    points, auc) curve, each number as the repr of its Python float and the
+    name quoted as csv.writer quotes it. Written ROC_BLOCK_POINTS points at
+    a time with one repr per distinct value in the block, so memory stays
+    bounded in the curve length."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("curve,fpr,tpr,threshold\n")
+        for name, pts, _ in curves:
+            line = io.StringIO()
+            csv.writer(line).writerow([name, ""])
+            name_field = line.getvalue()[:-len("\r\n")]  # 'name,' quoted
+            for start in range(0, len(pts), ROC_BLOCK_POINTS):
+                block = np.ascontiguousarray(
+                    pts[start:start + ROC_BLOCK_POINTS], dtype=np.float64)
+                # distinct bit patterns, so 0.0 and -0.0 keep their own repr
+                bits, where = np.unique(block.view(np.uint64).ravel(),
+                                        return_inverse=True)
+                text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                                dtype=object)
+                # a row is 7 strings: 'name,' fpr ',' tpr ',' threshold '\n'
+                row = np.empty((len(block), 7), dtype=object)
+                row[:, 0] = name_field
+                row[:, 2] = row[:, 4] = ","
+                row[:, 6] = "\n"
+                row[:, 1::2] = text[where].reshape(-1, 3)
+                fh.write("".join(row.ravel().tolist()))
+    return path
+
+
 def cmd_evaluate(args):
     seed, out = _seed_and_out(args)
     bundle, stats, scaler_path = _open_model(args)
@@ -442,17 +476,10 @@ def cmd_evaluate(args):
             except DegenerateClass:
                 continue
             curves.append((name, pts, auc))
-        roc_path = out / "roc.csv"
-        with open(roc_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("curve,fpr,tpr,threshold\n")
-            for name, pts, _ in curves:
-                # tolist: Python floats, whose repr is the bare number
-                for fpr, tpr, thr in pts.tolist():
-                    fh.write(f"{name},{fpr!r},{tpr!r},{thr!r}\n")
-        manifest.add_artifact(roc_path)
+        manifest.add_artifact(_write_roc_csv(out / "roc.csv", curves))
         manifest.add_artifact(svg.line_chart(
             out / "roc.svg", "ROC curves (one-vs-rest and micro-average)",
-            [(f"{name} (auc={auc:.3f})", pts[:, 0].tolist(), pts[:, 1].tolist())
+            [(f"{name} (auc={auc:.3f})", pts[:, 0], pts[:, 1])
              for name, pts, auc in curves],
             x_label="false positive rate", y_label="true positive rate"))
 

@@ -294,10 +294,17 @@ def _im2col(x, kh, kw):
 
 
 def _col2im(dcols, x_shape, kh, kw):
+    """Sum each column slot back into its window position. Slot 0 covers
+    [:oh, :ow] and is written as 0.0 + value, the bits a zero-filled buffer
+    plus the slot gives (-0.0 becomes 0.0); only the cells outside it are
+    zeroed before the other slots add in."""
     n, h, w, c = x_shape
     oh, ow = h - kh + 1, w - kw + 1
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
-    for slot in range(kh * kw):
+    dx = np.empty(x_shape, dtype=dcols.dtype)
+    np.add(dcols[..., :c], 0.0, out=dx[:, :oh, :ow, :])
+    dx[:, oh:, :, :] = 0
+    dx[:, :oh, ow:, :] = 0
+    for slot in range(1, kh * kw):
         i, j = divmod(slot, kw)
         dx[:, i:i + oh, j:j + ow, :] += dcols[..., slot * c:(slot + 1) * c]
     return dx

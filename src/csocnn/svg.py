@@ -4,6 +4,8 @@ Plots are derived views of data already written to sibling CSVs; output is
 deterministic text and valid XML.
 """
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 50, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -20,20 +22,38 @@ def _fmt(v):
     return f"{v:.2f}".rstrip("0").rstrip(".") if isinstance(v, float) else str(v)
 
 
-def _axis_range(values):
-    lo, hi = min(values), max(values)
+def _axis_range(arrays):
+    lo = min(float(a.min()) for a in arrays)
+    hi = max(float(a.max()) for a in arrays)
     if lo == hi:
         pad = abs(lo) * 0.1 or 1.0
         return lo - pad, hi + pad
     return lo, hi
 
 
+def _pixel_runs(px, py):
+    """Mask of the vertices to draw: the first and last of every run of
+    consecutive vertices in the same integer pixel cell. A monotone curve
+    visits each cell in one run, so it keeps at most two vertices per cell
+    it crosses; a NaN coordinate is a cell of its own."""
+    cx, cy = np.floor(px), np.floor(py)
+    new_cell = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+    keep = np.ones(px.size, dtype=bool)
+    keep[1:-1] = new_cell[:-1] | new_cell[1:]
+    return keep
+
+
 def line_chart(path, title, series, x_label="", y_label=""):
-    """Polyline chart; series is a list of (name, xs, ys) triples."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    x_lo, x_hi = _axis_range(xs_all)
-    y_lo, y_hi = _axis_range(ys_all)
+    """Polyline chart; series is a list of (name, xs, ys) triples of
+    sequences or arrays. Each polyline is drawn at the plot's resolution:
+    within a run of consecutive points that fall in one pixel cell only the
+    run's first and last point are drawn, which moves the line by less than
+    a pixel; a series whose points all fall in different cells is drawn
+    point for point."""
+    series = [(name, np.asarray(xs, dtype=np.float64),
+               np.asarray(ys, dtype=np.float64)) for name, xs, ys in series]
+    x_lo, x_hi = _axis_range([xs for _, xs, _ in series])
+    y_lo, y_hi = _axis_range([ys for _, _, ys in series])
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
@@ -74,7 +94,12 @@ def line_chart(path, title, series, x_label="", y_label=""):
             f'transform="rotate(-90 18 {HEIGHT / 2:.1f})">{escape(y_label)}</text>')
     for i, (name, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        # px and py over arrays: the same float64 operations in the same
+        # order, so a drawn vertex has the bytes the scalar functions give
+        vx, vy = px(xs), py(ys)
+        keep = _pixel_runs(vx, vy)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in
+                       zip(vx[keep].tolist(), vy[keep].tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.6"/>')
         parts.append(

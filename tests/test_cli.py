@@ -596,3 +596,96 @@ def test_unreadable_csv_bytes_exit_3(train_run, tmp_path, capsys, command,
         assert "are not UTF-8" in error["message"]
     # detect may have written its header row; no record follows it
     assert capsys.readouterr().out.splitlines()[1:] == []
+
+
+# --- roc.csv ------------------------------------------------------------------
+
+def _per_point_roc_csv(path, curves):
+    """roc.csv as evaluate wrote it before the block writer: one f-string
+    per point of each (name, points, auc) curve."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("curve,fpr,tpr,threshold\n")
+        for name, pts, _ in curves:
+            for fpr, tpr, thr in pts.tolist():
+                fh.write(f"{name},{fpr!r},{tpr!r},{thr!r}\n")
+    return path
+
+
+def test_roc_csv_bytes_match_per_point_writer(train_run, tmp_path,
+                                              monkeypatch):
+    # every row three times (tied scores) and no Benign row, whose
+    # one-vs-rest curve is then skipped as degenerate
+    flows = data.make_synthetic_blobs(300, k_classes=5, d=75, separation=3.0,
+                                      seed=21)
+    path = tmp_path / "ties.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(75)] + ["label"])
+        for features, label in zip(flows.features, flows.labels):
+            if label != "Benign":
+                writer.writerows([[repr(float(v)) for v in features]
+                                  + [label]] * 3)
+    seen = []
+    write = cli._write_roc_csv
+
+    def recording(path, curves):
+        seen.append(curves)
+        return write(path, curves)
+
+    monkeypatch.setattr(cli, "_write_roc_csv", recording)
+    # blocks of 97 points, so most curves span several blocks
+    monkeypatch.setattr(cli, "ROC_BLOCK_POINTS", 97)
+    out = tmp_path / "eval"
+    assert cli.main(["evaluate", "--model", str(train_run / "model.model"),
+                     "--data", str(path), "--seed", "13",
+                     "--out", str(out)]) == 0
+    (curves,) = seen
+    names = [name for name, _, _ in curves]
+    assert names[0] == "micro" and "Benign" not in names and len(names) == 5
+    # 720 rows, 240 of them distinct: tied scores share a point
+    assert len(curves[0][1]) <= 240 * 5 + 1
+    want = _per_point_roc_csv(tmp_path / "want.csv", curves)
+    assert (out / "roc.csv").read_bytes() == want.read_bytes()
+
+
+def test_roc_csv_writer_keeps_every_repr(tmp_path):
+    values = np.array([0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, np.inf, np.nan,
+                       2.0 ** -30, 0.30000000000000004])
+    rng = np.random.default_rng(0)
+    curves = [("tiny", np.empty((0, 3)), 0.5),
+              ("odd", values[rng.integers(0, values.size, (10_001, 3))], 0.5),
+              ("plain", np.array([[0.0, 0.0, np.inf], [1.0, 1.0, 0.25]]), 1.0)]
+    got = cli._write_roc_csv(tmp_path / "got.csv", curves)
+    want = _per_point_roc_csv(tmp_path / "want.csv", curves)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_roc_csv_quotes_class_names(tmp_path):
+    names = ["Data, exfil", 'Recon "scan"', "Benign", "Lateral\tmove",
+             "Establish"]
+    flows = data.make_synthetic_blobs(400, k_classes=5, d=75, separation=3.0,
+                                      seed=5)
+    rename = dict(zip(data.DAPT_CLASSES, names))
+    path = tmp_path / "quoted.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(75)] + ["label"])
+        for features, label in zip(flows.features, flows.labels):
+            writer.writerow([repr(float(v)) for v in features] + [rename[label]])
+    model_dir, out = tmp_path / "model", tmp_path / "eval"
+    assert cli.main(["train", "--data", str(path), "--epochs", "1",
+                     "--batch", "64", "--seed", "3",
+                     "--out", str(model_dir)]) == 0
+    assert cli.main(["evaluate", "--model", str(model_dir / "model.model"),
+                     "--data", str(path), "--seed", "3",
+                     "--out", str(out)]) == 0
+    with open(out / "roc.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["curve", "fpr", "tpr", "threshold"]
+    assert all(len(row) == 4 for row in rows)
+    assert {row[0] for row in rows[1:]} == {"micro", *names}
+    # plain names stay bare, as before
+    text = (out / "roc.csv").read_text(encoding="utf-8")
+    assert "\nBenign,0.0,0.0,inf\n" in text
+    assert '\n"Data, exfil",0.0,0.0,inf\n' in text
+    assert '\n"Recon ""scan""",0.0,0.0,inf\n' in text

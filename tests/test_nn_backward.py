@@ -188,3 +188,37 @@ def test_conv_bias_outside_the_rule_keeps_its_gradient(layers):
     assert np.all(analytic["1.bias"] != 0)
     numeric = finite_difference_gradients(net, x, y, keys=["1.bias"])
     assert max_relative_error({"1.bias": analytic["1.bias"]}, numeric) < 1e-4
+
+
+def _zero_fill_col2im(dcols, x_shape, kh, kw):
+    """nn._col2im as it was: a zero-filled buffer that every slot adds into."""
+    n, h, w, c = x_shape
+    oh, ow = h - kh + 1, w - kw + 1
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    for slot in range(kh * kw):
+        i, j = divmod(slot, kw)
+        dx[:, i:i + oh, j:j + ow, :] += dcols[..., slot * c:(slot + 1) * c]
+    return dx
+
+
+@pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32),
+                                        (np.float64, np.uint64)])
+@pytest.mark.parametrize("kernel,x_shape", [
+    ((6, 1), (5, 75, 1, 4)), ((3, 1), (3, 35, 1, 64)), ((2, 2), (4, 5, 6, 3)),
+])
+def test_col2im_matches_zero_filled_sum_bit_for_bit(kernel, x_shape, dtype, uint):
+    kh, kw = kernel
+    n, h, w, c = x_shape
+    shape = (n, h - kh + 1, w - kw + 1, kh * kw * c)
+    rng = np.random.default_rng(sum(x_shape))
+    dcols = rng.normal(size=shape).astype(dtype)
+    # -0.0 (which 0.0 + -0.0 turns into 0.0), 0.0, NaN and infinities
+    pick = rng.random(shape)
+    dcols[pick < 0.3] = -0.0
+    dcols[(pick >= 0.3) & (pick < 0.35)] = 0.0
+    dcols[(pick >= 0.35) & (pick < 0.36)] = np.nan
+    dcols[(pick >= 0.36) & (pick < 0.37)] = np.inf
+    got = nn._col2im(dcols, x_shape, kh, kw)
+    want = _zero_fill_col2im(dcols, x_shape, kh, kw)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(uint), want.view(uint))
