@@ -3,7 +3,8 @@
 Every command writes a run manifest (seeds, config snapshot, artifact
 inventory, metric values) sufficient to reproduce its metric values
 exactly. Artifact plots are SVG derived from sibling CSVs. Exit codes:
-0 success, 2 usage, 3 data/model format, 4 numeric failure.
+0 success, 2 usage, 3 data/model format, 4 numeric failure, 130 interrupted,
+141 detect's standard output closed by its reader.
 """
 
 import argparse
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_NUMERIC = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, a shell's status for a closed pipe
 
 _FORMAT_ERRORS = (SchemaError, ParseError, StratifyError, ModelFormatError,
                   ScalerMismatch, LabelError, ShapeError)
@@ -543,36 +545,45 @@ def cmd_detect(args):
         writer = csv.writer(sys.stdout)
         n_records = n_anomalous = 0
         schema = data.CsvSchema(args.label_column, stats.n_features)
-        with _csv_chunks("--input", args.input, schema,
-                         need_labels=args.calibrate) as chunks:
-            scored = _scored(bundle.network, stats, chunks)
-            if args.calibrate:
-                probs, codes = _gather(scored, data.LabelCodec(class_names))
-                threshold = detector.calibrate_threshold(
-                    detector.score(probs, policy)[0], codes, policy)
-                print(f"calibrated threshold: {threshold!r}")
-                policy = dataclasses.replace(policy, threshold=threshold)
-                scored = [(probs, None)]
-            writer.writerow(["score", "verdict", "predicted_class"]
-                            + [f"p_{c}" for c in class_names])
-            for probs, _ in scored:
-                scores, flags = detector.score(probs, policy)
-                writer.writerows(
-                    [repr(score), "anomalous" if flag else "normal",
-                     class_names[pred]] + [repr(p) for p in row]
-                    for score, flag, pred, row in zip(
-                        scores.tolist(), flags.tolist(),
-                        probs.argmax(axis=1).tolist(), probs.tolist()))
-                n_records += len(scores)
-                n_anomalous += int(flags.sum())
-                sys.stdout.flush()
+        try:
+            with _csv_chunks("--input", args.input, schema,
+                             need_labels=args.calibrate) as chunks:
+                scored = _scored(bundle.network, stats, chunks)
+                if args.calibrate:
+                    probs, codes = _gather(scored, data.LabelCodec(class_names))
+                    threshold = detector.calibrate_threshold(
+                        detector.score(probs, policy)[0], codes, policy)
+                    print(f"calibrated threshold: {threshold!r}")
+                    policy = dataclasses.replace(policy, threshold=threshold)
+                    scored = [(probs, None)]
+                writer.writerow(["score", "verdict", "predicted_class"]
+                                + [f"p_{c}" for c in class_names])
+                for probs, _ in scored:
+                    scores, flags = detector.score(probs, policy)
+                    writer.writerows(
+                        [repr(score), "anomalous" if flag else "normal",
+                         class_names[pred]] + [repr(p) for p in row]
+                        for score, flag, pred, row in zip(
+                            scores.tolist(), flags.tolist(),
+                            probs.argmax(axis=1).tolist(), probs.tolist()))
+                    n_records += len(scores)
+                    n_anomalous += int(flags.sum())
+                    sys.stdout.flush()
+            code = EXIT_OK
+        except BrokenPipeError:
+            # the reader left (say `detect ... | head -1`): send what is
+            # still buffered to devnull so the exit-time flush cannot raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            code = EXIT_BROKEN_PIPE
         manifest.set_metrics({
             "records": n_records,
             "anomalous": n_anomalous,
             "threshold": policy.threshold,
         })
-        manifest.write()
-    return EXIT_OK
+        manifest.write(partial=code != EXIT_OK)
+    return code
 
 
 _COMMANDS = {

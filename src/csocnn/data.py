@@ -103,25 +103,38 @@ def _records(fh, source):
                          f"not UTF-8 ({exc.reason})") from None
 
 
+def _float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan  # routed to the cleaning policy
+
+
 def read_csv_chunks(fh, schema=CsvSchema(), source="input", need_labels=False):
     """Check a flow-feature CSV's header now; parse its rows lazily.
 
     Returns (n_features, chunks). Every non-label column is a feature; with
     no label column the labels are None, or, with need_labels, the header
-    raises SchemaError. chunks yields (features, labels) for up to
-    INFERENCE_ROWS rows at a time: a float64 matrix with one row per record
-    and the stripped label strings. Unparseable numeric cells become NaN so
-    the cleaning policy can impute and count them; structurally bad rows
-    (wrong field count) raise ParseError with their 1-based row number; a
-    field longer than the csv module's limit or bytes that are not UTF-8, in
-    the header or any row, raise ParseError naming the line. A feature count
-    other than schema.expected_features raises SchemaError.
+    raises SchemaError. One leading UTF-8 byte-order mark (U+FEFF) is
+    dropped from the first header field. chunks yields (features, labels)
+    for up to INFERENCE_ROWS rows at a time: a float64 matrix with one row
+    per record and the stripped label strings. A chunk's cells are cast in
+    one step, each to the bits float(cell) gives; empty and other
+    unparseable numeric cells become NaN so the cleaning policy can impute
+    and count them, and only a chunk holding a cell float() rejects is
+    converted cell by cell. Structurally bad rows (wrong field count) raise
+    ParseError with their 1-based row number; a field longer than the csv
+    module's limit or bytes that are not UTF-8, in the header or any row,
+    raise ParseError naming the line. A feature count other than
+    schema.expected_features raises SchemaError.
     """
     reader = _records(fh, source)
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{source}: missing header row") from None
+    if header:  # spreadsheet "CSV UTF-8" exports start with a BOM
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     feature_idx = [i for i, c in enumerate(header) if c != schema.label_column]
     if schema.expected_features is not None and \
@@ -135,8 +148,19 @@ def read_csv_chunks(fh, schema=CsvSchema(), source="input", need_labels=False):
             f"{source}: label column {schema.label_column!r} not in header")
     label_idx = header.index(schema.label_column) if labeled else None
 
+    def parsed(rows):
+        cells = np.array(rows, dtype=object)[:, feature_idx]
+        cells[cells == ""] = "nan"  # routed to the cleaning policy
+        try:
+            features = cells.astype(np.float64)  # float(cell) per cell
+        except ValueError:  # only this chunk takes the per-cell NaN rule
+            features = np.frompyfunc(_float_or_nan, 1, 1)(cells).astype(
+                np.float64)
+        labels = [row[label_idx].strip() for row in rows] if labeled else None
+        return features, labels
+
     def chunks():
-        rows, labels = [], []
+        rows = []
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -144,20 +168,12 @@ def read_csv_chunks(fh, schema=CsvSchema(), source="input", need_labels=False):
                 raise ParseError(
                     f"{source}: row {row_number} has {len(row)} fields, "
                     f"expected {len(header)}", row_number=row_number)
-            values = np.empty(len(feature_idx), dtype=np.float64)
-            for k, idx in enumerate(feature_idx):
-                try:
-                    values[k] = float(row[idx])
-                except ValueError:
-                    values[k] = np.nan  # routed to the cleaning policy
-            rows.append(values)
-            if labeled:
-                labels.append(row[label_idx].strip())
+            rows.append(row)
             if len(rows) == INFERENCE_ROWS:
-                yield np.stack(rows), labels if labeled else None
-                rows, labels = [], []
+                yield parsed(rows)
+                rows = []
         if rows:
-            yield np.stack(rows), labels if labeled else None
+            yield parsed(rows)
 
     return len(feature_idx), chunks()
 

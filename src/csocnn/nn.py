@@ -34,10 +34,15 @@ BN_EPSILON = 1e-3
 # run performs; 0.9 reaches ~99.8% in 60 steps where 0.99 sits at ~45%.
 BN_MOMENTUM = 0.9
 LOG_CLAMP = 1e-12
-# Rows per inference forward. An inference forward keeps no intermediates,
-# but the activations of the layer it is running are as long as its batch,
-# so an unchunked forward's memory would grow with the input's length.
-INFERENCE_ROWS = 1024
+# Rows per inference forward, and per parsed CSV chunk (data.read_csv_chunks).
+# An inference forward keeps no intermediates, but the activations of the
+# layer it is running are as long as its batch, so an unchunked forward's
+# memory would grow with the input's length. At 256 rows the widest
+# activation (the first conv's 70 x 64 values a row, 4.6 MB in float32) is a
+# quarter of its 18 MB at 1 024 rows, close to a core's L2 cache, and the
+# first chunk reaches the user sooner. Measured on a 2-core Xeon with one
+# BLAS thread: 512 rows score as fast as 256, 128 and 1 024 rows slower.
+INFERENCE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -521,7 +526,9 @@ def forward(network, batch, mode):
 def predict(network, batch):
     """Inference-mode class probabilities for a batch in the network layout,
     computed INFERENCE_ROWS rows at a time, so the activations alive at once
-    are those of one slice and memory stays bounded in the batch length."""
+    are those of one slice and memory stays bounded in the batch length.
+    The BLAS may round a row's last bits differently for another slice
+    length, so two paths that must agree bit for bit slice alike."""
     x = np.asarray(batch)
     # filled in place: a result array per slice, allocated among the slice's
     # activations, can keep the allocator from returning their memory

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,7 +467,8 @@ def test_detect_forwards_at_most_inference_rows(train_run, long_stream,
     assert code == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2500
     assert sum(rows) == 2500
-    assert max(rows) <= 1024
+    assert max(rows) <= nn.INFERENCE_ROWS
+    assert rows[0] == nn.INFERENCE_ROWS
 
 
 def test_detect_probabilities_equal_evaluate(train_run, long_stream, tmp_path,
@@ -482,6 +487,68 @@ def test_detect_probabilities_equal_evaluate(train_run, long_stream, tmp_path,
     for row, expected in zip(rows, probs):
         assert [row[f"p_{c}"] for c in bundle.class_names] == \
             [repr(float(p)) for p in expected]
+
+
+def test_detect_into_closed_pipe_exits_141_with_partial_manifest(
+        train_run, long_stream, tmp_path):
+    # 2 500 verdict lines are several times a pipe's buffer, so detect is
+    # still writing when the reader leaves, as with `detect ... | head -1`
+    out = tmp_path / "detpipe"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with subprocess.Popen(
+            [sys.executable, "-m", "csocnn.cli", "detect",
+             "--model", str(train_run / "model.model"),
+             "--input", str(long_stream), "--threshold", "0.5",
+             "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert header.startswith(b"score,verdict,predicted_class,")
+    assert code == 141
+    assert "Traceback" not in stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["partial"] is True
+    assert manifest["metrics"]["records"] < 2500
+
+
+def _label_first(path, n, seed, bom):
+    """_write_stream's rows with the label column moved first, the file
+    starting with a UTF-8 byte-order mark when bom is set."""
+    lines = _write_stream(path, n=n, seed=seed).read_text().splitlines()
+    moved = [",".join(line.rsplit(",", 1)[::-1]) for line in lines]
+    path.write_text(("\ufeff" if bom else "") + "\n".join(moved) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "detect"])
+def test_byte_order_mark_label_first_csv_reads_as_without(
+        train_run, tmp_path, capsys, command):
+    model = str(train_run / "model.model")
+    outputs = []
+    for bom in (False, True):
+        path = _label_first(tmp_path / f"flows-{bom}.csv",
+                            n=200 if command == "train" else 60, seed=16,
+                            bom=bom)
+        out = tmp_path / f"out-{bom}"
+        argv = {
+            "train": ["train", "--data", str(path), "--seed", "3",
+                      "--epochs", "1", "--batch", "64"],
+            "evaluate": ["evaluate", "--model", model, "--data", str(path),
+                         "--seed", "1"],
+            "detect": ["detect", "--model", model, "--input", str(path),
+                       "--threshold", "0.5"],
+        }[command]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        artifacts = {p.name: p.read_bytes() for p in out.iterdir()
+                     if p.is_file() and p.name != "manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs.append((capsys.readouterr().out, artifacts,
+                        manifest["artifacts"], manifest["metrics"]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] or outputs[0][1]  # something was compared
 
 
 def test_evaluate_streams_at_most_inference_rows(train_run, long_stream,

@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from csocnn import data
+from csocnn import data, nn
 from csocnn.errors import LabelError, ParseError, SchemaError, StratifyError
 
 
@@ -35,27 +37,87 @@ def test_empty_file_with_header(tmp_path):
     assert flows.features.shape == (0, 2)
 
 
-@pytest.mark.parametrize("n_rows", [1024, 1025])
+def _per_cell_parse(rows, feature_idx):
+    """read_csv_chunks' cell conversion as it was before the chunk cast: one
+    float() per cell into a per-row array, NaN where float() refuses."""
+    parsed = []
+    for row in rows:
+        values = np.empty(len(feature_idx), dtype=np.float64)
+        for k, idx in enumerate(feature_idx):
+            try:
+                values[k] = float(row[idx])
+            except ValueError:
+                values[k] = np.nan
+        parsed.append(values)
+    return np.stack(parsed)
+
+
+@pytest.mark.parametrize("n_rows", [nn.INFERENCE_ROWS, nn.INFERENCE_ROWS + 1])
 def test_chunk_boundary_matches_per_row_parse(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     rows = [[repr(float(v)) for v in rng.normal(size=3)] + [f"c{i % 3}"]
             for i in range(n_rows)]
-    rows[1023][0] = "wat"
+    rows[nn.INFERENCE_ROWS - 1][0] = "wat"
     rows[n_rows - 1][2] = "Infinity"
     path = _write_csv(tmp_path / "flows.csv", ["f0", "f1", "f2", "label"],
                       rows)
     flows = data.load_csv(path)
 
-    def parse(cell):
-        try:
-            return float(cell)
-        except ValueError:
-            return np.nan
-
-    expected = np.array([[parse(c) for c in row[:3]] for row in rows])
+    expected = _per_cell_parse(rows, [0, 1, 2])
     assert flows.features.shape == (n_rows, 3)
     np.testing.assert_array_equal(flows.features, expected)
     assert flows.labels.tolist() == [row[3] for row in rows]
+
+
+EXOTIC_CELLS = ["1_0", " 1.5 ", "Infinity", "-NaN", "\u0661\u0662", "1e400",
+                "", "-0.0", "5e-324", "-inf", "nan", "1" * 400]
+REJECTED_CELLS = ["wat", "   ", "0x10"]
+
+
+def test_chunk_cast_matches_per_cell_parse_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(3)
+    n_rows = nn.INFERENCE_ROWS + 40
+    rows = [[str(rng.choice(EXOTIC_CELLS)) for _ in range(4)] + [" c0 "]
+            for _ in range(n_rows)]
+    for cell, row in zip(REJECTED_CELLS, rows[-len(REJECTED_CELLS):]):
+        row[1] = cell  # only the second chunk holds rejected cells
+    text = io.StringIO()
+    csv.writer(text).writerows([["f0", "f1", "f2", "f3", "label"]] + rows)
+    text.seek(0)
+    fallbacks = []
+    float_or_nan = data._float_or_nan
+    monkeypatch.setattr(data, "_float_or_nan",
+                        lambda cell: fallbacks.append(cell) or
+                        float_or_nan(cell))
+
+    _, chunks = data.read_csv_chunks(text)
+    (first, first_labels), (second, second_labels) = chunks
+    assert len(fallbacks) == 4 * (n_rows - nn.INFERENCE_ROWS)
+    expected = _per_cell_parse(rows, [0, 1, 2, 3])
+    assert np.isnan(expected).any() and np.isinf(expected).any()
+    assert np.signbit(expected[np.isnan(expected)]).any()
+    got = np.concatenate([first, second])
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  expected.view(np.uint64))
+    assert first_labels + second_labels == ["c0"] * n_rows
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["file", "stdin"])
+def test_byte_order_mark_dropped_from_first_header_field(tmp_path, stream):
+    text = "\ufefflabel,f0,f1\nBenign,1.0,2.0\nReconn,3.0,\n"
+    if stream:
+        n_features, chunks = data.read_csv_chunks(
+            io.StringIO(text), need_labels=True)
+        [(features, labels)] = chunks
+        flows = data.Flows(features, labels)
+        assert n_features == 2
+    else:
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        flows = data.load_csv(path)
+    np.testing.assert_array_equal(flows.features, [[1.0, 2.0], [3.0, np.nan]])
+    assert flows.labels.tolist() == ["Benign", "Reconn"]
 
 
 def test_missing_label_column(tmp_path):
