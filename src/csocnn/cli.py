@@ -354,6 +354,8 @@ def cmd_optimize(args):
         best_hp, best_fit, history = hyperopt.optimize_hyperparams(
             space, (prep.train, prep.val),
             nn.default_architecture(len(prep.codec)), swarm_config)
+        if best_fit == hyperopt.WORST_FITNESS:
+            raise TrainingDiverged("every swarm candidate diverged")
 
         manifest.add_artifact(history.to_csv(out / "convergence.csv"))
         manifest.add_artifact(svg.line_chart(

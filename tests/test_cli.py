@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csocnn import cli, data, detector, nn, trainer
+from csocnn import cli, data, detector, hyperopt, nn, trainer
+from csocnn.errors import TrainingDiverged
 from csocnn.model_io import load_model, save_model
 
 TRAIN_FLAGS = ["--synthetic", "--synthetic-samples", "800",
@@ -293,6 +294,21 @@ def test_optimize_workers_give_identical_artifacts(tmp_path):
                  for out in (serial, parallel)]
     assert manifests[0]["metrics"] == manifests[1]["metrics"]
     assert [m["config"]["workers"] for m in manifests] == [1, 2]
+
+
+def test_optimize_every_candidate_diverged_exits_4(tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise TrainingDiverged("non-finite loss in epoch 1 at sample 0")
+    monkeypatch.setattr(hyperopt, "train", diverge)
+    out = tmp_path / "opt-diverged"
+    code = cli.main(["optimize", "--synthetic", "--synthetic-samples", "200",
+                     "--seed", "3", "--out", str(out),
+                     "--cats", "2", "--iters", "1",
+                     "--epoch-range", "1", "2", "--batch-range", "32", "64"])
+    assert code == 4
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "TrainingDiverged"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
