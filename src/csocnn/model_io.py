@@ -109,8 +109,9 @@ def load_model(path):
     """Read a model file back into a ModelBundle.
 
     Raises ModelFormatError whenever the header, manifest, or blob are
-    inconsistent (wrong magic, truncated blob, malformed tensor table, shape
-    mismatch, class names that do not match the output units) or a tensor
+    inconsistent (wrong magic, truncated blob, malformed tensor table, a
+    table whose entries do not tile the blob in layer order, shape mismatch,
+    class names that do not match the output units) or a tensor
     cannot be scored (a non-finite value, a negative running variance).
     """
     with open(path, "rb") as fh:
@@ -148,6 +149,7 @@ def load_model(path):
 
     try:
         table = {t["name"]: t for t in manifest["tensors"]}
+        end = 0  # where the tensors read so far end in the blob
         for key, is_stat in _tensor_names(network):
             entry = table.pop(key, None)
             if entry is None:
@@ -157,8 +159,17 @@ def load_model(path):
                 raise ModelFormatError(
                     f"{path}: tensor {key} shape {entry['shape']} does not match "
                     f"architecture shape {target.shape}")
-            raw = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
-            if len(raw) != entry["nbytes"] or len(raw) != target.size * 4:
+            offset, nbytes = entry["offset"], entry["nbytes"]
+            # the tensors tile the blob in layer order, as save_model writes
+            # them, so no entry can read another's bytes or outside the blob
+            if (type(offset) is not int or type(nbytes) is not int
+                    or offset != end or nbytes != target.size * 4):
+                raise ModelFormatError(
+                    f"{path}: bad tensor table: {key} spans {offset!r} "
+                    f"+ {nbytes!r} bytes, expected {end} + {target.size * 4}")
+            end += nbytes
+            raw = blob[offset:end]
+            if len(raw) != nbytes:
                 raise ModelFormatError(f"{path}: blob truncated at tensor {key}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(target.shape)
             # training leaves neither; through a NaN weight or the sqrt of a
@@ -178,6 +189,9 @@ def load_model(path):
         raise ModelFormatError(f"{path}: bad tensor table ({exc!r})") from exc
     if table:
         raise ModelFormatError(f"{path}: manifest lists unknown tensors {sorted(table)}")
+    if end != len(blob):
+        raise ModelFormatError(
+            f"{path}: blob has {len(blob)} bytes, its tensors end at {end}")
 
     class_names = manifest.get("class_names")
     if not isinstance(class_names, list) or len(class_names) != network.num_classes:

@@ -11,11 +11,12 @@ forward adds none and backward gives it an exact-zero gradient, which keeps
 it at its initial 0. BatchNorm's input gradient reuses its parameter
 gradients (Ioffe & Szegedy, 2015). Pooling strides by its own kernel
 and takes the max over the window's strided slots, routing the gradient to the
-first max as argmax would. The final Dense layer carries a softmax so the
-network emits per-sample class probabilities directly. Only a train-mode
-forward keeps the per-layer arrays backward needs; an inference forward frees
-each layer's intermediates as it goes, and folds each Conv2D -> BatchNorm
-pair into one conv (Jacob et al., 2018).
+first max as argmax would; a ReLU in front of a pool runs after it, on half
+the elements. The final Dense layer carries a softmax so the network emits
+per-sample class probabilities directly. Only a train-mode forward keeps the
+per-layer arrays backward needs; an inference forward frees each layer's
+intermediates as it goes, and folds each Conv2D -> BatchNorm pair into one
+conv (Jacob et al., 2018).
 """
 
 import math
@@ -389,6 +390,30 @@ def _batch_norm_backward(dz, xhat, std, gamma):
     return grad, dgamma, dbeta
 
 
+def _run_activations(layers):
+    """The activation each layer runs, one per layer. A ReLU that feeds a
+    MaxPool2D with no activation of its own runs after the pool instead, on
+    half the elements. The bits are the same. ReLU is monotone, so
+    max(relu(a), relu(b)) == relu(max(a, b)), -inf padding included, and
+    relu(-0.0) is 0.0 either way. Where the pooled value is positive, both
+    orders route its gradient to the same first max. Where it is not, the
+    gradient is masked to a zero, and forward points the window at slot 0,
+    the first max among the ReLU's zeros. That needs a pool that pads no
+    window ahead of its first real slot: valid padding, or a kernel of at
+    most 2 x 2, whose same padding adds at most one trailing row and column.
+    Any other pool keeps the ReLU in front. A NaN forward routes
+    differently, but train raises TrainingDiverged on it before backward
+    runs."""
+    acts = [spec.activation for spec in layers]
+    for i in range(len(layers) - 1):
+        pool = layers[i + 1]
+        if (acts[i] == "relu" and pool.kind == "MaxPool2D"
+                and acts[i + 1] == "none"
+                and (pool.padding == "valid" or max(pool.kernel) <= 2)):
+            acts[i], acts[i + 1] = "none", "relu"
+    return acts
+
+
 def _folds_into_batch_norm(layers, i):
     """Whether inference folds the BatchNorm after Conv2D layer i into it,
     and so whether the conv's bias is inert in training: the conv has no
@@ -418,8 +443,10 @@ def forward(network, batch, mode):
     batch statistics and updates its running stats, and the cache keeps only
     what backward() reads of every layer: its input's shape, conv columns,
     BatchNorm's xhat and std, pool indices, a Dense layer's input and a bool
-    mask per ReLU. Every Conv2D is one 2-D GEMM of its (N*H*W, K) columns
-    by its (K, F) kernel. A train forward adds no bias to a conv that feeds
+    mask per ReLU, on the entry of the layer that runs it. A ReLU that feeds
+    a MaxPool2D runs after the pool, with the same bits (_run_activations),
+    so its mask is at pooled resolution. Every Conv2D is one 2-D GEMM of its
+    (N*H*W, K) columns by its (K, F) kernel. A train forward adds no bias to a conv that feeds
     a BatchNorm with no activation between: the batch mean cancels it. In
     inference mode BatchNorm uses the
     stored running stats, the call has no side effects, and the cache holds
@@ -443,6 +470,7 @@ def forward(network, batch, mode):
     train = mode == "train"
     if train:
         network._forward_version += 1
+    acts = _run_activations(network.layers)
     layer_caches = []
     folded = None  # index of the BatchNorm the previous conv absorbed
     for i, spec in enumerate(network.layers):
@@ -452,6 +480,7 @@ def forward(network, batch, mode):
         # dies with its layer, and the dels below stop the locals from
         # keeping its arrays alive through the layers after it
         cache = {"shape": x.shape}
+        act = acts[i]
         if spec.kind == "Input":
             z = x
         elif spec.kind == "Conv2D":
@@ -461,7 +490,8 @@ def forward(network, batch, mode):
             if inert and not train:
                 kmat, bias = _fold_batch_norm(network, i)
                 # the BatchNorm's activation runs on the folded output
-                folded, spec = i + 1, network.layers[i + 1]
+                folded = i + 1
+                act = acts[folded]
             else:
                 kmat = network.params[f"{i}.kernel"].reshape(
                     -1, spec.filters_or_units)
@@ -506,11 +536,14 @@ def forward(network, batch, mode):
         elif spec.kind == "Dense":
             z = x @ network.params[f"{i}.weight"] + network.params[f"{i}.bias"]
             cache["x"] = x
-        x = _activate(z, spec.activation)
+        x = _activate(z, act)
         if train:
-            if spec.activation == "relu":
+            if act == "relu":
                 # a = max(z, 0) > 0 exactly where z > 0 (NaN fails both)
                 cache["mask"] = x > 0
+                if "argmax" in cache:
+                    # a pool over the ReLU's zeros picks slot 0
+                    cache["argmax"] *= cache["mask"]
             layer_caches.append(cache)
 
     probs = x
@@ -560,7 +593,8 @@ def backward(network, cache, true_labels):
     Layer 1's GEMM input gradient, which would go to the batch, is skipped.
     A conv bias that the train forward left inert (the conv feeds a
     BatchNorm with no activation between) gets an exact-zero gradient, so
-    Adam never moves it.
+    Adam never moves it. A layer's gradient is masked by the ReLU mask its
+    cache entry holds, if any.
     Backward consumes the cache: it drops each layer's entry as it passes
     it, and a spent cache is rejected."""
     if cache["mode"] != "train":
@@ -594,7 +628,7 @@ def backward(network, cache, true_labels):
         # run with the later layers' arrays freed
         lc, layer_caches[i] = layer_caches[i], None
         dz = grad
-        if spec.activation == "relu":
+        if "mask" in lc:
             # each layer's input gradient is a new array, so mask in place
             np.multiply(dz, lc["mask"], out=dz)
         elif spec.activation == "softmax" and i < len(network.layers) - 1:

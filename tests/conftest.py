@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracle helpers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def toy_layers(num_classes=3):
         nn.dense(4, activation="relu"),
         nn.dense(num_classes, activation="softmax"),
     ]
+
+
+def rewrite_manifest(path, edit, tail=b""):
+    """Rewrite the manifest of the model file at path with edit, which
+    changes it in place or returns its replacement, and append tail to the
+    blob."""
+    header, rest = path.read_bytes().split(b"\n", 1)
+    magic, version, n = header.split()
+    manifest = json.loads(rest[:int(n)])
+    body = json.dumps(edit(manifest) or manifest).encode("utf-8")
+    path.write_bytes(b"%s %s %d\n" % (magic, version, len(body)) + body
+                     + rest[int(n):] + tail)
 
 
 def finite_difference_gradients(network, x, y, keys=None, step=1e-3):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rewrite_manifest
 from csocnn import cli, data, detector, hyperopt, nn, trainer
 from csocnn.errors import TrainingDiverged
 from csocnn.model_io import load_model, save_model
@@ -51,6 +53,9 @@ def test_train_writes_inventoried_artifacts(train_run):
         assert name in manifest["artifacts"]
         assert (train_run / name).exists()
     assert "test_accuracy" in manifest["metrics"]
+    # every file the run leaves is inventoried: no checkpoints/ directory
+    assert ({p.name for p in train_run.iterdir()}
+            == {*manifest["artifacts"], "manifest.json"})
 
 
 def test_train_usage_error_without_data():
@@ -144,6 +149,27 @@ def test_unscorable_model_exits_3(train_run, tmp_path, capsys, command, key,
     assert error["error"] == "ModelFormatError"
     assert key in error["message"]
     assert capsys.readouterr().out == ""
+
+
+def test_evaluate_model_with_aliased_tensor_exits_3(train_run, tmp_path):
+    # 1.kernel points at the bytes of the next tensor; it used to load them
+    model = tmp_path / "aliased.model"
+    model.write_bytes((train_run / "model.model").read_bytes())
+
+    def alias(manifest):
+        entries = {t["name"]: t for t in manifest["tensors"]}
+        entries["1.kernel"]["offset"] = entries["1.bias"]["offset"]
+
+    rewrite_manifest(model, alias)
+    out = tmp_path / "out"
+    code = cli.main(["evaluate", "--model", str(model),
+                     "--scaler", str(train_run / "scaler.json"),
+                     "--synthetic", "--synthetic-samples", "300",
+                     "--seed", "1", "--out", str(out)])
+    assert code == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ModelFormatError"
+    assert "bad tensor table: 1.kernel" in error["message"]
 
 
 def test_detect_streams_in_order(train_run, tmp_path, capsys):
@@ -274,6 +300,8 @@ def test_optimize_smoke_and_convergence_rows(tmp_path):
     assert type(workers) is int and workers >= 1
     assert (out / "best_hyperparams.json").exists()
     assert (out / "model.model").exists()
+    assert ({p.name for p in out.iterdir()}
+            == {*manifest["artifacts"], "manifest.json"})
 
 
 def test_optimize_workers_give_identical_artifacts(tmp_path):
@@ -772,3 +800,69 @@ def test_roc_csv_quotes_class_names(tmp_path):
     assert "\nBenign,0.0,0.0,inf\n" in text
     assert '\n"Data, exfil",0.0,0.0,inf\n' in text
     assert '\n"Recon ""scan""",0.0,0.0,inf\n' in text
+
+
+_HEAP_LOOP = """
+import resource, sys
+import numpy as np
+from csocnn import cli
+if sys.argv[1] == "policy":
+    cli._set_allocator_policy()
+
+def step():
+    # like a train step: 64 KB arrays, under glibc's mmap threshold, grow
+    # the heap (by the pad, under the policy), 1 MB arrays come from its
+    # top, and all of them are freed at the end
+    small = [np.ones(1 << 14, np.float32) for _ in range(64)]
+    big = [np.ones(1 << 18, np.float32) for _ in range(16)]
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's mallopt")
+def test_allocator_policy_keeps_freed_heap_mapped():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def faults_per_step(policy):
+        run = subprocess.run([sys.executable, "-c", _HEAP_LOOP, policy],
+                             capture_output=True, text=True, check=True,
+                             env=env)
+        return float(run.stdout)
+
+    # glibc's default trims the freed top each step and faults it back in
+    assert faults_per_step("default") > 1000
+    assert faults_per_step("policy") < 10
+
+
+class _Libc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.mark.parametrize("libc", ["glibc", "no-library", "no-mallopt"])
+def test_main_runs_whatever_the_allocator(train_run, tmp_path, monkeypatch,
+                                          libc):
+    fake = _Libc()
+
+    def load(name):
+        if libc == "no-library":
+            raise OSError(f"{name}: cannot open shared object file")
+        return fake if libc == "glibc" else object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", load)
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--model", str(train_run / "model.model"),
+                     "--synthetic", "--synthetic-samples", "300",
+                     "--seed", "1", "--out", str(out)]) == 0
+    assert fake.calls == ([(-2, 128 << 20), (-8, 1)] if libc == "glibc" else [])

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from conftest import toy_layers
+from conftest import rewrite_manifest, toy_layers
 from csocnn import nn
 from csocnn.errors import ModelFormatError
 from csocnn.model_io import load_model, save_model
@@ -75,8 +73,7 @@ def test_garbled_manifest_rejected(tmp_path):
         load_model(path)
     # valid JSON: a Conv2D padding the network does not support, no tensor
     # table, a tensor entry that is not an object, an offset that is not a
-    # number, and a manifest that is a list rather than an object. An edit
-    # changes the manifest in place or returns its replacement.
+    # number, and a manifest that is a list rather than an object
     edits = [
         (lambda m: m["layers"][1].update(padding="same"), "layer table"),
         (lambda m: m.__delitem__("tensors"), "tensor table"),
@@ -86,12 +83,7 @@ def test_garbled_manifest_rejected(tmp_path):
     ]
     for edit, message in edits:
         save_model(path, net, ["a", "b", "c"])
-        header, rest = path.read_bytes().split(b"\n", 1)
-        magic, version, n = header.split()
-        manifest = json.loads(rest[:int(n)])
-        body = json.dumps(edit(manifest) or manifest).encode("utf-8")
-        path.write_bytes(b"%s %s %d\n" % (magic, version, len(body))
-                         + body + rest[int(n):])
+        rewrite_manifest(path, edit)
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
     # more class names than the 3 output units
@@ -127,3 +119,45 @@ def test_unscorable_tensor_rejected(tmp_path, key, index, value, message):
     tensors[key].reshape(-1)[index] = 0.0
     save_model(path, net, ["a", "b", "c"])
     load_model(path)
+
+
+def _tensor(manifest, name):
+    return next(t for t in manifest["tensors"] if t["name"] == name)
+
+
+def _aliased(manifest):
+    # 1.kernel reads the first bytes of 4.kernel
+    _tensor(manifest, "1.kernel")["offset"] = _tensor(manifest, "4.kernel")["offset"]
+
+
+def _negative(manifest):
+    # a slice from the blob's end reads 4.kernel's own bytes
+    entry = _tensor(manifest, "4.kernel")
+    entry["offset"] -= manifest["blob_nbytes"]
+
+
+def _bool_offset(manifest):
+    # JSON false, which Python slices as 0
+    _tensor(manifest, "1.kernel")["offset"] = False
+
+
+def _trailing_bytes(manifest):
+    # blob_nbytes agrees with the blob, but no tensor reads its last 4 bytes
+    manifest["blob_nbytes"] += 4
+
+
+@pytest.mark.parametrize("edit,tail,message", [
+    (_aliased, b"", "bad tensor table: 1.kernel spans 2816 \\+ 1536 bytes, "
+                    "expected 0 \\+ 1536"),
+    (_negative, b"", "bad tensor table: 4.kernel spans -"),
+    (_bool_offset, b"", "bad tensor table: 1.kernel spans False"),
+    (_trailing_bytes, b"\0" * 4, "its tensors end at"),
+])
+def test_tensor_table_must_tile_the_blob(tmp_path, edit, tail, message):
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=0)
+    path = tmp_path / "m.model"
+    save_model(path, net, list("abcde"))
+    load_model(path)
+    rewrite_manifest(path, edit, tail)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)

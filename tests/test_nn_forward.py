@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_layers
-from csocnn import nn
+from csocnn import nn, optim
 from csocnn.errors import ShapeError
 from csocnn.model_io import save_model
 from csocnn.nn import forward
@@ -160,15 +160,21 @@ def test_train_cache_keeps_only_what_backward_reads(monkeypatch):
 
     monkeypatch.setattr(nn, "_activate", recording)
     _, cache = forward(net, x, "train")
-    # conv outputs feed BatchNorm and BatchNorm's ReLU outputs feed pools;
-    # neither reader keeps them
+    # conv outputs feed BatchNorm and BatchNorm outputs feed pools; neither
+    # reader keeps them
     unread = [outputs[i] for i, spec in enumerate(net.layers)
               if spec.kind in ("Conv2D", "BatchNorm")]
-    for spec, lc in zip(net.layers, cache["layers"]):
+    # a BatchNorm's ReLU runs after the pool that reads it, so its mask sits
+    # on the pool's entry at pooled resolution; one mask per ReLU
+    runs_relu = [i + 1 if net.layers[i + 1].kind == "MaxPool2D" else i
+                 for i, spec in enumerate(net.layers) if spec.activation == "relu"]
+    assert runs_relu == [3, 6, 9, 11, 12]
+    for i, lc in enumerate(cache["layers"]):
         assert "a" not in lc
-        assert ("mask" in lc) == (spec.activation == "relu")
+        assert ("mask" in lc) == (i in runs_relu)
         if "mask" in lc:
             assert lc["mask"].dtype == bool
+            assert lc["mask"].shape == (16, *net.shapes[i])
         for value in lc.values():
             if isinstance(value, np.ndarray):
                 assert not any(np.shares_memory(value, out) for out in unread)
@@ -289,6 +295,74 @@ def test_max_pool_propagates_nan(kernel, train):
     nan_windows = {(0, 0, 0, 0), (1, 1, 1 // kw, 1), (2, 2, 2 // kw, 2)}
     assert set(map(tuple, np.argwhere(np.isnan(pooled)))) == nan_windows
     np.testing.assert_array_equal(pooled, want)
+
+
+# --- ReLU after max-pool against ReLU before it -----------------------------
+
+def _train_steps(net, x, y, steps=2):
+    """Every array two Adam steps on a clone of net produce: each step's
+    probabilities and gradients, then predict's probabilities and the
+    updated tensors."""
+    net, state, seen = net.clone(), optim.AdamState(1e-2), []
+    for _ in range(steps):
+        probs, cache = forward(net, x, "train")
+        grads = nn.backward(net, cache, y)
+        seen += [probs, *(grads[k] for k in sorted(grads))]
+        optim.adam_step(state, net.params, grads)
+    return seen + [nn.predict(net, x), *net.params.values(),
+                   *net.bn_stats.values()]
+
+
+def _pooled_net(kernel, input_shape):
+    # no conv before the BatchNorm
+    return ([nn.input_layer(), nn.batch_norm(activation="relu"),
+             nn.max_pool2d(kernel), nn.flatten(), nn.dense(4, activation="relu"),
+             nn.dense(3, activation="softmax")], input_shape)
+
+
+@pytest.mark.parametrize("n", [1, 64, 240])
+@pytest.mark.parametrize("layers,input_shape,moved", [
+    # pool inputs of heights 70, 33 and 15, the last two with "same" padding
+    (nn.default_architecture(5), (75, 1, 1), 3),
+    # a 2 x 2 pool padding one trailing row and column
+    (*_pooled_net((2, 2), (7, 3, 2)), 1),
+    # a kernel-3 pool pads a slot ahead of the first real one, where a pool
+    # over the ReLU's zeros routes to the first real slot: the ReLU stays
+    (*_pooled_net((3, 1), (7, 1, 2)), 0),
+])
+def test_relu_after_pool_keeps_the_bits(monkeypatch, layers, input_shape,
+                                        moved, n):
+    in_front = [spec.activation for spec in layers]
+    assert sum(a != b for a, b in zip(nn._run_activations(layers),
+                                      in_front)) == 2 * moved
+    net = _randomized_network(layers, input_shape, np.float32, seed=n)
+    bn = [i for i, spec in enumerate(layers) if spec.kind == "BatchNorm"][-1]
+    # beta = -10 leaves almost no window of the channel a positive value, so
+    # their gradients are masked to zeros that must still land on the slots
+    # they did before
+    net.params[f"{bn}.beta"][:1] = -10.0
+    rng = np.random.default_rng(n)
+    # half-integers tie inside pool windows; zeros of both signs
+    x = rng.integers(-3, 4, (n, *input_shape)) / 2
+    x[rng.random(x.shape) < 0.2] = -0.0
+    y = rng.integers(0, net.num_classes, n)
+    pool_backward = nn._max_pool_backward
+
+    def recording(*args):
+        routed.append(pool_backward(*args))
+        return routed[-1]
+
+    runs = []
+    for reference in (False, True):
+        if reference:  # every ReLU where its layer spec puts it
+            monkeypatch.setattr(nn, "_run_activations", lambda _: in_front)
+        routed = []
+        monkeypatch.setattr(nn, "_max_pool_backward", recording)
+        runs.append(_train_steps(net, x, y) + routed)
+    got, want = runs
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
 
 
 # --- Conv2D -> BatchNorm folding at inference --------------------------------
