@@ -10,8 +10,7 @@ Subpackages by concern:
 - ``data``: the columnar flow table, CSV ingestion, cleaning, scaling,
   stratified splits, synthetic blob generation.
 - ``trainer``: the mini-batch loop with plateau LR reduction, early stopping,
-  and best-model checkpointing (kept in memory; files only with a
-  checkpoint directory).
+  and best-model checkpointing (kept in memory).
 - ``metrics``: confusion-matrix metrics, classification reports, ROC/AUC.
 - ``detector``: threshold-based anomaly verdicts over model scores.
 - ``cli``: the ``csocnn`` command-line entry point.

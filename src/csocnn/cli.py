@@ -289,8 +289,7 @@ def _train_seeded(prep, config):
     (best network, state)."""
     network = nn.Network(nn.default_architecture(len(prep.codec)),
                          (prep.train[0].shape[1], 1, 1), seed=config.seed)
-    return trainer.train(network, prep.train, prep.val, config,
-                         class_names=prep.codec.classes)
+    return trainer.train(network, prep.train, prep.val, config)
 
 
 def _save_trained(manifest, out, prep, network, state):

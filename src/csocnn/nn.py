@@ -16,7 +16,10 @@ the elements. The final Dense layer carries a softmax so the network emits
 per-sample class probabilities directly. Only a train-mode forward keeps the
 per-layer arrays backward needs; an inference forward frees each layer's
 intermediates as it goes, and folds each Conv2D -> BatchNorm pair into one
-conv (Jacob et al., 2018).
+conv (Jacob et al., 2018). Training folds the pair of the conv that reads
+the network input too, with batch statistics taken from the conv's few
+input columns, and backward takes the pair's gradients from the conv's
+kernel-gradient GEMM, so no BatchNorm pass over its activation remains.
 """
 
 import math
@@ -422,18 +425,75 @@ def _folds_into_batch_norm(layers, i):
             and layers[i + 1].kind == "BatchNorm")
 
 
-def _fold_batch_norm(network, i):
-    """(K, F) kernel and bias of Conv2D layer i with the inference BatchNorm
-    at i + 1 folded in (Jacob et al., 2018, section 3.2): kernel W*g/s and
-    bias (b - mean)*g/s + beta, with s = sqrt(running_var + BN_EPSILON).
-    Computed in float64 and cast once; the network's arrays are only read."""
+def _folds_in_training(layers, i):
+    """Whether a train forward folds the BatchNorm after Conv2D layer i into
+    it too: only for the conv that reads the network input. Any other conv
+    needs its input gradient, and its Gram matrix would cost M*K^2 (K = 192
+    at layers 4 and 7 of default_architecture)."""
+    return i == 1 and _folds_into_batch_norm(layers, i)
+
+
+def _update_running_stats(network, i, mean, var):
+    """Blend a batch's mean and variance into BatchNorm i's running stats at
+    BN_MOMENTUM, cast to the network's dtype."""
+    for key, value in (("mean", mean), ("var", var)):
+        old = network.bn_stats[f"{i}.{key}"]
+        network.bn_stats[f"{i}.{key}"] = (
+            BN_MOMENTUM * old + (1 - BN_MOMENTUM) * value).astype(network.dtype)
+
+
+def _fold_batch_norm(network, i, cols=None):
+    """(K, F) kernel and bias of Conv2D layer i with the BatchNorm at i + 1
+    folded in (Jacob et al., 2018, section 3.2), and the BatchNorm's train
+    cache entry: kernel W*g/s and bias (b - mean)*g/s + beta, with
+    s = sqrt(var + BN_EPSILON), computed in float64 and cast once.
+
+    Without cols, mean and var are the running stats, the entry is empty and
+    the network's arrays are only read. Given the conv's (M, K) im2col
+    columns, they are the batch statistics of the conv output cols @ W
+    (Ioffe & Szegedy, 2015, Algorithm 1), taken from the columns in float64:
+    mean = mu_c @ W and var_f = w_f' Sigma w_f, with mu_c the column mean
+    and Sigma = (cols - mu_c)'(cols - mu_c) / M their centred K x K Gram
+    matrix. They update the running stats, the inert conv bias counts as
+    0, and the entry keeps mu_c, Sigma and std for backward."""
     p, j = network.params, i + 1
-    var = network.bn_stats[f"{j}.var"].astype(np.float64)
-    scale = p[f"{j}.gamma"] / np.sqrt(var + BN_EPSILON)
-    kernel = p[f"{i}.kernel"].reshape(-1, scale.size) * scale
-    bias = ((p[f"{i}.bias"].astype(np.float64) - network.bn_stats[f"{j}.mean"])
-            * scale + p[f"{j}.beta"])
-    return kernel.astype(network.dtype), bias.astype(network.dtype)
+    kernel = p[f"{i}.kernel"].reshape(-1, p[f"{j}.gamma"].size)
+    if cols is None:
+        mean = network.bn_stats[f"{j}.mean"]
+        var = network.bn_stats[f"{j}.var"].astype(np.float64)
+        bias = p[f"{i}.bias"].astype(np.float64)
+    else:
+        centred = cols.astype(np.float64)
+        # a GEMV: numpy's mean over the rows of so few columns is far slower
+        mu = np.ones(len(centred)) @ centred / len(centred)
+        centred -= mu
+        sigma = centred.T @ centred / len(centred)
+        mean = mu @ kernel
+        var = ((sigma @ kernel) * kernel).sum(axis=0)
+        _update_running_stats(network, j, mean, var)
+        bias = 0.0
+    std = np.sqrt(var + BN_EPSILON)
+    scale = p[f"{j}.gamma"] / std
+    entry = {} if cols is None else {"mu": mu, "sigma": sigma, "std": std}
+    return ((kernel * scale).astype(network.dtype),
+            ((bias - mean) * scale + p[f"{j}.beta"]).astype(network.dtype),
+            entry)
+
+
+def _folded_batch_norm_backward(g, dz, kernel, gamma, entry):
+    """(dW, dgamma, dbeta) of a conv and the BatchNorm a train forward
+    folded into it, from dz, the (M, F) gradient at the BatchNorm's output,
+    and G = cols' dz, the conv's kernel-gradient GEMM run on it. With
+    s = sum(dz) and Gc = G - mu_c s' (the centred columns' product with dz):
+    dbeta = s, dgamma = sum_k(Gc * W) / std and
+    dW = gamma / std * (Gc - Sigma W dgamma / std), which is cols' times the
+    BatchNorm's input gradient. Computed in float64 and cast once."""
+    s = dz.sum(axis=0, dtype=np.float64)
+    gc = g - np.outer(entry["mu"], s)
+    std = entry["std"]
+    dgamma = (gc * kernel).sum(axis=0) / std
+    dw = gamma / std * (gc - (entry["sigma"] @ kernel) * (dgamma / std))
+    return dw.astype(g.dtype), dgamma.astype(g.dtype), s.astype(g.dtype)
 
 
 def forward(network, batch, mode):
@@ -446,18 +506,22 @@ def forward(network, batch, mode):
     mask per ReLU, on the entry of the layer that runs it. A ReLU that feeds
     a MaxPool2D runs after the pool, with the same bits (_run_activations),
     so its mask is at pooled resolution. Every Conv2D is one 2-D GEMM of its
-    (N*H*W, K) columns by its (K, F) kernel. A train forward adds no bias to a conv that feeds
-    a BatchNorm with no activation between: the batch mean cancels it. In
-    inference mode BatchNorm uses the
-    stored running stats, the call has no side effects, and the cache holds
-    no layer arrays: each layer's intermediates are dropped once the next
-    layer has read them, and backward() rejects the cache. Inference folds
-    each Conv2D with no activation into the BatchNorm that follows it: the
-    same GEMM with the folded kernel and bias, then the BatchNorm's
-    activation. Its rounding differs from the unfolded pair's in the last
-    bits; a BatchNorm with no such conv before it normalizes as in training.
-    The fold keeps the conv bias's (b - mean) term, so a model file whose
-    conv biases are nonzero still scores exactly.
+    (N*H*W, K) columns by its (K, F) kernel. A train forward adds no bias to
+    a conv that feeds a BatchNorm with no activation between: the batch mean
+    cancels it.
+
+    Inference folds each Conv2D with no activation into the BatchNorm that
+    follows it: the same GEMM with the folded kernel and bias, then the
+    BatchNorm's activation. Training folds that pair only for the conv that
+    reads the network input, with batch statistics from its columns
+    (_fold_batch_norm), and that BatchNorm's entry keeps no xhat. A fold
+    rounds differently from the unfolded pair in the last bits. In inference
+    mode BatchNorm uses the stored running stats, the call has no side
+    effects, and the cache holds no layer arrays: each layer's
+    intermediates are dropped once the next layer has read them, and
+    backward() rejects the cache. The inference fold keeps the conv bias's
+    (b - mean) term, so a model file whose conv biases are nonzero still
+    scores exactly.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -486,9 +550,11 @@ def forward(network, batch, mode):
         elif spec.kind == "Conv2D":
             kh, kw = spec.kernel
             cols = _im2col(x, kh, kw)
+            cols2 = cols.reshape(-1, cols.shape[-1])
             inert = _folds_into_batch_norm(network.layers, i)
-            if inert and not train:
-                kmat, bias = _fold_batch_norm(network, i)
+            if inert and (not train or _folds_in_training(network.layers, i)):
+                kmat, bias, bn_cache = _fold_batch_norm(
+                    network, i, cols2 if train else None)
                 # the BatchNorm's activation runs on the folded output
                 folded = i + 1
                 act = acts[folded]
@@ -497,13 +563,12 @@ def forward(network, batch, mode):
                     -1, spec.filters_or_units)
                 # the next BatchNorm's batch mean cancels an inert bias
                 bias = None if inert else network.params[f"{i}.bias"]
-            z = (cols.reshape(-1, cols.shape[-1]) @ kmat).reshape(
-                *cols.shape[:-1], -1)
+            z = (cols2 @ kmat).reshape(*cols.shape[:-1], -1)
             if bias is not None:
                 z += bias
             if train:
                 cache["cols"] = cols
-            del cols
+            del cols, cols2
         elif spec.kind == "BatchNorm":
             gamma, beta = network.params[f"{i}.gamma"], network.params[f"{i}.beta"]
             if train:
@@ -511,12 +576,7 @@ def forward(network, batch, mode):
                 xc = x - mean
                 # the sum of squared deviations x.var would take, in its order
                 var = np.square(xc).mean(axis=(0, 1, 2))
-                network.bn_stats[f"{i}.mean"] = (
-                    BN_MOMENTUM * network.bn_stats[f"{i}.mean"]
-                    + (1 - BN_MOMENTUM) * mean).astype(network.dtype)
-                network.bn_stats[f"{i}.var"] = (
-                    BN_MOMENTUM * network.bn_stats[f"{i}.var"]
-                    + (1 - BN_MOMENTUM) * var).astype(network.dtype)
+                _update_running_stats(network, i, mean, var)
             else:
                 mean = network.bn_stats[f"{i}.mean"]
                 var = network.bn_stats[f"{i}.var"]
@@ -538,13 +598,17 @@ def forward(network, batch, mode):
             cache["x"] = x
         x = _activate(z, act)
         if train:
+            layer_caches.append(cache)
+            if folded == i + 1:
+                # the folded BatchNorm's entry, which runs the activation
+                cache = bn_cache
+                layer_caches.append(cache)
             if act == "relu":
                 # a = max(z, 0) > 0 exactly where z > 0 (NaN fails both)
                 cache["mask"] = x > 0
                 if "argmax" in cache:
                     # a pool over the ReLU's zeros picks slot 0
                     cache["argmax"] *= cache["mask"]
-            layer_caches.append(cache)
 
     probs = x
     full_cache = {
@@ -591,10 +655,13 @@ def backward(network, cache, true_labels):
     """Gradients of the mean sparse cross-entropy loss for every trainable
     parameter, given the cache of a train-mode forward on the same batch.
     Layer 1's GEMM input gradient, which would go to the batch, is skipped.
-    A conv bias that the train forward left inert (the conv feeds a
-    BatchNorm with no activation between) gets an exact-zero gradient, so
-    Adam never moves it. A layer's gradient is masked by the ReLU mask its
-    cache entry holds, if any.
+    A BatchNorm that the train forward folded into the conv before it hands
+    its output gradient on unchanged, and the conv turns its kernel-gradient
+    GEMM into the pair's gradients (_folded_batch_norm_backward). A conv
+    bias that the train forward left inert (the conv feeds a BatchNorm with
+    no activation between) gets an exact-zero gradient, so Adam never moves
+    it. A layer's gradient is masked by the ReLU mask its cache entry holds,
+    if any.
     Backward consumes the cache: it drops each layer's entry as it passes
     it, and a spent cache is rejected."""
     if cache["mode"] != "train":
@@ -621,6 +688,7 @@ def backward(network, cache, true_labels):
 
     grads = {}
     layer_caches = cache["layers"]
+    folded = None  # the entry of a BatchNorm the conv before it absorbed
     for i in range(len(network.layers) - 1, 0, -1):
         spec = network.layers[i]
         # the entry is dropped here and its arrays go once lc is rebound (the
@@ -640,8 +708,15 @@ def backward(network, cache, true_labels):
                 np.zeros_like(network.params[f"{i}.bias"])
                 if _folds_into_batch_norm(network.layers, i)
                 else dz.sum(axis=(0, 1, 2)))
-            grads[f"{i}.kernel"] = (lc["cols"].reshape(-1, lc["cols"].shape[-1]).T
-                                    @ dz2).reshape(kernel.shape)
+            g = lc["cols"].reshape(-1, lc["cols"].shape[-1]).T @ dz2
+            if folded is not None:
+                # dz is the gradient at the folded BatchNorm's output
+                j = i + 1
+                g, grads[f"{j}.gamma"], grads[f"{j}.beta"] = (
+                    _folded_batch_norm_backward(
+                        g, dz2, kernel.reshape(g.shape),
+                        network.params[f"{j}.gamma"], folded))
+            grads[f"{i}.kernel"] = g.reshape(kernel.shape)
             if i > 1:
                 dcols = dz2 @ kernel.reshape(-1, dz2.shape[1]).T
                 grad = _col2im(dcols.reshape(lc["cols"].shape), lc["shape"],
@@ -649,8 +724,13 @@ def backward(network, cache, true_labels):
                 del dcols
             del dz2
         elif spec.kind == "BatchNorm":
-            grad, grads[f"{i}.gamma"], grads[f"{i}.beta"] = _batch_norm_backward(
-                dz, lc["xhat"], lc["std"], network.params[f"{i}.gamma"])
+            if "sigma" in lc:
+                # folded into the conv before it, which takes its gradients
+                grad, folded = dz, lc
+            else:
+                grad, grads[f"{i}.gamma"], grads[f"{i}.beta"] = (
+                    _batch_norm_backward(dz, lc["xhat"], lc["std"],
+                                         network.params[f"{i}.gamma"]))
         elif spec.kind == "MaxPool2D":
             grad = _max_pool_backward(dz, lc["shape"], *spec.kernel,
                                       spec.padding, lc)

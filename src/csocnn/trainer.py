@@ -1,9 +1,8 @@
 """Mini-batch training loop with plateau LR reduction, early stopping, and
 best-model checkpointing.
 
-The best model is kept in memory; checkpoint files are written only when a
-checkpoint directory is given. Callbacks run in a fixed order at every epoch
-end: checkpoint first (so the best model is kept even when the same epoch
+The best model is kept in memory; the caller saves it. Callbacks run in a
+fixed order at every epoch end: checkpoint first (so the best model is kept even when the same epoch
 triggers the stop), then the learning-rate reduction, then the early-stop
 decision. "Improvement" means validation accuracy strictly above the best
 seen so far; the two plateau counters are independent, and the LR counter
@@ -13,12 +12,10 @@ also resets after a reduction.
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import TrainingDiverged
-from .model_io import save_model
 from .nn import Network, backward, forward, loss_sparse_ce, predict
 from .optim import AdamState, adam_step
 
@@ -34,7 +31,6 @@ class TrainConfig:
     batch_size: int = 640
     initial_lr: float = 1e-3
     seed: int = 0
-    checkpoint_dir: str | None = None  # None: no files written
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -47,8 +43,6 @@ class TrainConfig:
 class TrainingState:
     """Epoch histories plus the callback bookkeeping."""
 
-    class_names: tuple
-    checkpoint_dir: Path | None = None
     epochs: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
     train_acc: list = field(default_factory=list)
@@ -59,7 +53,6 @@ class TrainingState:
     best_val_loss: float | None = None
     best_epoch: int | None = None
     best_network: Network | None = None
-    checkpoint_path: Path | None = None
     lr_stall_epochs: int = 0
     stop_stall_epochs: int = 0
     stopped_early: bool = False
@@ -85,15 +78,9 @@ class TrainingState:
 
 def checkpoint(network, state, epoch, val_loss, val_acc):
     """Keep a copy of the network when val_acc strictly exceeds the best
-    seen, and save it to a file when the state has a checkpoint directory;
-    ties and regressions keep nothing."""
+    seen; ties and regressions keep nothing."""
     if val_acc > state.best_val_acc:
         state.best_network = network.clone()
-        if state.checkpoint_dir is not None:
-            state.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            path = state.checkpoint_dir / f"checkpoint-{epoch:03d}-{val_loss:.4}.model"
-            save_model(path, network, state.class_names)
-            state.checkpoint_path = path
         state.best_val_acc = val_acc
         state.best_val_loss = val_loss
         state.best_epoch = epoch
@@ -126,7 +113,7 @@ def evaluate(network, dataset):
     return loss, accuracy, predictions, probs
 
 
-def train(network, train_set, val_set, config, class_names=None):
+def train(network, train_set, val_set, config):
     """Seeded mini-batch training; returns (best network, state).
 
     Shuffles every epoch, keeps the last partial batch, evaluates validation
@@ -135,10 +122,7 @@ def train(network, train_set, val_set, config, class_names=None):
     loss.
     """
     x_train, y_train = np.asarray(train_set[0]), np.asarray(train_set[1])
-    if class_names is None:
-        class_names = tuple(f"class_{i}" for i in range(network.num_classes))
-    ckpt_dir = None if config.checkpoint_dir is None else Path(config.checkpoint_dir)
-    state = TrainingState(class_names=tuple(class_names), checkpoint_dir=ckpt_dir)
+    state = TrainingState()
     adam = AdamState(learning_rate=config.initial_lr)
     rng = np.random.default_rng(config.seed)
     n = len(y_train)

@@ -201,12 +201,10 @@ def test_criterion_06_split_fidelity():
 
 # --- 7. callback semantics --------------------------------------------------------
 
-def _drive(config, val_accs, tmp_path):
-    from pathlib import Path
+def _drive(config, val_accs):
     net = nn.Network([nn.input_layer(), nn.dense(2, activation="softmax")],
                      (2,), seed=0)
-    state = trainer.TrainingState(checkpoint_dir=Path(tmp_path),
-                                  class_names=("a", "b"))
+    state = trainer.TrainingState()
     adam = AdamState(learning_rate=config.initial_lr)
     lr_after_epoch = []
     stop_epoch = None
@@ -217,21 +215,23 @@ def _drive(config, val_accs, tmp_path):
         if stop:
             stop_epoch = epoch
             break
+    # the best epoch's network is kept in memory, as a copy
+    assert state.best_network is not None and state.best_network is not net
     return lr_after_epoch, stop_epoch
 
 
-def test_criterion_07_callback_semantics(tmp_path):
+def test_criterion_07_callback_semantics():
     # scenario A: lr halves at the end of epoch 4 after two flat epochs
     lrs, _ = _drive(trainer.TrainConfig(initial_lr=1e-3),
-                    [0.90, 0.91, 0.91, 0.91], tmp_path / "a")
+                    [0.90, 0.91, 0.91, 0.91])
     assert lrs == [1e-3, 1e-3, 1e-3, 5e-4]
     # scenario B: reduction clamps at the 1e-5 floor, not 7.5e-6
     lrs, _ = _drive(trainer.TrainConfig(initial_lr=1.5e-5),
-                    [0.9, 0.9, 0.9], tmp_path / "b")
+                    [0.9, 0.9, 0.9])
     assert lrs[-1] == 1e-5
     # scenario C: two consecutive non-improving epochs halt training
     _, stop_epoch = _drive(trainer.TrainConfig(initial_lr=1e-3),
-                           [0.90, 0.89, 0.88], tmp_path / "c")
+                           [0.90, 0.89, 0.88])
     assert stop_epoch == 3
     _report(7, "lr halves after patience 2, clamps at 1e-5, and early stop "
                "fires after epoch 3 — all three scripted scenarios exact")
@@ -246,8 +246,7 @@ def test_criterion_08_desk_scale_training():
     prep = data.prepare_dataset(flows, seed=8)
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=8)
     config = trainer.TrainConfig(seed=8)  # defaults: 5 epochs, batch 640
-    best, state = trainer.train(net, prep.train, prep.val, config,
-                                class_names=prep.codec.classes)
+    best, state = trainer.train(net, prep.train, prep.val, config)
     _, test_acc, _, _ = trainer.evaluate(best, prep.test)
     elapsed = time.time() - start
     assert test_acc >= 0.95
@@ -342,8 +341,7 @@ def test_criterion_11_detector_consistency(small_blobs):
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=11)
     config = trainer.TrainConfig(epochs=2, batch_size=128, initial_lr=3e-3,
                                  seed=11)
-    best, _ = trainer.train(net, prep.train, prep.val, config,
-                            class_names=prep.codec.classes)
+    best, _ = trainer.train(net, prep.train, prep.val, config)
     x, y = prep.test
     benign = list(prep.codec.classes).index("Benign")
     policy = detector.DetectionPolicy(threshold=0.5, benign_class_index=benign)

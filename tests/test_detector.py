@@ -13,8 +13,7 @@ def trained_setup():
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=17)
     config = trainer.TrainConfig(epochs=2, batch_size=128, initial_lr=3e-3,
                                  seed=17)
-    best, _ = trainer.train(net, prep.train, prep.val, config,
-                            class_names=prep.codec.classes)
+    best, _ = trainer.train(net, prep.train, prep.val, config)
     return prep, best
 
 

@@ -222,3 +222,202 @@ def test_col2im_matches_zero_filled_sum_bit_for_bit(kernel, x_shape, dtype, uint
     want = _zero_fill_col2im(dcols, x_shape, kh, kw)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got.view(uint), want.view(uint))
+
+
+# --- the input conv's BatchNorm folded in training ---------------------------
+
+def _unfolded_pair(x, kernel, gamma, beta, dy):
+    """A train-mode Conv2D -> BatchNorm pair as two layers, as nn ran every
+    pair before training folded the input conv's and still runs the others:
+    the conv's GEMM with no bias, the BatchNorm over batch statistics, then
+    BatchNorm's backward from dy and the conv's kernel and input gradients.
+    Returns (out, mean, var, dkernel, dgamma, dbeta, dx)."""
+    kh, kw, _, f = kernel.shape
+    kmat = kernel.reshape(-1, f)
+    cols = nn._im2col(x, kh, kw)
+    cols2 = cols.reshape(-1, cols.shape[-1])
+    z = (cols2 @ kmat).reshape(*cols.shape[:-1], -1)
+    mean = z.mean(axis=(0, 1, 2))
+    xhat = z - mean
+    var = np.square(xhat).mean(axis=(0, 1, 2))
+    std = np.sqrt(var + nn.BN_EPSILON)
+    xhat /= std
+    out = xhat * gamma
+    out += beta
+    m = dy.size // f
+    grad = dy * xhat
+    dgamma, dbeta = grad.sum(axis=(0, 1, 2)), dy.sum(axis=(0, 1, 2))
+    np.multiply(xhat, dgamma / m, out=grad)
+    grad += dbeta / m
+    np.subtract(dy, grad, out=grad)
+    grad *= gamma / std
+    dz2 = grad.reshape(-1, f)
+    dkernel = (cols2.T @ dz2).reshape(kernel.shape)
+    dx = nn._col2im((dz2 @ kmat.T).reshape(cols.shape), x.shape, kh, kw)
+    return out, mean, var, dkernel, dgamma, dbeta, dx
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap nn.<name> so that record(args, result) sees every call as it
+    returns; a record copies what later code edits in place (backward masks
+    an input gradient in place)."""
+    original = getattr(nn, name)
+
+    def spy(*args):
+        result = original(*args)
+        record(args, result)
+        return result
+
+    monkeypatch.setattr(nn, name, spy)
+
+
+def _off_init(layers, input_shape, dtype, seed):
+    """A network with gamma, beta and every bias off their initial values;
+    a conv bias in front of a BatchNorm stays inert in training."""
+    net = nn.Network(layers, input_shape, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for key, value in net.params.items():
+        if key.endswith((".gamma", ".beta", ".bias")):
+            low = 0.5 if key.endswith(".gamma") else -0.5
+            value[:] = rng.uniform(low, low + 1.5, value.shape)
+    return net
+
+
+def _step(net, x, y):
+    """Probabilities, gradients and running stats of one train step on a
+    clone of net."""
+    net = net.clone()
+    probs, cache = forward(net, x, "train")
+    return probs, nn.backward(net, cache, y), net.bn_stats
+
+
+def _relative_error(got, want):
+    scale = np.abs(want).max()
+    return float(np.abs(got - want).max() / scale) if scale else float(
+        np.abs(got).max())
+
+
+_FOLD_NETS = {
+    "default": (nn.default_architecture(5), (75, 1, 1), 64),
+    "toy": (toy_layers(), (9, 1, 1), 16),
+    # a 3 x 2 kernel over two channels (K = 12), and a ReLU that stays on
+    # the folded BatchNorm, whose entry then carries the mask
+    "relu_kept": ([nn.input_layer(), nn.conv2d(4, (3, 2)),
+                   nn.batch_norm(activation="relu"), nn.flatten(),
+                   nn.dense(3, activation="softmax")], (6, 5, 2), 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_NETS))
+def test_train_fold_matches_unfolded_pair_in_float64(monkeypatch, name):
+    layers, input_shape, n = _FOLD_NETS[name]
+    assert nn._folds_in_training(layers, 1)
+    net = _off_init(layers, input_shape, np.float64, seed=n)
+    rng = np.random.default_rng(n)
+    x = rng.random((n, *input_shape))
+    y = rng.integers(0, net.num_classes, n)
+    seen = []
+    _spy(monkeypatch, "_folded_batch_norm_backward",
+         lambda args, result: seen.append((args[1], result)))
+    probs, grads, stats = _step(net, x, y)
+    assert len(seen) == 1
+    monkeypatch.setattr(nn, "_folds_in_training", lambda layers, i: False)
+    want_probs, want_grads, want_stats = _step(net, x, y)
+    assert _relative_error(probs, want_probs) <= 1e-12
+    assert set(grads) == set(want_grads)
+    for key in want_grads:
+        assert _relative_error(grads[key], want_grads[key]) <= 1e-12, key
+    for key in want_stats:
+        assert _relative_error(stats[key], want_stats[key]) <= 1e-12, key
+    # the pair alone, from the gradient the fold saw at its output
+    dy, (dkernel, dgamma, dbeta) = seen[0]
+    p = net.params
+    _, mean, var, want_dkernel, want_dgamma, want_dbeta, _ = _unfolded_pair(
+        x, p["1.kernel"], p["2.gamma"], p["2.beta"],
+        dy.reshape(n, *net.shapes[1]))
+    assert _relative_error(dkernel.reshape(want_dkernel.shape),
+                           want_dkernel) <= 1e-12
+    assert _relative_error(dgamma, want_dgamma) <= 1e-12
+    assert _relative_error(dbeta, want_dbeta) <= 1e-12
+    blend = nn.BN_MOMENTUM * net.bn_stats["2.mean"] + (1 - nn.BN_MOMENTUM) * mean
+    assert _relative_error(stats["2.mean"], blend) <= 1e-12
+    blend = nn.BN_MOMENTUM * net.bn_stats["2.var"] + (1 - nn.BN_MOMENTUM) * var
+    assert _relative_error(stats["2.var"], blend) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unfolded_pairs_keep_the_oracles_bits(monkeypatch, dtype):
+    # momentum 0 makes the running stats the batch statistics
+    monkeypatch.setattr(nn, "BN_MOMENTUM", 0.0)
+    net = _off_init(nn.default_architecture(5), (75, 1, 1), dtype, seed=9)
+    rng = np.random.default_rng(9)
+    x = rng.random((48, 75, 1, 1)).astype(dtype)
+    y = rng.integers(0, 5, 48)
+    conv_in, pool_in, bn_dz, conv_dx = [], [], [], []
+    _spy(monkeypatch, "_im2col",
+         lambda args, _: conv_in.append(args[0].copy()))
+    _spy(monkeypatch, "_max_pool",
+         lambda args, _: pool_in.append(args[0].copy()))
+    _spy(monkeypatch, "_batch_norm_backward",
+         lambda args, _: bn_dz.append(args[0].copy()))
+    _spy(monkeypatch, "_col2im",
+         lambda _, result: conv_dx.append(result.copy()))
+    _, grads, stats = _step(net, x, y)
+    # forward runs convs 1, 4, 7 and pools 3, 6, 9; backward runs
+    # BatchNorms 8, 5 and the input gradients of convs 7, 4
+    for conv, k in ((4, 1), (7, 2)):
+        bn = conv + 1
+        p = net.params
+        out, mean, var, dkernel, dgamma, dbeta, dx = _unfolded_pair(
+            conv_in[k], p[f"{conv}.kernel"], p[f"{bn}.gamma"],
+            p[f"{bn}.beta"], bn_dz[2 - k])
+        assert pool_in[k].tobytes() == out.tobytes(), conv
+        assert stats[f"{bn}.mean"].tobytes() == mean.astype(dtype).tobytes()
+        assert stats[f"{bn}.var"].tobytes() == var.astype(dtype).tobytes()
+        assert grads[f"{conv}.kernel"].tobytes() == dkernel.tobytes(), conv
+        assert grads[f"{bn}.gamma"].tobytes() == dgamma.tobytes(), conv
+        assert grads[f"{bn}.beta"].tobytes() == dbeta.tobytes(), conv
+        assert conv_dx[2 - k].tobytes() == dx.tobytes(), conv
+
+
+def test_train_fold_in_float32_is_no_less_accurate(monkeypatch):
+    # momentum 0 makes the running stats the batch statistics
+    monkeypatch.setattr(nn, "BN_MOMENTUM", 0.0)
+    # the production batch, on features scaled into [0, 1] as data.py does
+    layers, n = nn.default_architecture(5), 640
+    net = _off_init(layers, (75, 1, 1), np.float32, seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.random((n, 75, 1, 1)).astype(np.float32)
+    y = rng.integers(0, 5, n)
+    folded_out, dys = [], []
+    _spy(monkeypatch, "_max_pool",
+         lambda args, _: folded_out.append(args[0].copy()))
+    _spy(monkeypatch, "_folded_batch_norm_backward",
+         lambda args, _: dys.append(args[1].copy()))
+    probs, grads, stats = _step(net, x, y)
+    # the pair alone, from the float32 gradient at its output: the fold and
+    # the unfolded pair, each against the unfolded pair in float64
+    p = net.params
+    args = (x, p["1.kernel"], p["2.gamma"], p["2.beta"],
+            dys[0].reshape(n, *net.shapes[1]))
+    want = _unfolded_pair(*(a.astype(np.float64) for a in args))
+    old = _unfolded_pair(*args)
+    got = (folded_out[0], stats["2.mean"], stats["2.var"], grads["1.kernel"],
+           grads["2.gamma"], grads["2.beta"])
+    for name, g, o, w in zip(("out", "mean", "var", "dkernel", "dgamma",
+                              "dbeta"), got, old, want):
+        assert _relative_error(g, w) <= _relative_error(o, w), name
+    # the whole network against its float64 twin: the probabilities are no
+    # less accurate, and every gradient is within twice the unfolded run's
+    # error, since the gradient reaching the pair carries the float32
+    # rounding of every later layer either way
+    wide = nn.Network(layers, (75, 1, 1), dtype=np.float64)
+    wide.params = {k: v.astype(np.float64) for k, v in p.items()}
+    want_probs, want_grads, _ = _step(wide, x, y)
+    monkeypatch.setattr(nn, "_folds_in_training", lambda layers, i: False)
+    old_probs, old_grads, _ = _step(net, x, y)
+    assert (_relative_error(probs, want_probs)
+            <= _relative_error(old_probs, want_probs))
+    for key in want_grads:
+        assert (_relative_error(grads[key], want_grads[key])
+                <= 2 * _relative_error(old_grads[key], want_grads[key])), key

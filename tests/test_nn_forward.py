@@ -160,10 +160,14 @@ def test_train_cache_keeps_only_what_backward_reads(monkeypatch):
 
     monkeypatch.setattr(nn, "_activate", recording)
     _, cache = forward(net, x, "train")
+    # the train forward folds BatchNorm 2 into conv 1, so the pair runs one
+    # _activate, on the BatchNorm's output
+    ran = [i for i in range(len(net.layers)) if i != 2]
+    assert len(outputs) == len(ran)
     # conv outputs feed BatchNorm and BatchNorm outputs feed pools; neither
     # reader keeps them
-    unread = [outputs[i] for i, spec in enumerate(net.layers)
-              if spec.kind in ("Conv2D", "BatchNorm")]
+    unread = [out for i, out in zip(ran, outputs)
+              if net.layers[i].kind in ("Conv2D", "BatchNorm")]
     # a BatchNorm's ReLU runs after the pool that reads it, so its mask sits
     # on the pool's entry at pooled resolution; one mask per ReLU
     runs_relu = [i + 1 if net.layers[i + 1].kind == "MaxPool2D" else i
@@ -178,6 +182,14 @@ def test_train_cache_keeps_only_what_backward_reads(monkeypatch):
         for value in lc.values():
             if isinstance(value, np.ndarray):
                 assert not any(np.shares_memory(value, out) for out in unread)
+    # the folded BatchNorm keeps the column mean, the columns' Gram matrix
+    # and std instead of xhat: no array as large as its output
+    folded = cache["layers"][2]
+    assert {"mu", "sigma", "std"} <= set(folded) and "xhat" not in folded
+    out_nbytes = 16 * np.prod(net.shapes[2]) * net.dtype.itemsize
+    assert all(v.nbytes < out_nbytes for v in folded.values()
+               if isinstance(v, np.ndarray))
+    assert all("xhat" in cache["layers"][i] for i in (5, 8))
 
 
 # --- MaxPool against the argmax pool it replaced ----------------------------

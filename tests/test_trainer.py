@@ -1,23 +1,19 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from conftest import toy_layers
 from csocnn import data, nn, trainer
 from csocnn.errors import TrainingDiverged
-from csocnn.model_io import load_model
 from csocnn.nn import forward
 from csocnn.optim import AdamState
 
 
-def _scripted_run(val_accs, config, tmp_path, network=None):
+def _scripted_run(val_accs, config, network=None):
     """Drive the epoch-end callback ladder with a scripted val-acc sequence.
 
     Returns (lr per epoch, stop epoch or None, state)."""
     network = network or nn.Network(toy_layers(2), (4, 1, 1), seed=0)
-    state = trainer.TrainingState(checkpoint_dir=Path(tmp_path),
-                                  class_names=("a", "b"))
+    state = trainer.TrainingState()
     adam = AdamState(learning_rate=config.initial_lr)
     lrs = []
     stopped_at = None
@@ -31,75 +27,68 @@ def _scripted_run(val_accs, config, tmp_path, network=None):
     return lrs, stopped_at, state, adam
 
 
-def test_lr_halves_after_two_flat_epochs(tmp_path):
+def test_lr_halves_after_two_flat_epochs():
     config = trainer.TrainConfig(initial_lr=1e-3, epochs=4)
-    lrs, stopped, _, adam = _scripted_run([0.90, 0.91, 0.91, 0.91], config,
-                                          tmp_path)
+    lrs, stopped, _, adam = _scripted_run([0.90, 0.91, 0.91, 0.91], config)
     # plateau counter reaches patience 2 at the end of epoch 4
     assert lrs == [1e-3, 1e-3, 1e-3, 1e-3]
     assert adam.learning_rate == pytest.approx(5e-4)
 
 
-def test_lr_reduction_clamps_at_minimum(tmp_path):
+def test_lr_reduction_clamps_at_minimum():
     config = trainer.TrainConfig(initial_lr=1.5e-5, epochs=3)
-    lrs, _, _, adam = _scripted_run([0.9, 0.9, 0.9], config, tmp_path)
+    lrs, _, _, adam = _scripted_run([0.9, 0.9, 0.9], config)
     assert adam.learning_rate == pytest.approx(1e-5)  # not 7.5e-6
 
 
-def test_early_stop_after_two_non_improving_epochs(tmp_path):
+def test_early_stop_after_two_non_improving_epochs():
     config = trainer.TrainConfig(initial_lr=1e-3, epochs=10)
-    _, stopped, state, _ = _scripted_run([0.90, 0.89, 0.88], config, tmp_path)
+    _, stopped, state, _ = _scripted_run([0.90, 0.89, 0.88], config)
     assert stopped == 3
     assert state.best_epoch == 1
 
 
-def test_early_stop_never_fires_before_patience_plus_one(tmp_path):
+def test_early_stop_never_fires_before_patience_plus_one():
     config = trainer.TrainConfig(initial_lr=1e-3, epochs=10)
-    _, stopped, _, _ = _scripted_run([0.5, 0.4], config, tmp_path)
+    _, stopped, _, _ = _scripted_run([0.5, 0.4], config)
     assert stopped is None  # only 2 epochs ran; needs patience+1 = 3
 
 
-def test_counters_reset_on_improvement(tmp_path):
+def test_counters_reset_on_improvement():
     config = trainer.TrainConfig(initial_lr=1e-3, epochs=6)
     lrs, stopped, _, adam = _scripted_run(
-        [0.5, 0.4, 0.6, 0.5, 0.7, 0.6], config, tmp_path)
+        [0.5, 0.4, 0.6, 0.5, 0.7, 0.6], config)
     assert stopped is None
     assert adam.learning_rate == 1e-3  # never two consecutive stalls
 
 
-def test_first_epoch_always_checkpoints(tmp_path):
-    config = trainer.TrainConfig(initial_lr=1e-3)
-    _, _, state, _ = _scripted_run([0.1], config, tmp_path)
-    assert state.best_epoch == 1
-    assert state.checkpoint_path is not None
-    assert state.checkpoint_path.exists()
-
-
-def test_tie_does_not_checkpoint(tmp_path):
+def test_first_epoch_always_checkpoints():
     network = nn.Network(toy_layers(2), (4, 1, 1), seed=0)
     config = trainer.TrainConfig(initial_lr=1e-3)
-    _, _, state, _ = _scripted_run([0.8, 0.8], config, tmp_path, network)
+    _, _, state, _ = _scripted_run([0.1], config, network)
     assert state.best_epoch == 1
+    # a copy, so later training does not move it
+    best = state.best_network
+    assert best is not network
+    for key, value in network.params.items():
+        assert np.array_equal(best.params[key], value)
+        assert not np.shares_memory(best.params[key], value)
 
 
-def test_checkpoint_filename_format(tmp_path):
+def test_tie_does_not_checkpoint():
     network = nn.Network(toy_layers(2), (4, 1, 1), seed=0)
-    state = trainer.TrainingState(checkpoint_dir=Path(tmp_path),
-                                  class_names=("a", "b"))
-    state.best_val_acc = 0.5
-    trainer.checkpoint(network, state, epoch=3, val_loss=0.0484, val_acc=0.9)
-    assert (Path(tmp_path) / "checkpoint-003-0.0484.model").exists()
+    config = trainer.TrainConfig(initial_lr=1e-3)
+    _, _, state, _ = _scripted_run([0.8, 0.8], config, network)
+    assert state.best_epoch == 1
 
 
 @pytest.fixture(scope="module")
-def trained(small_blobs_module, tmp_path_factory):
+def trained(small_blobs_module):
     prep = small_blobs_module
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=3)
     config = trainer.TrainConfig(epochs=3, batch_size=128, initial_lr=1e-3,
-                                 seed=3,
-                                 checkpoint_dir=str(tmp_path_factory.mktemp("ck")))
-    best, state = trainer.train(net, prep.train, prep.val, config,
-                                class_names=prep.codec.classes)
+                                 seed=3)
+    best, state = trainer.train(net, prep.train, prep.val, config)
     return prep, best, state, config
 
 
@@ -127,22 +116,8 @@ def test_lr_trajectory_is_non_increasing_and_floored(trained):
     assert all(lr >= trainer.MIN_LR for lr in state.lr)
 
 
-def test_returned_network_equals_checkpoint_file(trained):
-    _, best, state, _ = trained
-    stored = load_model(state.checkpoint_path).network
-    for key, value in best.params.items():
-        assert np.array_equal(stored.params[key], value)
-    for key, value in best.bn_stats.items():
-        assert np.array_equal(stored.bn_stats[key], value)
-
-
-def test_train_without_checkpoint_dir_keeps_best_in_memory(
-        small_blobs_module, monkeypatch):
-    def no_files(*args, **kwargs):
-        raise AssertionError("training without a checkpoint_dir touched a file")
-
-    monkeypatch.setattr(trainer, "save_model", no_files)
-    monkeypatch.setattr(trainer, "load_model", no_files, raising=False)
+def test_train_returns_the_best_epochs_network(small_blobs_module,
+                                               monkeypatch):
     snapshots = {}
     epoch_end = trainer.epoch_end
 
@@ -156,7 +131,7 @@ def test_train_without_checkpoint_dir_keeps_best_in_memory(
     config = trainer.TrainConfig(epochs=4, batch_size=128, initial_lr=1e-2,
                                  seed=3)
     best, state = trainer.train(net, prep.train, prep.val, config)
-    assert state.checkpoint_path is None
+    assert best is state.best_network
     assert state.best_epoch < len(state.epochs)  # later epochs changed net
     expected = snapshots[state.best_epoch]
     for key, value in expected.params.items():
@@ -181,34 +156,31 @@ def test_training_keeps_conv_biases_before_batch_norm_at_zero(
         assert np.any(network.params["11.bias"] != 0)
 
 
-def test_training_is_deterministic(small_blobs_module, tmp_path):
+def test_training_is_deterministic(small_blobs_module):
     prep = small_blobs_module
     histories = []
     for run in range(2):
         net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=5)
-        config = trainer.TrainConfig(epochs=2, batch_size=128, seed=5,
-                                     checkpoint_dir=str(tmp_path / f"r{run}"))
+        config = trainer.TrainConfig(epochs=2, batch_size=128, seed=5)
         _, state = trainer.train(net, prep.train, prep.val, config)
         histories.append((state.train_loss, state.val_acc, state.lr))
     assert histories[0] == histories[1]
 
 
-def test_partial_last_batch_is_trained(small_blobs_module, tmp_path):
+def test_partial_last_batch_is_trained(small_blobs_module):
     prep = small_blobs_module
     n = len(prep.train[1])
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=1)
-    config = trainer.TrainConfig(epochs=1, batch_size=n - 1, seed=1,
-                                 checkpoint_dir=str(tmp_path))
+    config = trainer.TrainConfig(epochs=1, batch_size=n - 1, seed=1)
     _, state = trainer.train(net, prep.train, prep.val, config)
     assert len(state.epochs) == 1  # ran, with a 1-sample trailing batch
 
 
-def test_divergence_raises(small_blobs_module, tmp_path):
+def test_divergence_raises(small_blobs_module):
     prep = small_blobs_module
     net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=1)
     net.params["13.weight"][:] = np.nan  # poisoned weights -> non-finite loss
-    config = trainer.TrainConfig(epochs=1, batch_size=64, seed=1,
-                                 checkpoint_dir=str(tmp_path))
+    config = trainer.TrainConfig(epochs=1, batch_size=64, seed=1)
     with pytest.raises(TrainingDiverged):
         trainer.train(net, prep.train, prep.val, config)
 
