@@ -191,6 +191,8 @@ class _SignalGuard:
 def _seed_and_out(args):
     """The run's seed (--seed, or a random one the manifest records) and
     its output directory."""
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     seed = int(args.seed) if args.seed is not None else secrets.randbits(31)
     return seed, Path(args.out or default_out_dir())
 
@@ -470,10 +472,10 @@ def cmd_evaluate(args):
         test_acc = float(np.mean(predictions == labels))
 
         cm = metrics.confusion(labels, predictions, len(codec), codec.classes)
-        report = metrics.class_report(cm)
+        m = metrics.scalar_metrics(cm)
         report_path = out / "classification_report.txt"
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_text())
+            fh.write(metrics.report_text(m))
         manifest.add_artifact(report_path)
         manifest.add_artifact(cm.to_csv(out / "confusion_matrix.csv"))
         manifest.add_artifact(svg.heatmap(
@@ -496,7 +498,6 @@ def cmd_evaluate(args):
              for name, pts, auc in curves],
             x_label="false positive rate", y_label="true positive rate"))
 
-        m = metrics.scalar_metrics(cm)
         averaged = {
             field_name: {
                 "macro": m["macro"][key],

@@ -9,11 +9,12 @@ clamped to VMAX_FRACTION of each span, starting each stint from rest).
 
 The fitness function is called as ``fitness_fn(position, ctx)``, where ctx
 is the EvalContext naming the iteration and cat the evaluation belongs to.
-Fitness values may be plain floats or any totally ordered objects; in the
-latter case ``weight_key`` must project them to floats for the roulette
-weights and history curves. Candidate evaluations within an iteration are
-independent and may run on a thread pool; results are always reduced in
-cat-index order so runs are reproducible regardless of scheduling.
+The swarm maximizes fitness; to minimize f, pass -f. Fitness values may be
+plain floats or any totally ordered objects; in the latter case
+``weight_key`` must project them to floats for the roulette weights and
+history curves. Candidate evaluations within an iteration are independent
+and may run on a thread pool; results are always reduced in cat-index
+order so runs are reproducible regardless of scheduling.
 """
 
 import csv
@@ -61,7 +62,6 @@ class SwarmConfig:
     c1: float = 2.0
     max_iters: int = 100
     seed: int = 0
-    objective: str = "minimize"
     n_workers: int = 1
 
     def __post_init__(self):
@@ -76,14 +76,12 @@ class SwarmConfig:
             raise ValueError("srd must lie in (0, 1]")
         if not 0 < self.cdc <= 1:
             raise ValueError("cdc must lie in (0, 1]")
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
+        if not 0 < self.c1 < math.inf:
+            raise ValueError("c1 must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.objective not in ("minimize", "maximize"):
-            raise ValueError("objective must be 'minimize' or 'maximize'")
 
 
 @dataclass
@@ -114,12 +112,6 @@ def _check_bounds(bounds):
     return lo, hi
 
 
-def _better(a, b, objective):
-    if objective == "minimize":
-        return a < b
-    return a > b
-
-
 def _rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -139,16 +131,10 @@ def init_swarm(config, bounds):
     lo, hi = _check_bounds(bounds)
     rng = _rng(config.seed, 0)
     positions = rng.uniform(lo, hi, (config.n_cats, len(bounds)))
-    n_tracing = round(config.mixture_ratio * config.n_cats)
-    tracing = set(rng.choice(config.n_cats, n_tracing, replace=False).tolist())
-    return [
-        Cat(
-            position=positions[i].copy(),
-            velocity=np.zeros(len(bounds)),
-            mode="tracing" if i in tracing else "seeking",
-        )
-        for i in range(config.n_cats)
-    ]
+    cats = [Cat(position=p, velocity=np.zeros(len(bounds)), mode="seeking")
+            for p in positions]
+    _reassign_modes(cats, config, rng)
+    return cats
 
 
 def _reassign_modes(cats, config, rng):
@@ -183,13 +169,10 @@ def _seeking_candidates(cat, config, bounds, rng):
     return positions
 
 
-def _select_candidate(fitnesses, config, rng, weight_key):
+def _select_candidate(fitnesses, rng, weight_key):
     """Fitness-weighted roulette over the seeking candidates."""
     weights = np.asarray([float(weight_key(f)) for f in fitnesses])
-    if config.objective == "minimize":
-        weights = weights.max() - weights
-    else:
-        weights = weights - weights.min()
+    weights = weights - weights.min()
     total = weights.sum()
     if total <= 0:  # all candidates equally fit: uniform choice
         return int(rng.integers(0, len(fitnesses)))
@@ -212,9 +195,10 @@ def tracing_move(cat, global_best, config, bounds, rng):
 def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     """Run the swarm for max_iters iterations.
 
-    Returns (best_position, best_fitness, history). Deterministic for a
-    fixed (seed, config, bounds, fitness function); fitness failures are
-    raised as FitnessError with the offending position attached.
+    Returns (best_position, best_fitness, history), the best being the
+    largest fitness seen. Deterministic for a fixed (seed, config, bounds,
+    fitness function); fitness failures are raised as FitnessError with the
+    offending position attached.
 
     fitness_fn is called as fitness_fn(position, ctx), with ctx the
     EvalContext naming the (iteration, cat_index) of the evaluation.
@@ -251,7 +235,7 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
 
     best_index = 0
     for i in range(1, len(cats)):
-        if _better(cats[i].fitness, cats[best_index].fitness, config.objective):
+        if cats[i].fitness > cats[best_index].fitness:
             best_index = i
     best_position = cats[best_index].position.copy()
     best_fitness = cats[best_index].fitness
@@ -284,14 +268,14 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
         for cat, (start, move, rng) in zip(cats, plans):
             if cat.mode == "seeking":
                 fitnesses = [cat.fitness] + results[start:start + len(move) - 1]
-                idx = _select_candidate(fitnesses, config, rng, weight_key)
+                idx = _select_candidate(fitnesses, rng, weight_key)
                 cat.position = move[idx]
                 cat.fitness = fitnesses[idx]
             else:
                 cat.position = move.position
                 cat.velocity = move.velocity
                 cat.fitness = results[start]
-            if _better(cat.fitness, best_fitness, config.objective):
+            if cat.fitness > best_fitness:
                 best_fitness = cat.fitness
                 best_position = cat.position.copy()
 

@@ -360,6 +360,8 @@ def make_synthetic_blobs(n, k_classes=5, d=75, separation=3.0, seed=0):
     """
     if n < k_classes:
         raise ValueError(f"need at least {k_classes} records, got {n}")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(k_classes, d)) * separation
     if k_classes == len(DAPT_CLASSES):

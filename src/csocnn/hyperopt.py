@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,9 @@ class SearchSpace:
         for name, (lo, hi) in (("lr_range", self.lr_range),
                                ("batch_range", self.batch_range),
                                ("epoch_range", self.epoch_range)):
-            if lo <= 0 or lo >= hi:
-                raise ValueError(f"{name} must satisfy 0 < lo < hi, got {(lo, hi)}")
+            if not 0 < lo < hi < math.inf:
+                raise ValueError(
+                    f"{name} must satisfy 0 < lo < hi < inf, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -143,15 +144,13 @@ def optimize_hyperparams(space, datasets, arch, swarm_config):
     float projection is validation accuracy, so its best-value sequence is
     non-decreasing.
     """
-    config = replace(swarm_config, objective="maximize")
-
     def fitness(position, ctx):
         hp = decode(position, space)
-        seed = candidate_seed(config.seed, ctx.cat_index, ctx.iteration)
+        seed = candidate_seed(swarm_config.seed, ctx.cat_index, ctx.iteration)
         return evaluate_candidate(hp, datasets, arch, seed)
 
     best_position, best_fitness, history = cso.optimize(
-        fitness, [(0.0, 1.0)] * 3, config,
+        fitness, [(0.0, 1.0)] * 3, swarm_config,
         weight_key=lambda f: f.val_accuracy)
     return decode(best_position, space), best_fitness, history
 

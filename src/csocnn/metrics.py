@@ -162,60 +162,28 @@ def scalar_metrics(cm):
     }
 
 
-@dataclass
-class ClassReport:
-    """Tabular per-class precision/recall/f1/support plus aggregates."""
-
-    rows: list  # (name, precision, recall, f1, support)
-    accuracy: float
-    macro: tuple  # (precision, recall, f1)
-    weighted: tuple
-    total: int
-
-    def to_text(self):
-        """Plain-text layout: class rows, then accuracy, macro avg, and
-        weighted avg lines, all at two decimals."""
-        width = max([len("weighted avg")] + [len(str(r[0])) for r in self.rows])
-        header = f"{'':>{width}}  precision    recall  f1-score   support"
-        lines = [header, ""]
-        for name, p, r, f1, support in self.rows:
-            lines.append(
-                f"{name:>{width}}  {_fmt(p)}  {_fmt(r)}  {_fmt(f1)}  {support:>8d}")
-        lines.append("")
-        lines.append(f"{'accuracy':>{width}}  {'':9s}  {'':8s}  "
-                     f"{_fmt(self.accuracy)}  {self.total:>8d}")
-        lines.append(f"{'macro avg':>{width}}  {_fmt(self.macro[0])}  "
-                     f"{_fmt(self.macro[1])}  {_fmt(self.macro[2])}  {self.total:>8d}")
-        lines.append(f"{'weighted avg':>{width}}  {_fmt(self.weighted[0])}  "
-                     f"{_fmt(self.weighted[1])}  {_fmt(self.weighted[2])}  "
-                     f"{self.total:>8d}")
-        return "\n".join(lines) + "\n"
-
-
 def _fmt(value):
     return f"{value:>9.2f}"
 
 
-def class_report(cm):
-    """Per-class precision/recall/f1/support with macro and weighted
-    averages, in that column order."""
-    m = scalar_metrics(cm)
-    rows = [
-        (name,
-         m["per_class"][name]["precision"],
-         m["per_class"][name]["recall"],
-         m["per_class"][name]["f1"],
-         m["per_class"][name]["support"])
-        for name in cm.class_names
-    ]
-    return ClassReport(
-        rows=rows,
-        accuracy=m["accuracy"],
-        macro=(m["macro"]["precision"], m["macro"]["recall"], m["macro"]["f1"]),
-        weighted=(m["weighted"]["precision"], m["weighted"]["recall"],
-                  m["weighted"]["f1"]),
-        total=cm.total,
-    )
+def report_text(m):
+    """Plain-text classification report from a scalar_metrics dict: per-class
+    precision, recall, f1 and support rows, then accuracy, macro avg and
+    weighted avg lines, all at two decimals."""
+    total = sum(v["support"] for v in m["per_class"].values())
+    width = max([len("weighted avg")] + [len(str(n)) for n in m["per_class"]])
+    lines = [f"{'':>{width}}  precision    recall  f1-score   support", ""]
+    for name, v in m["per_class"].items():
+        lines.append(f"{name:>{width}}  {_fmt(v['precision'])}  "
+                     f"{_fmt(v['recall'])}  {_fmt(v['f1'])}  {v['support']:>8d}")
+    lines.append("")
+    lines.append(f"{'accuracy':>{width}}  {'':9s}  {'':8s}  "
+                 f"{_fmt(m['accuracy'])}  {total:>8d}")
+    for label, key in (("macro avg", "macro"), ("weighted avg", "weighted")):
+        a = m[key]
+        lines.append(f"{label:>{width}}  {_fmt(a['precision'])}  "
+                     f"{_fmt(a['recall'])}  {_fmt(a['f1'])}  {total:>8d}")
+    return "\n".join(lines) + "\n"
 
 
 def binary_roc(positive_mask, scores):

@@ -14,7 +14,7 @@ trained with and the training-run metrics, both optional.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,16 +44,6 @@ def _tensor_names(network):
     for i, spec in enumerate(network.layers):
         for name in _TENSOR_ORDER.get(spec.kind, ()):
             yield f"{i}.{name}", name in ("mean", "var")
-
-
-def _spec_to_json(spec):
-    return {
-        "kind": spec.kind,
-        "kernel": list(spec.kernel) if spec.kernel else None,
-        "filters_or_units": spec.filters_or_units,
-        "padding": spec.padding,
-        "activation": spec.activation,
-    }
 
 
 def _spec_from_json(d):
@@ -86,7 +76,7 @@ def save_model(path, network, class_names, scaler_fingerprint=None,
 
     manifest = {
         "format_version": FORMAT_VERSION,
-        "layers": [_spec_to_json(s) for s in network.layers],
+        "layers": [asdict(s) for s in network.layers],
         "input_shape": list(network.input_shape),
         "class_names": list(class_names),
         "tensors": tensors,

@@ -186,35 +186,12 @@ def infer_shapes(layers, input_shape):
     return shapes
 
 
-def parameter_breakdown(layers, input_shape):
-    """Per-layer (total, trainable, non_trainable) parameter counts."""
-    shapes = infer_shapes(layers, input_shape)
-    rows = []
-    prev = tuple(input_shape)
-    for spec, shape in zip(layers, shapes):
-        if spec.kind == "Conv2D":
-            kh, kw = spec.kernel
-            in_ch = prev[-1]
-            n = spec.filters_or_units * (kh * kw * in_ch + 1)
-            rows.append((n, n, 0))
-        elif spec.kind == "BatchNorm":
-            c = prev[-1]
-            rows.append((4 * c, 2 * c, 2 * c))
-        elif spec.kind == "Dense":
-            n = prev[0] * spec.filters_or_units + spec.filters_or_units
-            rows.append((n, n, 0))
-        else:
-            rows.append((0, 0, 0))
-        prev = shape
-    return rows
-
-
 def count_params(network):
-    """Total, trainable, and non-trainable parameter counts of a network."""
-    rows = parameter_breakdown(network.layers, network.input_shape)
-    total = sum(r[0] for r in rows)
-    trainable = sum(r[1] for r in rows)
-    return total, trainable, total - trainable
+    """Total, trainable, and non-trainable parameter counts of a network:
+    the sizes of its parameter and running-stat tensors."""
+    trainable = sum(a.size for a in network.params.values())
+    fixed = sum(a.size for a in network.bn_stats.values())
+    return trainable + fixed, trainable, fixed
 
 
 class Network:

@@ -43,6 +43,36 @@ def _pixel_runs(px, py):
     return keep
 
 
+def _axis_titles(x_title, y_title):
+    """Titles under the plot and along its left edge; an empty one draws
+    nothing."""
+    parts = []
+    if x_title:
+        parts.append(
+            f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13">{escape(x_title)}</text>')
+    if y_title:
+        parts.append(
+            f'<text x="18" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13" '
+            f'transform="rotate(-90 18 {HEIGHT / 2:.1f})">{escape(y_title)}</text>')
+    return parts
+
+
+def _write(path, title, parts):
+    """Write an SVG document: a white page, the title, then parts."""
+    head = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head + parts + ["</svg>"]) + "\n")
+    return path
+
+
 def line_chart(path, title, series, x_label="", y_label=""):
     """Polyline chart; series is a list of (name, xs, ys) triples of
     sequences or arrays. Each polyline is drawn at the plot's resolution:
@@ -64,11 +94,6 @@ def line_chart(path, title, series, x_label="", y_label=""):
         return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#888"/>',
     ]
@@ -83,15 +108,7 @@ def line_chart(path, title, series, x_label="", y_label=""):
             f'<text x="{MARGIN_L - 8}" y="{py(yv) + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">'
             f'{escape(_fmt(round(yv, 4)))}</text>')
-    if x_label:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>')
-    if y_label:
-        parts.append(
-            f'<text x="18" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {HEIGHT / 2:.1f})">{escape(y_label)}</text>')
+    parts += _axis_titles(x_label, y_label)
     for i, (name, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         # px and py over arrays: the same float64 operations in the same
@@ -106,28 +123,19 @@ def line_chart(path, title, series, x_label="", y_label=""):
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 18 + 16 * i}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12" '
             f'fill="{color}">{escape(name)}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _write(path, title, parts)
 
 
-def heatmap(path, title, matrix, row_labels, col_labels,
-            x_title="Predicted", y_title="True"):
-    """Annotated count grid (confusion-matrix style)."""
+def heatmap(path, title, matrix, row_labels, col_labels):
+    """Annotated count grid (confusion-matrix style): true classes down the
+    side, predicted classes along the bottom."""
     n_rows, n_cols = len(matrix), len(matrix[0])
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
     cell_w, cell_h = plot_w / n_cols, plot_h / n_rows
     peak = max(max(row) for row in matrix) or 1
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
-    ]
+    parts = []
     for r in range(n_rows):
         for c in range(n_cols):
             x = MARGIN_L + c * cell_w
@@ -153,14 +161,4 @@ def heatmap(path, title, matrix, row_labels, col_labels,
             f'<text x="{MARGIN_L + c * cell_w + cell_w / 2:.1f}" '
             f'y="{HEIGHT - MARGIN_B + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{escape(str(label))}</text>')
-    parts.append(
-        f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(x_title)}</text>')
-    parts.append(
-        f'<text x="18" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {HEIGHT / 2:.1f})">{escape(y_title)}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    return _write(path, title, parts + _axis_titles("Predicted", "True"))

@@ -35,8 +35,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.initial_lr < MIN_LR:
-            raise ValueError(f"initial_lr must be at least {MIN_LR}")
+        if not MIN_LR <= self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be finite and at least {MIN_LR}")
 
 
 @dataclass
@@ -119,7 +119,7 @@ def train(network, train_set, val_set, config):
     Shuffles every epoch, keeps the last partial batch, evaluates validation
     at epoch end, applies the callbacks, and returns the copy of the network
     kept at the best epoch. Raises TrainingDiverged on a non-finite batch
-    loss.
+    or validation loss.
     """
     x_train, y_train = np.asarray(train_set[0]), np.asarray(train_set[1])
     state = TrainingState()
@@ -146,6 +146,8 @@ def train(network, train_set, val_set, config):
             adam_step(adam, network.params, grads)
 
         val_loss, val_acc, _, _ = evaluate(network, val_set)
+        if not math.isfinite(val_loss):
+            raise TrainingDiverged(f"non-finite validation loss in epoch {epoch}")
         state.record_epoch(epoch, loss_sum / n, correct / n,
                            val_loss, val_acc, lr_this_epoch)
         if epoch_end(network, state, adam, epoch, val_loss, val_acc):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from csocnn import data, nn
+from csocnn import data, nn, trainer
 from csocnn.nn import forward, loss_sparse_ce
 
 
@@ -32,6 +32,20 @@ def rewrite_manifest(path, edit, tail=b""):
     body = json.dumps(edit(manifest) or manifest).encode("utf-8")
     path.write_bytes(b"%s %s %d\n" % (magic, version, len(body)) + body
                      + rest[int(n):] + tail)
+
+
+def poison_update(monkeypatch, at_step, key="13.weight"):
+    """Patch trainer.adam_step so that its at_step-th update (1-based, over
+    the whole run) leaves NaN in the parameter named key; the batch losses
+    computed before it stay finite."""
+    real = trainer.adam_step
+
+    def step(state, params, grads):
+        real(state, params, grads)
+        if state.step == at_step:
+            params[key][...] = np.nan
+
+    monkeypatch.setattr(trainer, "adam_step", step)
 
 
 def finite_difference_gradients(network, x, y, keys=None, step=1e-3):

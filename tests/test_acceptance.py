@@ -101,9 +101,12 @@ def test_criterion_02_gradient_correctness():
 
 def test_criterion_03_cso_convergence():
     start = time.time()
+    # the swarm maximizes, so it is handed each function negated
     sphere = lambda x, ctx=None: float(np.sum(np.asarray(x) ** 2))
+    neg_sphere = lambda x, ctx=None: -sphere(x)
     config = cso.SwarmConfig(n_cats=30, max_iters=100, seed=42)
-    _, sphere_best, history = cso.optimize(sphere, [(-5.0, 5.0)] * 5, config)
+    _, neg_best, _ = cso.optimize(neg_sphere, [(-5.0, 5.0)] * 5, config)
+    sphere_best = -neg_best
     assert sphere_best < 1e-3
 
     # equal-budget random search does not get close
@@ -112,17 +115,19 @@ def test_criterion_03_cso_convergence():
     random_best = min(sphere(rng.uniform(-5, 5, 5)) for _ in range(evals))
     assert random_best > 1e-3
 
-    def rosenbrock(x, ctx):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+    def neg_rosenbrock(x, ctx):
+        return -float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
-    _, rosen_best, _ = cso.optimize(rosenbrock, [(-5.0, 5.0)] * 2, config)
+    _, neg_rosen_best, _ = cso.optimize(neg_rosenbrock, [(-5.0, 5.0)] * 2,
+                                        config)
+    rosen_best = -neg_rosen_best
     assert rosen_best < 1e-1
 
     monotone_runs = 0
     for seed in range(100):
         small = cso.SwarmConfig(n_cats=8, max_iters=15, seed=seed)
-        _, _, h = cso.optimize(sphere, [(-5.0, 5.0)] * 3, small)
-        if all(a >= b for a, b in zip(h.best_value, h.best_value[1:])):
+        _, _, h = cso.optimize(neg_sphere, [(-5.0, 5.0)] * 3, small)
+        if all(a <= b for a, b in zip(h.best_value, h.best_value[1:])):
             monotone_runs += 1
     assert monotone_runs == 100
     elapsed = time.time() - start
@@ -277,8 +282,7 @@ def test_criterion_09_hybrid_search_beats_random(small_blobs):
             hp, datasets, arch, seed=hyperopt.candidate_seed(90, i, 0))
         random_best = max(random_best, fit)
 
-    config = cso.SwarmConfig(n_cats=4, max_iters=3, seed=90,
-                             objective="maximize")
+    config = cso.SwarmConfig(n_cats=4, max_iters=3, seed=90)
     _, swarm_best, history = hyperopt.optimize_hyperparams(
         space, datasets, arch, config)
     assert swarm_best >= random_best

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rewrite_manifest
+from conftest import poison_update, rewrite_manifest
 from csocnn import cli, data, detector, hyperopt, nn, trainer
 from csocnn.errors import TrainingDiverged
 from csocnn.model_io import load_model, save_model
@@ -402,14 +402,61 @@ def test_header_only_csv_exits_3(train_run, tmp_path, command):
     ["optimize", "--workers", "0"],
     ["train", "--lr", "1e-6"],
     ["optimize", "--smp", "1"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["optimize", "--lr-range", "nan", "0.01"],
+    ["optimize", "--lr-range", "1e-4", "inf"],
+    ["optimize", "--c1", "nan"],
+    ["optimize", "--c1", "inf"],
+    ["train", "--synthetic-separation", "nan"],
+    ["optimize", "--synthetic-separation", "inf"],
 ], ids=["epochs-0", "cats-0", "lr-range-reversed", "synthetic-samples-3",
-        "workers-0", "lr-below-floor", "smp-1"])
+        "workers-0", "lr-below-floor", "smp-1", "lr-nan", "lr-inf",
+        "lr-range-nan", "lr-range-inf", "c1-nan", "c1-inf", "separation-nan",
+        "separation-inf"])
 def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
     out = tmp_path / "out"
     code = cli.main([*flags, "--synthetic", "--seed", "1", "--out", str(out)])
     assert code == 2
-    assert "usage error" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("csocnn: usage error: ")
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "optimize", "evaluate", "detect"])
+def test_negative_seed_is_usage_error(train_run, tmp_path, capsys, command):
+    # with --data, a negative seed reached np.random.default_rng in
+    # data.split and ended in a traceback
+    stream = str(_write_stream(tmp_path / "flows.csv", n=100))
+    flags = {"train": ["--data", stream],
+             "optimize": ["--data", stream],
+             "evaluate": ["--data", stream,
+                          "--model", str(train_run / "model.model")],
+             "detect": ["--input", stream,
+                        "--model", str(train_run / "model.model")]}[command]
+    out = tmp_path / "out"
+    code = cli.main([command, *flags, "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == "csocnn: usage error: --seed must be >= 0, got -1"
+    assert not out.exists()
+
+
+def test_train_non_finite_validation_loss_exits_4(tmp_path, monkeypatch):
+    # one batch, so its update is the last: the batch loss is finite and
+    # the NaN it leaves reaches only the validation pass
+    poison_update(monkeypatch, 1)
+    out = tmp_path / "train-nan"
+    code = cli.main(["train", "--synthetic", "--synthetic-samples", "300",
+                     "--epochs", "1", "--batch", "1000", "--seed", "1",
+                     "--out", str(out)])
+    assert code == 4
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "TrainingDiverged"
+    assert "validation loss" in error["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 @pytest.mark.parametrize("flags, bad", [

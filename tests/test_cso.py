@@ -11,13 +11,14 @@ from csocnn import cso
 from csocnn.errors import BoundsError, FitnessError
 
 
-# Objectives take optimize's (position, ctx) call; ctx is unused here.
-def sphere(x, ctx=None):
-    return float(np.sum(np.asarray(x) ** 2))
+# The swarm maximizes, so a test that minimizes f passes -f. Objectives take
+# optimize's (position, ctx) call; ctx is unused here.
+def neg_sphere(x, ctx=None):
+    return -float(np.sum(np.asarray(x) ** 2))
 
 
-def rosenbrock(x, ctx=None):
-    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+def neg_rosenbrock(x, ctx=None):
+    return -float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
 
 BOUNDS5 = [(-5.0, 5.0)] * 5
@@ -70,6 +71,9 @@ def test_config_validation():
         cso.SwarmConfig(smp=1)
     with pytest.raises(ValueError):
         cso.SwarmConfig(mixture_ratio=1.5)
+    for c1 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cso.SwarmConfig(c1=c1)
     for workers in (0, -1):
         with pytest.raises(ValueError):
             cso.SwarmConfig(n_workers=workers)
@@ -114,7 +118,7 @@ def test_seeking_keeps_position_when_candidates_worse():
     # keeps one of the two slots and the roulette gives it all
     # the weight.
     evals, steps = _seeking_run(
-        lambda x, ctx: 0.0 if ctx.iteration == 0 else 1.0 + sphere(x),
+        lambda x, ctx: 0.0 if ctx.iteration == 0 else neg_sphere(x) - 1.0,
         [(-5.0, 5.0)], smp=2)
     start = steps[0][0]
     for t in range(1, len(steps)):
@@ -127,7 +131,7 @@ def test_seeking_candidate_range():
     # srd=0.2, cdc=1: every mutated candidate lies within 20% of the
     # position it was drawn from, and the move commits one of the smp
     # candidates (the current position included).
-    evals, steps = _seeking_run(lambda x, ctx: sphere(x), [(-5.0, 5.0)],
+    evals, steps = _seeking_run(neg_sphere, [(-5.0, 5.0)],
                                 smp=5, cdc=1.0, srd=0.2)
     for t in range(1, len(steps)):
         prev = float(steps[t - 1][0][0])
@@ -154,14 +158,12 @@ def test_seeking_constant_fitness_stays_in_bounds():
 def test_seeking_roulette_never_picks_worst():
     # The worst of the smp candidates gets roulette weight 0, so with
     # distinct fitnesses it is never the one kept.
-    for objective, fn, worst in (("minimize", sphere, max),
-                                 ("maximize", lambda x: -sphere(x), min)):
-        evals, steps = _seeking_run(lambda x, ctx: fn(x), [(-5.0, 5.0)] * 3,
-                                    max_iters=30, smp=5, objective=objective)
-        for t in range(1, len(steps)):
-            fits = [steps[t - 1][1]] + [f for _, f in evals[t]]
-            assert len(set(fits)) == len(fits)
-            assert steps[t][1] != worst(fits)
+    evals, steps = _seeking_run(neg_sphere, [(-5.0, 5.0)] * 3,
+                                max_iters=30, smp=5)
+    for t in range(1, len(steps)):
+        fits = [steps[t - 1][1]] + [f for _, f in evals[t]]
+        assert len(set(fits)) == len(fits)
+        assert steps[t][1] != min(fits)
 
 
 # --- tracing_move ---------------------------------------------------------
@@ -200,15 +202,15 @@ def test_tracing_clamps_velocity_and_position():
 
 def test_sphere_converges():
     config = cso.SwarmConfig(n_cats=30, max_iters=100, seed=42)
-    _, best, history = cso.optimize(sphere, BOUNDS5, config)
-    assert best < 1e-3
+    _, best, history = cso.optimize(neg_sphere, BOUNDS5, config)
+    assert -best < 1e-3
     assert len(history.iterations) == 100
 
 
 def test_rosenbrock_converges():
     config = cso.SwarmConfig(n_cats=30, max_iters=100, seed=42)
-    _, best, _ = cso.optimize(rosenbrock, [(-5.0, 5.0)] * 2, config)
-    assert best < 1e-1
+    _, best, _ = cso.optimize(neg_rosenbrock, [(-5.0, 5.0)] * 2, config)
+    assert -best < 1e-1
 
 
 def test_constant_fitness_flat_history():
@@ -219,21 +221,17 @@ def test_constant_fitness_flat_history():
     assert history.mean_fitness == [3.5] * 10
 
 
-def test_best_history_is_monotone_for_both_senses():
-    for objective, cmp in (("minimize", np.greater_equal),
-                           ("maximize", np.less_equal)):
-        config = cso.SwarmConfig(n_cats=10, max_iters=30, seed=9,
-                                 objective=objective)
-        fn = sphere if objective == "minimize" else lambda x, ctx: -sphere(x)
-        _, _, history = cso.optimize(fn, BOUNDS5, config)
-        pairs = zip(history.best_value, history.best_value[1:])
-        assert all(cmp(a, b) for a, b in pairs)
+def test_best_history_is_non_decreasing():
+    config = cso.SwarmConfig(n_cats=10, max_iters=30, seed=9)
+    _, _, history = cso.optimize(neg_sphere, BOUNDS5, config)
+    pairs = zip(history.best_value, history.best_value[1:])
+    assert all(a <= b for a, b in pairs)
 
 
 def test_optimize_is_deterministic():
     config = cso.SwarmConfig(n_cats=12, max_iters=20, seed=123)
-    pos_a, best_a, hist_a = cso.optimize(sphere, BOUNDS5, config)
-    pos_b, best_b, hist_b = cso.optimize(sphere, BOUNDS5, config)
+    pos_a, best_a, hist_a = cso.optimize(neg_sphere, BOUNDS5, config)
+    pos_b, best_b, hist_b = cso.optimize(neg_sphere, BOUNDS5, config)
     assert best_a == best_b
     assert np.array_equal(pos_a, pos_b)
     assert hist_a.best_value == hist_b.best_value
@@ -243,8 +241,8 @@ def test_optimize_is_deterministic():
 def test_parallel_evaluation_matches_serial():
     serial = cso.SwarmConfig(n_cats=10, max_iters=15, seed=31)
     parallel = dataclasses.replace(serial, n_workers=4)
-    _, best_s, hist_s = cso.optimize(sphere, BOUNDS5, serial)
-    _, best_p, hist_p = cso.optimize(sphere, BOUNDS5, parallel)
+    _, best_s, hist_s = cso.optimize(neg_sphere, BOUNDS5, serial)
+    _, best_p, hist_p = cso.optimize(neg_sphere, BOUNDS5, parallel)
     assert best_s == best_p
     assert hist_s.best_value == hist_p.best_value
 
@@ -252,7 +250,7 @@ def test_parallel_evaluation_matches_serial():
 def test_mode_counts_hold_every_iteration():
     config = cso.SwarmConfig(n_cats=10, mixture_ratio=0.3, max_iters=12, seed=2)
     counts = []
-    cso.optimize(sphere, BOUNDS5, config,
+    cso.optimize(neg_sphere, BOUNDS5, config,
                  callback=lambda it, cats, *_:
                  counts.append(sum(c.mode == "tracing" for c in cats)))
     assert counts == [3] * 12
@@ -267,7 +265,7 @@ def test_positions_stay_inside_bounds_throughout():
             if np.any(cat.position < -5.0) or np.any(cat.position > 5.0):
                 violations.append(iteration)
 
-    cso.optimize(sphere, BOUNDS5, config, callback=watch)
+    cso.optimize(neg_sphere, BOUNDS5, config, callback=watch)
     assert violations == []
 
 
@@ -307,7 +305,7 @@ def test_parallel_failure_cancels_queued_candidates():
 
 def test_history_csv_schema(tmp_path):
     config = cso.SwarmConfig(n_cats=5, max_iters=7, seed=1)
-    _, _, history = cso.optimize(sphere, BOUNDS5, config)
+    _, _, history = cso.optimize(neg_sphere, BOUNDS5, config)
     path = history.to_csv(tmp_path / "h.csv")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iter,best_fitness,mean_fitness"
@@ -325,11 +323,11 @@ def test_property_bounds_and_monotonicity(seed, n_cats, mr, iters):
     bounds = [(-2.0, 3.0), (0.5, 1.5)]
 
     def fn(x, ctx):
-        return float(np.sum((np.asarray(x) - 1.0) ** 2))
+        return -float(np.sum((np.asarray(x) - 1.0) ** 2))
 
     pos, best, history = cso.optimize(fn, bounds, config)
     assert np.all(pos >= [-2.0, 0.5]) and np.all(pos <= [3.0, 1.5])
-    assert all(a >= b for a, b in
+    assert all(a <= b for a, b in
                zip(history.best_value, history.best_value[1:]))
     expected_tracing = round(mr * n_cats)
     # re-run with a callback to observe per-iteration mode counts

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import poison_update
 from csocnn import cso, hyperopt, nn, trainer
 from csocnn.errors import TrainingDiverged
 
@@ -173,9 +174,18 @@ def test_diverged_training_returns_worst_fitness(tiny_sets, monkeypatch):
     assert fitness == hyperopt.WORST_FITNESS
 
 
+def test_non_finite_validation_loss_returns_worst_fitness(tiny_sets,
+                                                         monkeypatch):
+    hp = hyperopt.HyperParams(learning_rate=1e-3, batch_size=2048, epochs=1)
+    poison_update(monkeypatch, 1)  # one batch: its update is the last
+    fitness = hyperopt.evaluate_candidate(
+        hp, (tiny_sets.train, tiny_sets.val), nn.default_architecture(5),
+        seed=0)
+    assert fitness == hyperopt.WORST_FITNESS
+
+
 def test_degenerate_swarm_single_evaluation(tiny_sets):
-    config = cso.SwarmConfig(n_cats=1, max_iters=1, smp=2, seed=9,
-                             objective="maximize")
+    config = cso.SwarmConfig(n_cats=1, max_iters=1, smp=2, seed=9)
     space = hyperopt.SearchSpace(lr_range=(1e-3, 3e-3), batch_range=(64, 128),
                                  epoch_range=(1, 2))
     best_hp, best_fit, history = hyperopt.optimize_hyperparams(
@@ -189,8 +199,7 @@ def test_degenerate_swarm_single_evaluation(tiny_sets):
 
 
 def test_history_accuracy_is_non_decreasing(tiny_sets):
-    config = cso.SwarmConfig(n_cats=2, max_iters=2, smp=2, seed=13,
-                             objective="maximize")
+    config = cso.SwarmConfig(n_cats=2, max_iters=2, smp=2, seed=13)
     space = hyperopt.SearchSpace(lr_range=(1e-3, 1e-2), batch_range=(64, 128),
                                  epoch_range=(1, 2))
     _, _, history = hyperopt.optimize_hyperparams(

@@ -259,7 +259,7 @@ def test_kappa_bounded_by_accuracy(pairs):
 def test_report_layout_and_rounding():
     cm = metrics.confusion([0, 0, 1, 1, 1], [0, 1, 1, 1, 0], 2,
                            ("Benign", "Reconn"))
-    text = metrics.class_report(cm).to_text()
+    text = metrics.report_text(metrics.scalar_metrics(cm))
     lines = text.splitlines()
     assert lines[0].split() == ["precision", "recall", "f1-score", "support"]
     benign_row = next(l for l in lines if l.strip().startswith("Benign"))
@@ -279,9 +279,12 @@ def test_weighted_recall_equals_accuracy():
 
 def test_single_class_report():
     cm = metrics.confusion([0, 0, 0], [0, 0, 0], 1, ("only",))
-    report = metrics.class_report(cm)
-    assert len(report.rows) == 1
-    assert report.accuracy == report.rows[0][2]  # accuracy equals recall
+    lines = metrics.report_text(metrics.scalar_metrics(cm)).splitlines()
+    rows = [l.split() for l in lines if l.strip().startswith("only")]
+    assert rows == [["only", "1.00", "1.00", "1.00", "3"]]
+    # accuracy equals recall
+    assert [l.split() for l in lines if l.strip().startswith("accuracy")] == [
+        ["accuracy", "1.00", "3"]]
 
 
 # --- ROC ------------------------------------------------------------------------

@@ -54,15 +54,22 @@ def test_flow_classifier_param_counts():
     assert nn.count_params(net) == (60997, 60613, 384)
 
 
+def _layer_sizes(net):
+    """Per-layer parameter and running-stat sizes, from the tensor names."""
+    sizes = [0] * len(net.layers)
+    for name, tensor in [*net.params.items(), *net.bn_stats.items()]:
+        sizes[int(name.split(".")[0])] += tensor.size
+    return sizes
+
+
 def test_flow_classifier_param_breakdown():
-    rows = nn.parameter_breakdown(nn.default_architecture(), FLOW_INPUT)
-    assert [r[0] for r in rows] == FLOW_PARAM_CELLS
+    net = nn.Network(nn.default_architecture(), FLOW_INPUT, seed=0)
+    assert _layer_sizes(net) == FLOW_PARAM_CELLS
 
 
 def test_first_conv_param_cell():
-    rows = nn.parameter_breakdown(
-        [nn.input_layer(), nn.conv2d(64, (6, 1))], FLOW_INPUT)
-    assert rows[1] == (448, 448, 0)
+    net = nn.Network([nn.input_layer(), nn.conv2d(64, (6, 1))], FLOW_INPUT)
+    assert nn.count_params(net) == (448, 448, 0)
 
 
 def test_input_flatten_only_network_has_no_params():
@@ -71,9 +78,9 @@ def test_input_flatten_only_network_has_no_params():
 
 
 def test_batchnorm_non_trainable_split():
-    rows = nn.parameter_breakdown(
-        [nn.input_layer(), nn.conv2d(8, (2, 1)), nn.batch_norm()], (6, 1, 1))
-    assert rows[2] == (32, 16, 16)
+    net = nn.Network([nn.input_layer(), nn.conv2d(8, (2, 1)), nn.batch_norm()],
+                     (6, 1, 1))
+    assert nn.count_params(net) == (24 + 32, 24 + 16, 16)
 
 
 def test_layer_spec_validation():

@@ -154,3 +154,37 @@ def test_long_monotone_series_drawn_at_pixel_resolution(tmp_path):
     for before, after in zip(kept, kept[1:]):
         for i in range(before + 1, after):
             assert cells[i] == cells[before] == cells[after]
+
+
+def _heatmap_parts(path):
+    ns = "{http://www.w3.org/2000/svg}"
+    root = ET.parse(path).getroot()
+    cells = [r for r in root.iter(f"{ns}rect")
+             if r.get("fill", "").startswith("rgb(")]
+    texts = [t.text for t in root.iter(f"{ns}text")]
+    return cells, texts
+
+
+def test_heatmap_draws_one_cell_per_count(tmp_path):
+    counts = [[5, 0, 1], [2, 7, 0]]
+    path = svg.heatmap(tmp_path / "cm.svg", "Confusion & <matrix>", counts,
+                       ["Benign", "Data & <Exfil>"], ["a", "b<", "c&"])
+    cells, texts = _heatmap_parts(path)
+    assert len(cells) == 6
+    # the largest count is the darkest cell, and a zero count stays white
+    fills = [c.get("fill") for c in cells]
+    assert fills[4] == "rgb(75,75,255)" and fills[1] == "rgb(255,255,255)"
+    assert texts[0] == "Confusion & <matrix>"
+    assert [t for t in texts if t in ("5", "0", "1", "2", "7")] == [
+        "5", "0", "1", "2", "7", "0"]
+    for label in ("Benign", "Data & <Exfil>", "a", "b<", "c&",
+                  "Predicted", "True"):
+        assert label in texts
+
+
+def test_heatmap_of_all_zero_counts(tmp_path):
+    path = svg.heatmap(tmp_path / "cm.svg", "empty", [[0, 0], [0, 0]],
+                       ["x", "y"], ["x", "y"])
+    cells, texts = _heatmap_parts(path)
+    assert [c.get("fill") for c in cells] == ["rgb(255,255,255)"] * 4
+    assert texts.count("0") == 4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_layers
+from conftest import poison_update, toy_layers
 from csocnn import data, nn, trainer
 from csocnn.errors import TrainingDiverged
 from csocnn.nn import forward
@@ -182,6 +182,17 @@ def test_divergence_raises(small_blobs_module):
     net.params["13.weight"][:] = np.nan  # poisoned weights -> non-finite loss
     config = trainer.TrainConfig(epochs=1, batch_size=64, seed=1)
     with pytest.raises(TrainingDiverged):
+        trainer.train(net, prep.train, prep.val, config)
+
+
+def test_non_finite_validation_loss_raises(small_blobs_module, monkeypatch):
+    # the epoch's last update is the first non-finite one: every batch loss
+    # is finite, and only the validation pass sees the NaN
+    prep = small_blobs_module
+    config = trainer.TrainConfig(epochs=1, batch_size=64, seed=1)
+    poison_update(monkeypatch, -(-len(prep.train[1]) // config.batch_size))
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=1)
+    with pytest.raises(TrainingDiverged, match="validation loss in epoch 1"):
         trainer.train(net, prep.train, prep.val, config)
 
 
