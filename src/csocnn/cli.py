@@ -285,15 +285,6 @@ def _curve_svg(path, state):
     return path
 
 
-def _train_seeded(prep, config):
-    """Train a fresh default-architecture network, initialized from the
-    config's seed, on the prepared splits; returns trainer.train's
-    (best network, state)."""
-    network = nn.Network(nn.default_architecture(len(prep.codec)),
-                         (prep.train[0].shape[1], 1, 1), seed=config.seed)
-    return trainer.train(network, prep.train, prep.val, config)
-
-
 def _save_trained(manifest, out, prep, network, state):
     """Write scaler.json, then model.model carrying the scaler fingerprint
     and the best epoch's training metrics."""
@@ -321,7 +312,9 @@ def cmd_train(args):
     with _SignalGuard(manifest):
         out.mkdir(parents=True, exist_ok=True)
         prep = data.prepare_dataset(flows, seed)
-        best, state = _train_seeded(prep, config)
+        best, state = trainer.train_new(
+            nn.default_architecture(len(prep.codec)), prep.train, prep.val,
+            config)
 
         test_loss, test_acc, predictions, probs = trainer.evaluate(
             best, prep.test)
@@ -363,9 +356,9 @@ def cmd_optimize(args):
     with _SignalGuard(manifest):
         out.mkdir(parents=True, exist_ok=True)
         prep = data.prepare_dataset(flows, seed)
-        best_hp, best_fit, history = hyperopt.optimize_hyperparams(
-            space, (prep.train, prep.val),
-            nn.default_architecture(len(prep.codec)), swarm_config)
+        arch = nn.default_architecture(len(prep.codec))
+        best_config, best_fit, history = hyperopt.optimize_hyperparams(
+            space, (prep.train, prep.val), arch, swarm_config)
         if best_fit == hyperopt.WORST_FITNESS:
             raise TrainingDiverged("every swarm candidate diverged")
 
@@ -376,18 +369,18 @@ def cmd_optimize(args):
              ("mean_accuracy", history.iterations, history.mean_fitness)],
             x_label="iteration", y_label="validation accuracy"))
         manifest.add_artifact(hyperopt.save_best(
-            out / "best_hyperparams.json", best_hp, best_fit))
+            out / "best_hyperparams.json", best_config, best_fit))
 
         # Materialize the winner: retrain at the best hyperparameters.
-        best_net, state = _train_seeded(prep, trainer.TrainConfig(
-            epochs=best_hp.epochs, batch_size=best_hp.batch_size,
-            initial_lr=best_hp.learning_rate, seed=seed))
+        best_net, state = trainer.train_new(
+            arch, prep.train, prep.val,
+            dataclasses.replace(best_config, seed=seed))
         _save_trained(manifest, out, prep, best_net, state)
         manifest.set_metrics({
             "best_fitness": [best_fit.val_accuracy, best_fit.val_loss],
-            "best_learning_rate": best_hp.learning_rate,
-            "best_batch_size": best_hp.batch_size,
-            "best_epochs": best_hp.epochs,
+            "best_learning_rate": best_config.initial_lr,
+            "best_batch_size": best_config.batch_size,
+            "best_epochs": best_config.epochs,
             "retrain_val_accuracy": state.best_val_acc,
         })
         manifest.write()

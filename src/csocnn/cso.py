@@ -195,10 +195,13 @@ def tracing_move(cat, global_best, config, bounds, rng):
 def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     """Run the swarm for max_iters iterations.
 
-    Returns (best_position, best_fitness, history), the best being the
-    largest fitness seen. Deterministic for a fixed (seed, config, bounds,
-    fitness function); fitness failures are raised as FitnessError with the
-    offending position attached.
+    Returns (best_position, best_fitness, history). The best is the largest
+    fitness a cat holds: first among the initial cats, then, in cat order,
+    the fitness each cat keeps after its move. A seeking candidate that the
+    roulette does not keep is never compared with the best, so a better
+    point can be evaluated and lost (ROADMAP item 2). Deterministic for a
+    fixed (seed, config, bounds, fitness function); fitness failures are
+    raised as FitnessError with the offending position attached.
 
     fitness_fn is called as fitness_fn(position, ctx), with ctx the
     EvalContext naming the (iteration, cat_index) of the evaluation.

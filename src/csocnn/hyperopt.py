@@ -1,6 +1,6 @@
 """Hyperparameter search: the swarm proposes points in the unit cube, each
-point decodes to (learning rate, batch size, epochs), and a fresh seeded
-network trained with those values returns its validation fitness.
+point decodes to a trainer.TrainConfig (learning rate, batch size, epochs),
+and a fresh seeded network trained with it returns its validation fitness.
 
 Fitness is the lexicographic pair (validation accuracy desc, validation
 loss asc) — no scalar blend. The swarm maximizes it directly; roulette
@@ -11,20 +11,19 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cso
 from .errors import TrainingDiverged
-from .nn import Network
-from .trainer import TrainConfig, train
+from .trainer import MIN_LR, TrainConfig, train_new
 
 
 @dataclass(frozen=True)
 class SearchSpace:
     """Box ranges for the tuned quantities; the learning rate is searched in
-    log10 space."""
+    log10 space and starts no lower than the trainer's MIN_LR."""
 
     lr_range: tuple = (1e-4, 1e-2)
     batch_range: tuple = (32, 1024)
@@ -37,19 +36,9 @@ class SearchSpace:
             if not 0 < lo < hi < math.inf:
                 raise ValueError(
                     f"{name} must satisfy 0 < lo < hi < inf, got {(lo, hi)}")
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    learning_rate: float
-    batch_size: int
-    epochs: int
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+        if self.lr_range[0] < MIN_LR:
+            raise ValueError(
+                f"lr_range must start at or above {MIN_LR}, got {self.lr_range}")
 
 
 @functools.total_ordering
@@ -74,18 +63,19 @@ WORST_FITNESS = Fitness(val_accuracy=0.0, val_loss=float("inf"))
 
 
 def decode(position, space):
-    """Map a unit-cube point to hyperparameters: log-linear for the learning
-    rate, rounded linear for batch size and epochs."""
+    """Map a unit-cube point to a TrainConfig: log-linear for the learning
+    rate, rounded linear for batch size and epochs; the seed is left at its
+    default."""
     p0, p1, p2 = (float(v) for v in position)
     lr_lo, lr_hi = space.lr_range
     lr = 10.0 ** (math.log10(lr_lo) + p0 * (math.log10(lr_hi) - math.log10(lr_lo)))
     lr = min(max(lr, lr_lo), lr_hi)
     b_lo, b_hi = space.batch_range
     e_lo, e_hi = space.epoch_range
-    return HyperParams(
-        learning_rate=lr,
-        batch_size=round(b_lo + p1 * (b_hi - b_lo)),
+    return TrainConfig(
         epochs=round(e_lo + p2 * (e_hi - e_lo)),
+        batch_size=round(b_lo + p1 * (b_hi - b_lo)),
+        initial_lr=lr,
     )
 
 
@@ -113,41 +103,33 @@ def candidate_seed(global_seed, cat_index, iteration):
     return int(ss.generate_state(1)[0])
 
 
-def evaluate_candidate(hp, datasets, arch, seed):
-    """Train a fresh seeded network with hp; return the validation Fitness
-    of its best epoch.
+def evaluate_candidate(config, datasets, arch):
+    """Train a fresh network of arch with config (trainer.train_new); return
+    the validation Fitness of its best epoch.
 
     datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
     training run (non-finite loss) comes back as the worst possible fitness
     so the swarm routes around it.
     """
-    train_set, val_set = datasets
-    input_shape = np.shape(train_set[0])[1:]
-    network = Network(arch, input_shape, seed=seed)
-    config = TrainConfig(
-        epochs=hp.epochs,
-        batch_size=hp.batch_size,
-        initial_lr=hp.learning_rate,
-        seed=seed,
-    )
     try:
-        _, state = train(network, train_set, val_set, config)
+        _, state = train_new(arch, *datasets, config)
     except TrainingDiverged:
         return WORST_FITNESS
     return Fitness(val_accuracy=state.best_val_acc, val_loss=state.best_val_loss)
 
 
 def optimize_hyperparams(space, datasets, arch, swarm_config):
-    """Run the swarm over the unit cube with training-based fitness.
+    """Run the swarm over the unit cube with training-based fitness; each
+    candidate trains with its decoded config and its candidate_seed.
 
-    Returns (best HyperParams, best Fitness, SwarmHistory). The history's
-    float projection is validation accuracy, so its best-value sequence is
-    non-decreasing.
+    Returns (best TrainConfig, best Fitness, SwarmHistory); the config's seed
+    is the default, for the caller to set. The history's float projection is
+    validation accuracy, so its best-value sequence is non-decreasing.
     """
     def fitness(position, ctx):
-        hp = decode(position, space)
         seed = candidate_seed(swarm_config.seed, ctx.cat_index, ctx.iteration)
-        return evaluate_candidate(hp, datasets, arch, seed)
+        return evaluate_candidate(
+            replace(decode(position, space), seed=seed), datasets, arch)
 
     best_position, best_fitness, history = cso.optimize(
         fitness, [(0.0, 1.0)] * 3, swarm_config,
@@ -155,12 +137,13 @@ def optimize_hyperparams(space, datasets, arch, swarm_config):
     return decode(best_position, space), best_fitness, history
 
 
-def save_best(path, hp, fitness):
-    """Best-hyperparameters record as structured text."""
+def save_best(path, config, fitness):
+    """Best-hyperparameters record (a TrainConfig's searched fields and its
+    Fitness) as structured text."""
     payload = {
-        "learning_rate": hp.learning_rate,
-        "batch_size": hp.batch_size,
-        "epochs": hp.epochs,
+        "learning_rate": config.initial_lr,
+        "batch_size": config.batch_size,
+        "epochs": config.epochs,
         "val_accuracy": fitness.val_accuracy,
         "val_loss": fitness.val_loss,
     }

@@ -2,11 +2,11 @@
 best-model checkpointing.
 
 The best model is kept in memory; the caller saves it. Callbacks run in a
-fixed order at every epoch end: checkpoint first (so the best model is kept even when the same epoch
-triggers the stop), then the learning-rate reduction, then the early-stop
-decision. "Improvement" means validation accuracy strictly above the best
-seen so far; the two plateau counters are independent, and the LR counter
-also resets after a reduction.
+fixed order at every epoch end: keep the best model first (so it is kept even
+when the same epoch triggers the stop), then the learning-rate reduction, then
+the early-stop decision. "Improvement" means validation accuracy strictly
+above the best seen so far; the two plateau counters are independent, and the
+LR counter also resets after a reduction.
 """
 
 import csv
@@ -76,22 +76,17 @@ class TrainingState:
         return path
 
 
-def checkpoint(network, state, epoch, val_loss, val_acc):
-    """Keep a copy of the network when val_acc strictly exceeds the best
-    seen; ties and regressions keep nothing."""
+def epoch_end(network, state, adam, epoch, val_loss, val_acc):
+    """Apply the callback ladder; returns True when training should stop.
+
+    A val_acc strictly above the best seen keeps a copy of the network and
+    resets both stall counters; a tie or a regression keeps nothing and
+    counts a stalled epoch."""
     if val_acc > state.best_val_acc:
         state.best_network = network.clone()
         state.best_val_acc = val_acc
         state.best_val_loss = val_loss
         state.best_epoch = epoch
-    return state
-
-
-def epoch_end(network, state, adam, epoch, val_loss, val_acc):
-    """Apply the callback ladder; returns True when training should stop."""
-    improved = val_acc > state.best_val_acc
-    checkpoint(network, state, epoch, val_loss, val_acc)
-    if improved:
         state.lr_stall_epochs = 0
         state.stop_stall_epochs = 0
     else:
@@ -155,3 +150,11 @@ def train(network, train_set, val_set, config):
             break
 
     return state.best_network, state
+
+
+def train_new(layers, train_set, val_set, config):
+    """Train a fresh network of the given layers, initialized from the
+    config's seed, on the training set's sample shape; returns train's
+    (best network, state)."""
+    network = Network(layers, np.shape(train_set[0])[1:], seed=config.seed)
+    return train(network, train_set, val_set, config)

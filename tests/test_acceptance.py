@@ -8,6 +8,7 @@ import csv
 import json
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,9 +278,9 @@ def test_criterion_09_hybrid_search_beats_random(small_blobs):
     rng = np.random.default_rng(90)
     random_best = hyperopt.WORST_FITNESS
     for i in range(12):
-        hp = hyperopt.decode(rng.random(3), space)
-        fit = hyperopt.evaluate_candidate(
-            hp, datasets, arch, seed=hyperopt.candidate_seed(90, i, 0))
+        config = replace(hyperopt.decode(rng.random(3), space),
+                         seed=hyperopt.candidate_seed(90, i, 0))
+        fit = hyperopt.evaluate_candidate(config, datasets, arch)
         random_best = max(random_best, fit)
 
     config = cso.SwarmConfig(n_cats=4, max_iters=3, seed=90)

@@ -327,7 +327,7 @@ def test_optimize_workers_give_identical_artifacts(tmp_path):
 def test_optimize_every_candidate_diverged_exits_4(tmp_path, monkeypatch):
     def diverge(*args, **kwargs):
         raise TrainingDiverged("non-finite loss in epoch 1 at sample 0")
-    monkeypatch.setattr(hyperopt, "train", diverge)
+    monkeypatch.setattr(hyperopt, "train_new", diverge)
     out = tmp_path / "opt-diverged"
     code = cli.main(["optimize", "--synthetic", "--synthetic-samples", "200",
                      "--seed", "3", "--out", str(out),
@@ -410,10 +410,13 @@ def test_header_only_csv_exits_3(train_run, tmp_path, command):
     ["optimize", "--c1", "inf"],
     ["train", "--synthetic-separation", "nan"],
     ["optimize", "--synthetic-separation", "inf"],
+    ["optimize", "--lr-range", "1e-7", "1e-6"],
+    ["optimize", "--lr-range", "1e-6", "1e-3"],
 ], ids=["epochs-0", "cats-0", "lr-range-reversed", "synthetic-samples-3",
         "workers-0", "lr-below-floor", "smp-1", "lr-nan", "lr-inf",
         "lr-range-nan", "lr-range-inf", "c1-nan", "c1-inf", "separation-nan",
-        "separation-inf"])
+        "separation-inf", "lr-range-below-floor",
+        "lr-range-starts-below-floor"])
 def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
     out = tmp_path / "out"
     code = cli.main([*flags, "--synthetic", "--seed", "1", "--out", str(out)])

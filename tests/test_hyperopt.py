@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,22 +41,22 @@ def test_default_workers_without_affinity_counts_cpus(monkeypatch):
 
 
 def test_decode_lower_corner():
-    hp = hyperopt.decode([0.0, 0.0, 0.0], SPACE)
-    assert hp.learning_rate == pytest.approx(1e-4, rel=1e-12)
-    assert hp.batch_size == 32
-    assert hp.epochs == 1
+    config = hyperopt.decode([0.0, 0.0, 0.0], SPACE)
+    assert config.initial_lr == pytest.approx(1e-4, rel=1e-12)
+    assert config.batch_size == 32
+    assert config.epochs == 1
 
 
 def test_decode_upper_corner():
-    hp = hyperopt.decode([1.0, 1.0, 1.0], SPACE)
-    assert hp.learning_rate == pytest.approx(1e-2, rel=1e-12)
-    assert hp.batch_size == 1024
-    assert hp.epochs == 5
+    config = hyperopt.decode([1.0, 1.0, 1.0], SPACE)
+    assert config.initial_lr == pytest.approx(1e-2, rel=1e-12)
+    assert config.batch_size == 1024
+    assert config.epochs == 5
 
 
 def test_decode_log_midpoint():
-    hp = hyperopt.decode([0.5, 0.5, 0.5], SPACE)
-    assert hp.learning_rate == pytest.approx(1e-3, rel=1e-12)
+    config = hyperopt.decode([0.5, 0.5, 0.5], SPACE)
+    assert config.initial_lr == pytest.approx(1e-3, rel=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -66,27 +68,26 @@ def test_decode_monotone_per_coordinate(a, b):
         pos_hi = [0.5, 0.5, 0.5]
         pos_lo[coord] = lo
         pos_hi[coord] = hi
-        hp_lo = hyperopt.decode(pos_lo, SPACE)
-        hp_hi = hyperopt.decode(pos_hi, SPACE)
-        assert hp_lo.learning_rate <= hp_hi.learning_rate
-        assert hp_lo.batch_size <= hp_hi.batch_size
-        assert hp_lo.epochs <= hp_hi.epochs
+        config_lo = hyperopt.decode(pos_lo, SPACE)
+        config_hi = hyperopt.decode(pos_hi, SPACE)
+        assert config_lo.initial_lr <= config_hi.initial_lr
+        assert config_lo.batch_size <= config_hi.batch_size
+        assert config_lo.epochs <= config_hi.epochs
 
 
 def test_decoded_values_always_in_range():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        hp = hyperopt.decode(rng.random(3), SPACE)
-        assert SPACE.lr_range[0] <= hp.learning_rate <= SPACE.lr_range[1]
-        assert SPACE.batch_range[0] <= hp.batch_size <= SPACE.batch_range[1]
-        assert SPACE.epoch_range[0] <= hp.epochs <= SPACE.epoch_range[1]
+        config = hyperopt.decode(rng.random(3), SPACE)
+        assert SPACE.lr_range[0] <= config.initial_lr <= SPACE.lr_range[1]
+        assert SPACE.batch_range[0] <= config.batch_size <= SPACE.batch_range[1]
+        assert SPACE.epoch_range[0] <= config.epochs <= SPACE.epoch_range[1]
 
 
-def test_hyperparams_reject_out_of_range():
-    with pytest.raises(ValueError):
-        hyperopt.HyperParams(learning_rate=1e-3, batch_size=64, epochs=0)
-    with pytest.raises(ValueError):
-        hyperopt.HyperParams(learning_rate=0.0, batch_size=64, epochs=1)
+def test_search_space_lr_floor_is_the_trainers():
+    hyperopt.SearchSpace(lr_range=(trainer.MIN_LR, 1e-3))
+    with pytest.raises(ValueError, match="lr_range"):
+        hyperopt.SearchSpace(lr_range=(trainer.MIN_LR / 2, 1e-3))
 
 
 def test_fitness_ordering_rules():
@@ -134,18 +135,17 @@ def tiny_sets(request):
 
 
 def test_evaluate_candidate_is_deterministic(tiny_sets):
-    hp = hyperopt.HyperParams(learning_rate=3e-3, batch_size=64, epochs=1)
+    config = trainer.TrainConfig(epochs=1, batch_size=64, initial_lr=3e-3,
+                                 seed=5)
     arch = nn.default_architecture(5)
     datasets = (tiny_sets.train, tiny_sets.val)
-    a = hyperopt.evaluate_candidate(hp, datasets, arch, seed=5)
-    b = hyperopt.evaluate_candidate(hp, datasets, arch, seed=5)
+    a = hyperopt.evaluate_candidate(config, datasets, arch)
+    b = hyperopt.evaluate_candidate(config, datasets, arch)
     assert a == b
     assert 0.0 <= a.val_accuracy <= 1.0
     # The fitness is the best epoch's validation record; a second
     # validation pass over the returned network gives the same pair.
     network = nn.Network(arch, tiny_sets.train[0].shape[1:], seed=5)
-    config = trainer.TrainConfig(epochs=1, batch_size=64, initial_lr=3e-3,
-                                 seed=5)
     best, _ = trainer.train(network, tiny_sets.train, tiny_sets.val, config)
     val_loss, val_acc, _, _ = trainer.evaluate(best, tiny_sets.val)
     assert (a.val_accuracy, a.val_loss) == (val_acc, val_loss)
@@ -155,10 +155,9 @@ def test_evaluate_candidate_mid_range_learns(tiny_sets):
     space = hyperopt.SearchSpace(lr_range=(1e-3, 1e-2),
                                  batch_range=(32, 96),
                                  epoch_range=(2, 4))
-    hp = hyperopt.decode([0.5, 0.5, 0.5], space)
+    config = replace(hyperopt.decode([0.5, 0.5, 0.5], space), seed=3)
     fitness = hyperopt.evaluate_candidate(
-        hp, (tiny_sets.train, tiny_sets.val), nn.default_architecture(5),
-        seed=3)
+        config, (tiny_sets.train, tiny_sets.val), nn.default_architecture(5))
     assert fitness.val_accuracy > 0.9
 
 
@@ -166,21 +165,19 @@ def test_diverged_training_returns_worst_fitness(tiny_sets, monkeypatch):
     def explode(*args, **kwargs):
         raise TrainingDiverged("scripted")
 
-    monkeypatch.setattr(hyperopt, "train", explode)
-    hp = hyperopt.HyperParams(learning_rate=1e-3, batch_size=64, epochs=1)
+    monkeypatch.setattr(hyperopt, "train_new", explode)
+    config = trainer.TrainConfig(epochs=1, batch_size=64, initial_lr=1e-3)
     fitness = hyperopt.evaluate_candidate(
-        hp, (tiny_sets.train, tiny_sets.val), nn.default_architecture(5),
-        seed=0)
+        config, (tiny_sets.train, tiny_sets.val), nn.default_architecture(5))
     assert fitness == hyperopt.WORST_FITNESS
 
 
 def test_non_finite_validation_loss_returns_worst_fitness(tiny_sets,
                                                          monkeypatch):
-    hp = hyperopt.HyperParams(learning_rate=1e-3, batch_size=2048, epochs=1)
+    config = trainer.TrainConfig(epochs=1, batch_size=2048, initial_lr=1e-3)
     poison_update(monkeypatch, 1)  # one batch: its update is the last
     fitness = hyperopt.evaluate_candidate(
-        hp, (tiny_sets.train, tiny_sets.val), nn.default_architecture(5),
-        seed=0)
+        config, (tiny_sets.train, tiny_sets.val), nn.default_architecture(5))
     assert fitness == hyperopt.WORST_FITNESS
 
 
@@ -188,10 +185,10 @@ def test_degenerate_swarm_single_evaluation(tiny_sets):
     config = cso.SwarmConfig(n_cats=1, max_iters=1, smp=2, seed=9)
     space = hyperopt.SearchSpace(lr_range=(1e-3, 3e-3), batch_range=(64, 128),
                                  epoch_range=(1, 2))
-    best_hp, best_fit, history = hyperopt.optimize_hyperparams(
+    best_config, best_fit, history = hyperopt.optimize_hyperparams(
         space, (tiny_sets.train, tiny_sets.val),
         nn.default_architecture(5), config)
-    assert space.lr_range[0] <= best_hp.learning_rate <= space.lr_range[1]
+    assert space.lr_range[0] <= best_config.initial_lr <= space.lr_range[1]
     assert isinstance(best_fit, hyperopt.Fitness)
     assert len(history.iterations) == 1
     # the recorded best must be reproducible from its decoded hyperparameters
@@ -211,8 +208,8 @@ def test_history_accuracy_is_non_decreasing(tiny_sets):
 
 def test_save_best_record(tmp_path):
     import json
-    hp = hyperopt.HyperParams(learning_rate=2e-3, batch_size=640, epochs=5)
-    path = hyperopt.save_best(tmp_path / "best.json", hp,
+    config = trainer.TrainConfig(epochs=5, batch_size=640, initial_lr=2e-3)
+    path = hyperopt.save_best(tmp_path / "best.json", config,
                               hyperopt.Fitness(0.9835, 0.0484))
     payload = json.loads(path.read_text())
     assert payload == {

@@ -27,6 +27,13 @@ def _scripted_run(val_accs, config, network=None):
     return lrs, stopped_at, state, adam
 
 
+def test_train_config_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        trainer.TrainConfig(epochs=0, batch_size=64, initial_lr=1e-3)
+    with pytest.raises(ValueError):
+        trainer.TrainConfig(epochs=1, batch_size=64, initial_lr=0.0)
+
+
 def test_lr_halves_after_two_flat_epochs():
     config = trainer.TrainConfig(initial_lr=1e-3, epochs=4)
     lrs, stopped, _, adam = _scripted_run([0.90, 0.91, 0.91, 0.91], config)
