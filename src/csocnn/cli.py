@@ -43,15 +43,13 @@ _NUMERIC_ERRORS = (TrainingDiverged, FitnessError, UndefinedMetric,
 
 SCALER_FILENAME = "scaler.json"
 
-# glibc mallopt parameters (malloc.h). A batch-640 train step frees most of
+# glibc mallopt parameter (malloc.h). A batch-640 train step frees most of
 # its arrays at its end. By default glibc then trims the top of the heap back
 # to the kernel, and the next step faults it back in: 5 200 minor faults
 # (20 MB) and 23 ms of system time a step on a 2-core Xeon VM. A 128 MiB pad
 # on each heap growth keeps that memory mapped, for 0 faults a step (a 64 MiB
-# pad left 384). One arena keeps the swarm's worker threads on the main heap
-# and its pad; an arena per thread raised the swarm's peak RSS by 13-15 %.
+# pad left 384).
 M_TOP_PAD, TOP_PAD_BYTES = -2, 128 << 20
-M_ARENA_MAX, ARENA_MAX = -8, 1
 
 
 def default_out_dir():
@@ -102,8 +100,9 @@ def build_parser():
     p_opt.add_argument("--epoch-range", type=int, nargs=2, default=(1, 5))
     p_opt.add_argument("--workers", type=int,
                        default=hyperopt.default_workers(),
-                       help="candidate trainings at once (default: usable "
-                       "cores / BLAS threads)")
+                       help="candidate trainings at once, in worker "
+                       "processes when above 1 (default: usable cores / "
+                       "BLAS threads)")
 
     p_eval = sub.add_parser("evaluate", help="score a model on labeled data")
     _add_data_flags(p_eval)
@@ -351,6 +350,9 @@ def cmd_optimize(args):
             n_cats=args.cats, max_iters=args.iters, mixture_ratio=args.mr,
             smp=args.smp, srd=args.srd, cdc=args.cdc, c1=args.c1, seed=seed,
             n_workers=args.workers)
+    if args.workers > 1 and not hasattr(os, "fork"):
+        raise UsageError("--workers above 1 needs fork(), which this "
+                         "platform lacks")
     flows, inputs = _load_records(args, seed)
     manifest = RunManifest(out, "optimize", _config_snapshot(args), seed, inputs)
     with _SignalGuard(manifest):
@@ -620,7 +622,6 @@ def _set_allocator_policy():
     except (OSError, AttributeError):
         return
     mallopt(M_TOP_PAD, TOP_PAD_BYTES)
-    mallopt(M_ARENA_MAX, ARENA_MAX)
 
 
 def main(argv=None):

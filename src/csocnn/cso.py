@@ -13,8 +13,10 @@ The swarm maximizes fitness; to minimize f, pass -f. Fitness values may be
 plain floats or any totally ordered objects; in the latter case
 ``weight_key`` must project them to floats for the roulette weights and
 history curves. Candidate evaluations within an iteration are independent
-and may run on a thread pool; results are always reduced in cat-index
-order so runs are reproducible regardless of scheduling.
+and, with n_workers > 1, run on a thread pool; results are always reduced
+in cat-index order so runs are reproducible regardless of scheduling. A
+fitness function that holds the GIL can hand its work to processes and
+wait for it on the pool's thread, as hyperopt's training fitness does.
 """
 
 import csv

@@ -5,12 +5,21 @@ and a fresh seeded network trained with it returns its validation fitness.
 Fitness is the lexicographic pair (validation accuracy desc, validation
 loss asc) — no scalar blend. The swarm maximizes it directly; roulette
 weights project to the accuracy component.
+
+With more than one worker, candidates train in forked worker processes:
+at the small batches the swarm tries, a training step is too short for
+numpy to release the GIL for long, so threads would run it mostly one at
+a time. The swarm's thread pool still schedules the candidates, and each
+of its threads waits on one worker, so every candidate is one
+evaluate_candidate call in this process.
 """
 
+import contextlib
 import functools
 import json
 import math
 import os
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,7 +92,10 @@ def default_workers():
     """Candidate trainings to run at once: the usable cores over the BLAS
     threads each training's products use, at least 1. The BLAS threads are
     the first positive integer in OPENBLAS_NUM_THREADS, then
-    OMP_NUM_THREADS; with neither set, OpenBLAS starts one per core."""
+    OMP_NUM_THREADS; with neither set, OpenBLAS starts one per core.
+    Without fork (the workers' start method) it is 1."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -103,14 +115,10 @@ def candidate_seed(global_seed, cat_index, iteration):
     return int(ss.generate_state(1)[0])
 
 
-def evaluate_candidate(config, datasets, arch):
-    """Train a fresh network of arch with config (trainer.train_new); return
-    the validation Fitness of its best epoch.
-
-    datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
-    training run (non-finite loss) comes back as the worst possible fitness
-    so the swarm routes around it.
-    """
+def _train_candidate(config, datasets, arch):
+    """The validation Fitness of the best epoch of a fresh network of arch
+    trained with config, or WORST_FITNESS when the training diverges. Runs
+    in a pool worker, or in the caller's process when there is no pool."""
     try:
         _, state = train_new(arch, *datasets, config)
     except TrainingDiverged:
@@ -118,22 +126,74 @@ def evaluate_candidate(config, datasets, arch):
     return Fitness(val_accuracy=state.best_val_acc, val_loss=state.best_val_loss)
 
 
+def evaluate_candidate(config, datasets, arch, pool=None):
+    """Train a fresh network of arch with config (trainer.train_new); return
+    the validation Fitness of its best epoch.
+
+    datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
+    training run (non-finite loss) comes back as the worst possible fitness
+    so the swarm routes around it. With a pool (a process executor) the
+    training runs in one of its workers and this call waits for it; an
+    exception in the worker is raised here, and a worker that dies raises
+    BrokenProcessPool.
+    """
+    if pool is None:
+        return _train_candidate(config, datasets, arch)
+    return pool.submit(_train_candidate, config, datasets, arch).result()
+
+
+def _init_worker():
+    """A forked worker inherits the parent's signal handlers, and the CLI's
+    would write the parent's manifest from the worker. Leave SIGINT, which
+    a terminal sends the whole process group, to the parent, and let
+    SIGTERM end the worker at once."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _worker_pool(swarm_config):
+    """The process pool candidates train in, or a null context (giving None)
+    for a serial swarm. It has no more workers than one iteration has
+    candidates. Both are context managers; leaving the pool waits for its
+    workers to exit."""
+    if swarm_config.n_workers == 1:
+        return contextlib.nullcontext()
+    # imported here: the process pool takes 11-18 ms to import, which every
+    # command would pay at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(
+        max_workers=min(swarm_config.n_workers,
+                        swarm_config.n_cats * (swarm_config.smp - 1)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker)
+
+
 def optimize_hyperparams(space, datasets, arch, swarm_config):
     """Run the swarm over the unit cube with training-based fitness; each
-    candidate trains with its decoded config and its candidate_seed.
+    candidate trains with its decoded config and its candidate_seed, in a
+    worker process when swarm_config.n_workers > 1 (see _worker_pool).
 
     Returns (best TrainConfig, best Fitness, SwarmHistory); the config's seed
     is the default, for the caller to set. The history's float projection is
-    validation accuracy, so its best-value sequence is non-decreasing.
+    validation accuracy, so its best-value sequence is non-decreasing. The
+    result is the same for any number of workers.
     """
-    def fitness(position, ctx):
-        seed = candidate_seed(swarm_config.seed, ctx.cat_index, ctx.iteration)
-        return evaluate_candidate(
-            replace(decode(position, space), seed=seed), datasets, arch)
+    with _worker_pool(swarm_config) as pool:
+        if pool is not None:
+            # a fork pool forks all its workers at its first submit: make
+            # that happen here, on the main thread, before cso's threads exist
+            pool.submit(int)
 
-    best_position, best_fitness, history = cso.optimize(
-        fitness, [(0.0, 1.0)] * 3, swarm_config,
-        weight_key=lambda f: f.val_accuracy)
+        def fitness(position, ctx):
+            seed = candidate_seed(swarm_config.seed, ctx.cat_index, ctx.iteration)
+            return evaluate_candidate(
+                replace(decode(position, space), seed=seed), datasets, arch,
+                pool)
+
+        best_position, best_fitness, history = cso.optimize(
+            fitness, [(0.0, 1.0)] * 3, swarm_config,
+            weight_key=lambda f: f.val_accuracy)
     return decode(best_position, space), best_fitness, history
 
 

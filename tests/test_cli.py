@@ -2,8 +2,10 @@ import csv
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -337,6 +339,101 @@ def test_optimize_every_candidate_diverged_exits_4(tmp_path, monkeypatch):
     error = json.loads((out / "error.json").read_text())
     assert error["error"] == "TrainingDiverged"
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_workers_above_1_without_fork_is_usage_error(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    out = tmp_path / "out"
+    code = cli.main(["optimize", "--workers", "2", "--synthetic", "--seed", "1",
+                     "--out", str(out)])
+    assert code == 2
+    assert "fork" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# optimize --workers 2 in a child whose swarm workers leave their pids in a
+# directory, then act out a fault: "exit" ends the worker at once, a number
+# keeps it that many seconds in its candidate before it trains
+_WORKER_FAULT = """
+import os, sys, time
+from csocnn import cli, hyperopt
+
+fault, pid_dir = sys.argv[1], sys.argv[2]
+real_train_new = hyperopt.train_new
+
+def train_new(*args):
+    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+    if fault == "exit":
+        os._exit(1)
+    time.sleep(float(fault))
+    return real_train_new(*args)
+
+hyperopt.train_new = train_new
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+class _FaultyOptimize:
+    """The _WORKER_FAULT child, killed if a test leaves it running."""
+
+    def __init__(self, tmp_path, fault):
+        self.pid_dir = tmp_path / "pids"
+        self.pid_dir.mkdir()
+        self.out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _WORKER_FAULT, fault, str(self.pid_dir),
+             "optimize", "--synthetic", "--synthetic-samples", "200",
+             "--seed", "3", "--out", str(self.out), "--workers", "2",
+             "--cats", "2", "--iters", "1", "--smp", "2",
+             "--epoch-range", "1", "2", "--batch-range", "32", "64"],
+            stderr=subprocess.PIPE, env=env)
+
+    def worker_pids(self, timeout=60):
+        """The recorded pids, once at least one worker reached a candidate."""
+        deadline = time.monotonic() + timeout
+        while not any(self.pid_dir.iterdir()):
+            assert time.monotonic() < deadline, "no worker reached a candidate"
+            time.sleep(0.02)
+        return [int(p.name) for p in self.pid_dir.iterdir()]
+
+    def wait(self, timeout=120):
+        """(exit code, stderr); the child is killed if it outlives timeout."""
+        try:
+            _, stderr = self.proc.communicate(timeout=timeout)
+        finally:
+            if self.proc.poll() is None:
+                self.proc.kill()
+                self.proc.wait()
+        return self.proc.returncode, stderr.decode()
+
+
+@pytest.mark.parametrize("death", ["exit", "sigterm"])
+def test_optimize_worker_death_exits_4(tmp_path, death):
+    child = _FaultyOptimize(tmp_path, "exit" if death == "exit" else "60")
+    if death == "sigterm":
+        os.kill(child.worker_pids()[0], signal.SIGTERM)
+    code, stderr = child.wait()
+    assert code == 4, stderr
+    error = json.loads((child.out / "error.json").read_text())
+    assert error["error"] == "FitnessError"
+    assert "terminated abruptly" in error["message"]
+    # the parent writes no manifest on exit 4, and no worker wrote one
+    assert not (child.out / "manifest.json").exists()
+
+
+def test_optimize_sigterm_mid_swarm_exits_130_and_ends_workers(tmp_path):
+    child = _FaultyOptimize(tmp_path, "1")
+    child.worker_pids()
+    os.kill(child.proc.pid, signal.SIGTERM)
+    code, stderr = child.wait()
+    assert code == 130, stderr
+    manifest = json.loads((child.out / "manifest.json").read_text())
+    assert manifest["partial"] is True
+    for pid in (int(p.name) for p in child.pid_dir.iterdir()):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -915,4 +1012,4 @@ def test_main_runs_whatever_the_allocator(train_run, tmp_path, monkeypatch,
     assert cli.main(["evaluate", "--model", str(train_run / "model.model"),
                      "--synthetic", "--synthetic-samples", "300",
                      "--seed", "1", "--out", str(out)]) == 0
-    assert fake.calls == ([(-2, 128 << 20), (-8, 1)] if libc == "glibc" else [])
+    assert fake.calls == ([(-2, 128 << 20)] if libc == "glibc" else [])

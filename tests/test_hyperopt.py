@@ -1,4 +1,11 @@
+import concurrent.futures
+import json
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +45,13 @@ def test_default_workers_without_affinity_counts_cpus(monkeypatch):
     monkeypatch.setattr(hyperopt.os, "cpu_count", lambda: 6)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert hyperopt.default_workers() == 3
+
+
+def test_default_workers_without_fork_is_1(monkeypatch):
+    # the workers are forked: without fork the swarm runs serially
+    monkeypatch.delattr(hyperopt.os, "fork", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert hyperopt.default_workers() == 1
 
 
 def test_decode_lower_corner():
@@ -219,3 +233,97 @@ def test_save_best_record(tmp_path):
         "val_accuracy": 0.9835,
         "val_loss": 0.0484,
     }
+
+
+class _RecordingPool(concurrent.futures.Executor):
+    """Stands in for ProcessPoolExecutor: records how it was built and what
+    was submitted, and runs each task at once in the submitting thread."""
+
+    def __init__(self, made, max_workers, mp_context, initializer):
+        made.append(self)
+        self.max_workers = max_workers
+        self.start_method = mp_context.get_start_method()
+        self.initializer = initializer
+        self.submits = []  # (function, on the main thread)
+
+    def submit(self, fn, *args):
+        self.submits.append(
+            (fn, threading.current_thread() is threading.main_thread()))
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("n_workers, n_cats, smp, expected", [
+    (8, 2, 2, 2),  # one candidate per cat and iteration
+    (2, 3, 3, 2),
+    (6, 2, 3, 4),
+    (1, 4, 3, None),  # serial: no pool at all
+])
+def test_worker_pool_is_capped_at_one_iterations_candidates(
+        monkeypatch, n_workers, n_cats, smp, expected):
+    made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: _RecordingPool(made, **kw))
+    monkeypatch.setattr(hyperopt, "_train_candidate",
+                        lambda config, datasets, arch: hyperopt.Fitness(0.5, 1.0))
+    config = cso.SwarmConfig(n_cats=n_cats, max_iters=2, smp=smp, seed=1,
+                             n_workers=n_workers)
+    hyperopt.optimize_hyperparams(SPACE, None, None, config)
+    if expected is None:
+        assert made == []
+        return
+    [pool] = made
+    assert pool.max_workers == expected
+    assert pool.start_method == "fork"
+    assert pool.initializer is hyperopt._init_worker
+    # the first submit forks the workers: on the main thread, before any
+    # candidate, that is before cso starts its threads
+    first_fn, on_main_thread = pool.submits[0]
+    assert first_fn is not hyperopt._train_candidate and on_main_thread
+    trained = [fn for fn, _ in pool.submits[1:]]
+    assert len(trained) > n_cats  # the initial cats and two iterations
+    assert trained == [hyperopt._train_candidate] * len(trained)
+
+
+_RAISE_IN_WORKER = """
+import json, os
+from csocnn import cso, data, hyperopt, nn
+from csocnn.errors import FitnessError
+
+config = cso.SwarmConfig(n_cats=2, max_iters=1, smp=2, seed=3, n_workers=2)
+failing_seed = hyperopt.candidate_seed(config.seed, 1, 0)  # cat 1, iteration 0
+real_train_new = hyperopt.train_new
+
+def train_new(arch, train, val, train_config):
+    if train_config.seed == failing_seed:
+        raise ValueError(f"boom in {os.getpid()}")
+    return real_train_new(arch, train, val, train_config)
+
+hyperopt.train_new = train_new
+flows = data.make_synthetic_blobs(200, k_classes=5, d=75, separation=3.0,
+                                  seed=3)
+prep = data.prepare_dataset(flows, seed=3)
+space = hyperopt.SearchSpace(batch_range=(32, 64), epoch_range=(1, 2))
+try:
+    hyperopt.optimize_hyperparams(space, (prep.train, prep.val),
+                                  nn.default_architecture(5), config)
+except FitnessError as exc:
+    print(json.dumps({"parent": os.getpid(), "message": str(exc),
+                      "cause": type(exc.__cause__).__name__,
+                      "position": exc.position.tolist()}))
+"""
+
+
+def test_exception_in_worker_reaches_swarm_with_its_position():
+    env = {**os.environ, "PYTHONPATH": str(Path(hyperopt.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _RAISE_IN_WORKER],
+                         capture_output=True, text=True, timeout=120, env=env,
+                         check=True)
+    record = json.loads(run.stdout)
+    assert record["cause"] == "ValueError"
+    worker = int(record["message"].rsplit("boom in ", 1)[1])
+    assert worker != record["parent"]  # raised in a worker process
+    config = cso.SwarmConfig(n_cats=2, max_iters=1, smp=2, seed=3)
+    cat_1 = cso.init_swarm(config, [(0.0, 1.0)] * 3)[1].position
+    assert np.array_equal(record["position"], cat_1)

@@ -309,6 +309,40 @@ def test_max_pool_propagates_nan(kernel, train):
     np.testing.assert_array_equal(pooled, want)
 
 
+def _np_pad_same(x, kh, kw):
+    """The same-padded pooling buffer as np.pad builds it: -inf rows and
+    columns split around the input, the odd one after it."""
+    th, tw = -x.shape[1] % kh, -x.shape[2] % kw
+    return np.pad(x, ((0, 0), (th // 2, th - th // 2), (tw // 2, tw - tw // 2),
+                      (0, 0)), constant_values=-np.inf)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,shape", [
+    ((2, 1), (4, 33, 1, 3)),  # the default architecture's pools: 33 -> 34
+    ((2, 1), (4, 15, 1, 3)),  # and 15 -> 16 rows
+    ((2, 2), (3, 7, 5, 2)),
+    ((4, 3), (3, 5, 4, 2)),   # -inf rows and columns on both sides
+])
+def test_same_pool_pad_matches_np_pad(kernel, shape, dtype, train):
+    rng = np.random.default_rng([*kernel, *shape])
+    x = rng.choice([-np.inf, np.nan, -0.0, 0.0, 1.0, -2.0],
+                   size=shape).astype(dtype)
+    kh, kw = kernel
+    want = _np_pad_same(x, kh, kw)
+    xp, oh, ow, _ = nn._pool_pad(x, kh, kw, "same")
+    assert _same_bits(xp, want)
+    # the pooled output is the maximum chain over the np.pad buffer's slots
+    slots = [want[:, a::kh, b::kw, :] for a in range(kh) for b in range(kw)]
+    want_pooled = slots[-1]
+    for s in slots[-2::-1]:
+        want_pooled = np.maximum(want_pooled, s)
+    pooled, _ = nn._max_pool(x, kh, kw, "same", train)
+    assert pooled.shape == (shape[0], oh, ow, shape[3])
+    assert _same_bits(pooled, want_pooled)
+
+
 # --- ReLU after max-pool against ReLU before it -----------------------------
 
 def _train_steps(net, x, y, steps=2):
