@@ -5,6 +5,11 @@ inventory, metric values) sufficient to reproduce its metric values
 exactly. Artifact plots are SVG derived from sibling CSVs. Exit codes:
 0 success, 2 usage, 3 data/model format, 4 numeric failure, 130 interrupted,
 141 detect's standard output closed by its reader.
+
+Importing this module loads only what every command runs (data, nn,
+model_io, detector, errors). train, optimize and evaluate import the
+swarm, hyperopt, trainer, metrics and svg modules they need themselves, so
+a detect launch neither imports nor compiles them.
 """
 
 import argparse
@@ -15,7 +20,6 @@ import dataclasses
 import io
 import json
 import os
-import secrets
 import signal
 import sys
 import time
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cso, data, detector, hyperopt, metrics, nn, svg, trainer
+from . import data, detector, nn
 from .errors import (BoundsError, DegenerateClass, FitnessError, LabelError,
                      ModelFormatError, ParseError, ScalerMismatch, SchemaError,
                      ShapeError, StratifyError, TrainingDiverged,
@@ -98,8 +102,8 @@ def build_parser():
     p_opt.add_argument("--lr-range", type=float, nargs=2, default=(1e-4, 1e-2))
     p_opt.add_argument("--batch-range", type=int, nargs=2, default=(32, 1024))
     p_opt.add_argument("--epoch-range", type=int, nargs=2, default=(1, 5))
-    p_opt.add_argument("--workers", type=int,
-                       default=hyperopt.default_workers(),
+    # None: resolved by cmd_optimize, so parsing needs no hyperopt import
+    p_opt.add_argument("--workers", type=int, default=None,
                        help="candidate trainings at once, in worker "
                        "processes when above 1 (default: usable cores / "
                        "BLAS threads)")
@@ -192,8 +196,11 @@ def _seed_and_out(args):
     its output directory."""
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    seed = int(args.seed) if args.seed is not None else secrets.randbits(31)
-    return seed, Path(args.out or default_out_dir())
+    out = Path(args.out or default_out_dir())
+    if args.seed is not None:
+        return int(args.seed), out
+    import secrets
+    return secrets.randbits(31), out
 
 
 def _load_records(args, seed):
@@ -271,19 +278,6 @@ def _config_snapshot(args):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _curve_svg(path, state):
-    svg.line_chart(
-        path, "Training and validation accuracy / loss",
-        [
-            ("train_acc", state.epochs, state.train_acc),
-            ("val_acc", state.epochs, state.val_acc),
-            ("train_loss", state.epochs, state.train_loss),
-            ("val_loss", state.epochs, state.val_loss),
-        ],
-        x_label="epoch", y_label="value")
-    return path
-
-
 def _save_trained(manifest, out, prep, network, state):
     """Write scaler.json, then model.model carrying the scaler fingerprint
     and the best epoch's training metrics."""
@@ -301,6 +295,7 @@ def _save_trained(manifest, out, prep, network, state):
 
 
 def cmd_train(args):
+    from . import metrics, svg, trainer
     seed, out = _seed_and_out(args)
     with _usage_errors():
         config = trainer.TrainConfig(
@@ -318,7 +313,13 @@ def cmd_train(args):
         test_loss, test_acc, predictions, probs = trainer.evaluate(
             best, prep.test)
         manifest.add_artifact(state.history_to_csv(out / "history.csv"))
-        manifest.add_artifact(_curve_svg(out / "curves.svg", state))
+        manifest.add_artifact(svg.line_chart(
+            out / "curves.svg", "Training and validation accuracy / loss",
+            [("train_acc", state.epochs, state.train_acc),
+             ("val_acc", state.epochs, state.val_acc),
+             ("train_loss", state.epochs, state.train_loss),
+             ("val_loss", state.epochs, state.val_loss)],
+            x_label="epoch", y_label="value"))
         _save_trained(manifest, out, prep, best, state)
         cm = metrics.confusion(prep.test[1], predictions, len(prep.codec),
                                prep.codec.classes)
@@ -340,7 +341,10 @@ def cmd_train(args):
 
 
 def cmd_optimize(args):
+    from . import cso, hyperopt, svg, trainer
     seed, out = _seed_and_out(args)
+    if args.workers is None:
+        args.workers = hyperopt.default_workers()
     with _usage_errors():
         space = hyperopt.SearchSpace(
             lr_range=tuple(args.lr_range),
@@ -412,40 +416,56 @@ def _open_model(args):
     return bundle, stats, str(scaler_path)
 
 
+def _quoted(name):
+    """name as csv.writer writes it as one field of a row."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow([name, ""])
+    return line.getvalue()[:-len(",")]
+
+
+def _csv_lines(numbers, text, line_end):
+    """The CSV lines of a block of rows, made with one "".join. A row's
+    fields are its row of numbers, each as the repr of its Python float,
+    with the text columns inserted at their field indices: text maps an
+    index to a string for every row or an object array of one per row,
+    already quoted (see _quoted). Each distinct bit pattern in the block
+    gets one repr, so 0.0 and -0.0 keep their own."""
+    block = np.ascontiguousarray(numbers, dtype=np.float64)
+    n, k = block.shape
+    bits, where = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    # a row is its fields, each followed by ',' except the last, by line_end
+    row = np.empty((n, 2 * (k + len(text))), dtype=object)
+    row[:, 1::2] = ","
+    row[:, -1] = line_end
+    fields = row[:, 0::2]
+    fields[:, [i for i in range(k + len(text)) if i not in text]] = \
+        reprs[where].reshape(n, k)
+    for index, column in text.items():
+        fields[:, index] = column
+    return "".join(row.ravel().tolist())
+
+
 ROC_BLOCK_POINTS = 4096
 
 
 def _write_roc_csv(path, curves):
     """roc.csv: a curve,fpr,tpr,threshold row per point of every (name,
-    points, auc) curve, each number as the repr of its Python float and the
-    name quoted as csv.writer quotes it. Written ROC_BLOCK_POINTS points at
-    a time with one repr per distinct value in the block, so memory stays
-    bounded in the curve length."""
+    points, auc) curve, written ROC_BLOCK_POINTS points at a time (see
+    _csv_lines), so memory stays bounded in the curve length."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("curve,fpr,tpr,threshold\n")
         for name, pts, _ in curves:
-            line = io.StringIO()
-            csv.writer(line).writerow([name, ""])
-            name_field = line.getvalue()[:-len("\r\n")]  # 'name,' quoted
+            text = {0: _quoted(name)}
             for start in range(0, len(pts), ROC_BLOCK_POINTS):
-                block = np.ascontiguousarray(
-                    pts[start:start + ROC_BLOCK_POINTS], dtype=np.float64)
-                # distinct bit patterns, so 0.0 and -0.0 keep their own repr
-                bits, where = np.unique(block.view(np.uint64).ravel(),
-                                        return_inverse=True)
-                text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                                dtype=object)
-                # a row is 7 strings: 'name,' fpr ',' tpr ',' threshold '\n'
-                row = np.empty((len(block), 7), dtype=object)
-                row[:, 0] = name_field
-                row[:, 2] = row[:, 4] = ","
-                row[:, 6] = "\n"
-                row[:, 1::2] = text[where].reshape(-1, 3)
-                fh.write("".join(row.ravel().tolist()))
+                fh.write(_csv_lines(pts[start:start + ROC_BLOCK_POINTS],
+                                    text, "\n"))
     return path
 
 
 def cmd_evaluate(args):
+    from . import metrics, svg
     seed, out = _seed_and_out(args)
     bundle, stats, scaler_path = _open_model(args)
     codec = data.LabelCodec(tuple(bundle.class_names))
@@ -532,6 +552,8 @@ def cmd_evaluate(args):
 
 
 def cmd_detect(args):
+    if args.calibrate and args.threshold is not None:
+        raise UsageError("--calibrate and --threshold are mutually exclusive")
     seed, out = _seed_and_out(args)
     bundle, stats, scaler_path = _open_model(args)
     manifest = RunManifest(out, "detect", _config_snapshot(args), seed,
@@ -549,7 +571,9 @@ def cmd_detect(args):
                 threshold=0.5 if args.threshold is None else args.threshold,
                 score_kind=args.score_kind,
                 benign_class_index=class_names.index(benign_name))
-        writer = csv.writer(sys.stdout)
+        # verdict lines as csv.writer would write them, \r\n-terminated
+        verdicts = np.array(["normal", "anomalous"], dtype=object)
+        classes = np.array([_quoted(c) for c in class_names], dtype=object)
         n_records = n_anomalous = 0
         schema = data.CsvSchema(args.label_column, stats.n_features)
         try:
@@ -562,17 +586,18 @@ def cmd_detect(args):
                         detector.score(probs, policy)[0], codes, policy)
                     print(f"calibrated threshold: {threshold!r}")
                     policy = dataclasses.replace(policy, threshold=threshold)
-                    scored = [(probs, None)]
-                writer.writerow(["score", "verdict", "predicted_class"]
-                                + [f"p_{c}" for c in class_names])
+                    scored = [(block, None) for block in np.split(
+                        probs, range(nn.INFERENCE_ROWS, len(probs),
+                                     nn.INFERENCE_ROWS))]
+                csv.writer(sys.stdout).writerow(
+                    ["score", "verdict", "predicted_class"]
+                    + [f"p_{c}" for c in class_names])
                 for probs, _ in scored:
                     scores, flags = detector.score(probs, policy)
-                    writer.writerows(
-                        [repr(score), "anomalous" if flag else "normal",
-                         class_names[pred]] + [repr(p) for p in row]
-                        for score, flag, pred, row in zip(
-                            scores.tolist(), flags.tolist(),
-                            probs.argmax(axis=1).tolist(), probs.tolist()))
+                    sys.stdout.write(_csv_lines(
+                        np.column_stack([scores, probs]),
+                        {1: verdicts[flags.view(np.uint8)],
+                         2: classes[probs.argmax(axis=1)]}, "\r\n"))
                     n_records += len(scores)
                     n_anomalous += int(flags.sum())
                     sys.stdout.flush()

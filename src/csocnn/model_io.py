@@ -133,7 +133,7 @@ def load_model(path):
 
     try:
         layers = [_spec_from_json(d) for d in manifest["layers"]]
-        network = Network(layers, manifest["input_shape"], seed=0)
+        network = Network(layers, manifest["input_shape"], seed=None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: bad layer table ({exc})") from exc
 

@@ -197,10 +197,12 @@ def count_params(network):
 class Network:
     """A layer sequence plus its parameter and running-stat tensors.
 
-    Parameters are Glorot-uniform initialized from the seed; BatchNorm
-    starts at scale 1 / shift 0 with zero running mean and unit running
-    variance. Instances are value-like: clone() gives an independent copy
-    safe to train on another thread.
+    Parameters are Glorot-uniform initialized from the seed, or zero when
+    the seed is None, for a caller that sets every tensor itself
+    (model_io.load_model) and needs no numpy.random; BatchNorm starts at
+    scale 1 / shift 0 with zero running mean and unit running variance.
+    Instances are value-like: clone() gives an independent copy safe to
+    train on another thread.
     """
 
     def __init__(self, layers, input_shape, seed=0, dtype=np.float32):
@@ -212,16 +214,21 @@ class Network:
         self.bn_stats = {}
         self._forward_version = 0
 
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
+
+        def glorot(fan_in, fan_out, shape):
+            if rng is None:
+                return np.zeros(shape, dtype=self.dtype)
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, shape).astype(self.dtype)
+
         prev = self.input_shape
         for i, spec in enumerate(self.layers):
             if spec.kind == "Conv2D":
                 kh, kw = spec.kernel
                 in_ch, f = prev[-1], spec.filters_or_units
-                fan_in, fan_out = kh * kw * in_ch, kh * kw * f
-                limit = math.sqrt(6.0 / (fan_in + fan_out))
-                self.params[f"{i}.kernel"] = rng.uniform(
-                    -limit, limit, (kh, kw, in_ch, f)).astype(self.dtype)
+                self.params[f"{i}.kernel"] = glorot(
+                    kh * kw * in_ch, kh * kw * f, (kh, kw, in_ch, f))
                 self.params[f"{i}.bias"] = np.zeros(f, dtype=self.dtype)
             elif spec.kind == "BatchNorm":
                 c = prev[-1]
@@ -231,9 +238,7 @@ class Network:
                 self.bn_stats[f"{i}.var"] = np.ones(c, dtype=self.dtype)
             elif spec.kind == "Dense":
                 n_in, n_out = prev[0], spec.filters_or_units
-                limit = math.sqrt(6.0 / (n_in + n_out))
-                self.params[f"{i}.weight"] = rng.uniform(
-                    -limit, limit, (n_in, n_out)).astype(self.dtype)
+                self.params[f"{i}.weight"] = glorot(n_in, n_out, (n_in, n_out))
                 self.params[f"{i}.bias"] = np.zeros(n_out, dtype=self.dtype)
             prev = self.shapes[i]
 
@@ -268,15 +273,15 @@ def _activate(z, activation):
 
 
 def _im2col(x, kh, kw):
+    """Each output position's kh x kw window as one row of slot-major
+    columns: column (i * kw + j) * c + ch holds x[:, r + i, s + j, ch].
+    One copy of a strided view."""
     n, h, w, c = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    cols = np.empty((n, oh, ow, kh * kw * c), dtype=x.dtype)
-    slot = 0
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., slot * c:(slot + 1) * c] = x[:, i:i + oh, j:j + ow, :]
-            slot += 1
-    return cols
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    # (n, oh, ow, c, kh, kw) -> (n, oh, ow, kh, kw, c); copy() gives a fresh
+    # array even for a 1 x 1 kernel, where reshape would return a view of x
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).copy()
+    return cols.reshape(n, h - kh + 1, w - kw + 1, kh * kw * c)
 
 
 def _col2im(dcols, x_shape, kh, kw):

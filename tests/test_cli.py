@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import platform
@@ -34,7 +35,7 @@ def train_run(tmp_path_factory):
     return out
 
 
-def _write_stream(path, n=3, seed=13, n_features=75):
+def _write_stream(path, n=3, seed=13, n_features=75, rename=None):
     flows = data.make_synthetic_blobs(max(n, 5), k_classes=5, d=75,
                                       separation=3.0, seed=seed)[:n]
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -42,7 +43,7 @@ def _write_stream(path, n=3, seed=13, n_features=75):
         writer.writerow([f"f{i}" for i in range(n_features)] + ["label"])
         for features, label in zip(flows.features, flows.labels):
             writer.writerow([repr(float(v)) for v in features[:n_features]]
-                            + [label])
+                            + [(rename or {}).get(label, label)])
     return path
 
 
@@ -270,6 +271,24 @@ def test_detect_calibrate_prints_threshold(train_run, tmp_path, capsys):
     float(first.split(": ")[1])
 
 
+def test_detect_calibrate_with_threshold_is_usage_error(train_run, tmp_path,
+                                                       capsys):
+    # the pair scored at the calibrated threshold while the manifest
+    # recorded the flag's
+    stream = _write_stream(tmp_path / "stream.csv", n=60, seed=13)
+    out = tmp_path / "detcal"
+    code = cli.main(["detect", "--model", str(train_run / "model.model"),
+                     "--input", str(stream), "--calibrate",
+                     "--threshold", "0.3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == ("csocnn: usage error: --calibrate and --threshold are "
+                    "mutually exclusive")
+    assert not out.exists()
+
+
 def test_detect_scaler_mismatch_exits_3(train_run, tmp_path):
     other_stats = data.ScalerStats.fit(
         np.arange(75.0) + np.arange(4.0)[:, None])
@@ -299,7 +318,7 @@ def test_optimize_smoke_and_convergence_rows(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["metrics"]["best_fitness"][0] >= best_values[0]
     workers = manifest["config"]["workers"]  # the resolved default
-    assert type(workers) is int and workers >= 1
+    assert type(workers) is int and workers == hyperopt.default_workers()
     assert (out / "best_hyperparams.json").exists()
     assert (out / "model.model").exists()
     assert ({p.name for p in out.iterdir()}
@@ -947,6 +966,136 @@ def test_roc_csv_quotes_class_names(tmp_path):
     assert "\nBenign,0.0,0.0,inf\n" in text
     assert '\n"Data, exfil",0.0,0.0,inf\n' in text
     assert '\n"Recon ""scan""",0.0,0.0,inf\n' in text
+
+
+QUOTED_CLASSES = {"Benign": "Benign", "Data": "Data, exfil",
+                  "Establish": "Establish", "Lateral": "Lateral move",
+                  "Reconn": 'Recon "scan"'}
+
+
+@pytest.fixture(scope="module")
+def quoted_model(train_run, tmp_path_factory):
+    """train_run's model under class names csv.writer has to quote."""
+    model_dir = tmp_path_factory.mktemp("quoted-model")
+    bundle = load_model(train_run / "model.model")
+    save_model(model_dir / "model.model", bundle.network,
+               [QUOTED_CLASSES[c] for c in bundle.class_names],
+               scaler_fingerprint=bundle.scaler_fingerprint)
+    (model_dir / "scaler.json").write_bytes(
+        (train_run / "scaler.json").read_bytes())
+    return model_dir / "model.model"
+
+
+def _per_row_detect_csv(probs, policy, class_names):
+    """detect's verdict lines as it wrote them before the block writer: a
+    csv.writer row per record."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["score", "verdict", "predicted_class"]
+                    + [f"p_{c}" for c in class_names])
+    scores, flags = detector.score(probs, policy)
+    writer.writerows(
+        [repr(score), "anomalous" if flag else "normal", class_names[pred]]
+        + [repr(p) for p in row]
+        for score, flag, pred, row in zip(
+            scores.tolist(), flags.tolist(), probs.argmax(axis=1).tolist(),
+            probs.tolist()))
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("score_kind", detector.SCORE_KINDS)
+@pytest.mark.parametrize("rows,calibrate,odd_values", [
+    (0, False, False), (1, False, False), (256, False, False),
+    (257, False, False), (600, False, False), (257, False, True),
+    (256, True, False), (600, True, False),
+])
+def test_detect_stdout_matches_per_row_csv_writer(
+        quoted_model, tmp_path, monkeypatch, capsys, score_kind, rows,
+        calibrate, odd_values):
+    stream = _write_stream(tmp_path / "stream.csv", n=rows, seed=16,
+                           rename=QUOTED_CLASSES)
+    predicted, blocks = [], []
+    predict, csv_lines = nn.predict, cli._csv_lines
+
+    def spy_predict(network, batch):
+        probs = predict(network, batch)
+        if odd_values:
+            probs[0, 0] = np.nan
+            probs[-1, 1] = -0.0
+        predicted.append(probs)
+        return probs
+
+    def spy_csv_lines(numbers, text, line_end):
+        blocks.append(len(numbers))
+        return csv_lines(numbers, text, line_end)
+
+    monkeypatch.setattr(nn, "predict", spy_predict)
+    monkeypatch.setattr(cli, "_csv_lines", spy_csv_lines)
+    flags = ["--calibrate"] if calibrate else ["--threshold", "0.4"]
+    code = cli.main(["detect", "--model", str(quoted_model),
+                     "--input", str(stream), "--score-kind", score_kind,
+                     "--seed", "0", *flags, "--out", str(tmp_path / "det")])
+    assert code == 0
+    out = capsys.readouterr().out
+    if calibrate:
+        first, out = out.split("\n", 1)
+        threshold = float(first.removeprefix("calibrated threshold: "))
+    else:
+        threshold = 0.4
+    class_names = tuple(load_model(quoted_model).class_names)
+    policy = detector.DetectionPolicy(
+        threshold=threshold, score_kind=score_kind,
+        benign_class_index=class_names.index("Benign"))
+    probs = (np.concatenate(predicted) if predicted
+             else np.empty((0, len(class_names))))
+    assert len(probs) == rows
+    assert out == _per_row_detect_csv(probs, policy, class_names)
+    header = out.split("\r\n", 1)[0]
+    assert '"p_Data, exfil"' in header and '"p_Recon ""scan"""' in header
+    if rows >= 256:  # the quoted names also stand as predicted classes
+        assert ',"Data, exfil",' in out or ',"Recon ""scan""",' in out
+    assert sum(blocks) == rows and all(b <= nn.INFERENCE_ROWS for b in blocks)
+    if odd_values:
+        assert ",nan," in out and ",-0.0" in out
+
+
+# which of the comma-separated modules in argv[1] a fresh interpreter holds
+# after importing csocnn.cli and, given further arguments, running cli.main
+_LOADED_MODULES = """
+import json, sys
+from csocnn import cli
+code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+print(json.dumps([code, [m for m in sys.argv[1].split(",") if m in sys.modules]]))
+"""
+
+TRAINING_MODULES = ["csocnn.cso", "csocnn.hyperopt", "csocnn.trainer",
+                    "csocnn.optim"]
+
+
+@pytest.mark.parametrize("command", ["import", "detect", "evaluate"])
+def test_commands_load_only_the_modules_they_run(train_run, tmp_path, command):
+    model = str(train_run / "model.model")
+    stream = str(_write_stream(tmp_path / "stream.csv", n=40))
+    argv, unused = {
+        "import": ([], [*TRAINING_MODULES, "csocnn.metrics", "csocnn.svg",
+                        "concurrent.futures", "secrets"]),
+        "detect": (["detect", "--model", model, "--input", stream,
+                    "--threshold", "0.5"],
+                   [*TRAINING_MODULES, "csocnn.metrics", "csocnn.svg",
+                    "concurrent.futures", "secrets"]),
+        "evaluate": (["evaluate", "--model", model, "--data", stream],
+                     TRAINING_MODULES),
+    }[command]
+    if argv:
+        argv += ["--seed", "1", "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, ",".join(unused), *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
 
 
 _HEAP_LOOP = """

@@ -224,6 +224,39 @@ def test_col2im_matches_zero_filled_sum_bit_for_bit(kernel, x_shape, dtype, uint
     assert np.array_equal(got.view(uint), want.view(uint))
 
 
+def _slot_copy_im2col(x, kh, kw):
+    """nn._im2col as it was: one strided copy per kernel slot."""
+    n, h, w, c = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    cols = np.empty((n, oh, ow, kh * kw * c), dtype=x.dtype)
+    for slot in range(kh * kw):
+        i, j = divmod(slot, kw)
+        cols[..., slot * c:(slot + 1) * c] = x[:, i:i + oh, j:j + ow, :]
+    return cols
+
+
+@pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32),
+                                        (np.float64, np.uint64)])
+@pytest.mark.parametrize("kernel,x_shape", [
+    ((6, 1), (5, 75, 1, 1)), ((3, 1), (3, 35, 1, 64)), ((3, 1), (2, 17, 1, 64)),
+    ((3, 2), (4, 7, 5, 2)), ((1, 1), (2, 3, 3, 1)),
+])
+def test_im2col_matches_slot_copy_bit_for_bit(kernel, x_shape, dtype, uint):
+    kh, kw = kernel
+    rng = np.random.default_rng(sum(x_shape))
+    x = rng.normal(size=x_shape).astype(dtype)
+    pick = rng.random(x_shape)
+    x[pick < 0.2] = -0.0
+    x[(pick >= 0.2) & (pick < 0.22)] = np.nan
+    got = nn._im2col(x, kh, kw)
+    want = _slot_copy_im2col(x, kh, kw)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(uint), want.view(uint))
+    # a fresh array, never a view of x
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert not np.shares_memory(got, x)
+
+
 # --- the input conv's BatchNorm folded in training ---------------------------
 
 def _unfolded_pair(x, kernel, gamma, beta, dy):
