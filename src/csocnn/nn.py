@@ -504,9 +504,10 @@ def forward(network, batch, mode):
     (_fold_batch_norm), and that BatchNorm's entry keeps no xhat. A fold
     rounds differently from the unfolded pair in the last bits. In inference
     mode BatchNorm uses the stored running stats, the call has no side
-    effects, and the cache holds no layer arrays: each layer's
-    intermediates are dropped once the next layer has read them, and
-    backward() rejects the cache. The inference fold keeps the conv bias's
+    effects, and the cache holds no layer arrays, so backward() rejects it.
+    In both modes every other array is dropped at its last reader: a
+    layer's input once the layer has read it, a pre-activation once its
+    activation has run. The inference fold keeps the conv bias's
     (b - mean) term, so a model file whose conv biases are nonzero still
     scores exactly.
     """
@@ -528,8 +529,8 @@ def forward(network, batch, mode):
         if i == folded:
             continue
         # a train cache keeps only what backward reads; an inference cache
-        # dies with its layer, and the dels below stop the locals from
-        # keeping its arrays alive through the layers after it
+        # dies with its layer, and the dels below drop each local at its
+        # last reader, so no array outlives its use
         cache = {"shape": x.shape}
         act = acts[i]
         if spec.kind == "Input":
@@ -537,6 +538,7 @@ def forward(network, batch, mode):
         elif spec.kind == "Conv2D":
             kh, kw = spec.kernel
             cols = _im2col(x, kh, kw)
+            del x
             cols2 = cols.reshape(-1, cols.shape[-1])
             inert = _folds_into_batch_norm(network.layers, i)
             if inert and (not train or _folds_in_training(network.layers, i)):
@@ -561,6 +563,7 @@ def forward(network, batch, mode):
             if train:
                 mean = x.mean(axis=(0, 1, 2))
                 xc = x - mean
+                del x
                 # the sum of squared deviations x.var would take, in its order
                 var = np.square(xc).mean(axis=(0, 1, 2))
                 _update_running_stats(network, i, mean, var)
@@ -568,6 +571,7 @@ def forward(network, batch, mode):
                 mean = network.bn_stats[f"{i}.mean"]
                 var = network.bn_stats[f"{i}.var"]
                 xc = x - mean
+                del x
             std = np.sqrt(var + BN_EPSILON)
             xc /= std
             # inference keeps no xhat, so it scales and shifts it in place
@@ -577,6 +581,7 @@ def forward(network, batch, mode):
             del xc
         elif spec.kind == "MaxPool2D":
             z, pool_cache = _max_pool(x, *spec.kernel, spec.padding, train)
+            del x
             cache.update(pool_cache)
         elif spec.kind == "Flatten":
             z = x.reshape(x.shape[0], -1)
@@ -584,6 +589,7 @@ def forward(network, batch, mode):
             z = x @ network.params[f"{i}.weight"] + network.params[f"{i}.bias"]
             cache["x"] = x
         x = _activate(z, act)
+        del z
         if train:
             layer_caches.append(cache)
             if folded == i + 1:
@@ -650,7 +656,9 @@ def backward(network, cache, true_labels):
     it. A layer's gradient is masked by the ReLU mask its cache entry holds,
     if any.
     Backward consumes the cache: it drops each layer's entry as it passes
-    it, and a spent cache is rejected."""
+    it, a conv's columns right after its kernel-gradient GEMM, before the
+    input-gradient GEMM allocates their gradient, and a spent cache is
+    rejected."""
     if cache["mode"] != "train":
         raise StateError("backward requires a train-mode forward cache")
     if None in cache["layers"]:
@@ -695,7 +703,7 @@ def backward(network, cache, true_labels):
                 np.zeros_like(network.params[f"{i}.bias"])
                 if _folds_into_batch_norm(network.layers, i)
                 else dz.sum(axis=(0, 1, 2)))
-            g = lc["cols"].reshape(-1, lc["cols"].shape[-1]).T @ dz2
+            g = lc.pop("cols").reshape(len(dz2), -1).T @ dz2
             if folded is not None:
                 # dz is the gradient at the folded BatchNorm's output
                 j = i + 1
@@ -706,7 +714,7 @@ def backward(network, cache, true_labels):
             grads[f"{i}.kernel"] = g.reshape(kernel.shape)
             if i > 1:
                 dcols = dz2 @ kernel.reshape(-1, dz2.shape[1]).T
-                grad = _col2im(dcols.reshape(lc["cols"].shape), lc["shape"],
+                grad = _col2im(dcols.reshape(*dz.shape[:-1], -1), lc["shape"],
                                *spec.kernel)
                 del dcols
             del dz2
