@@ -54,6 +54,14 @@ SCALER_FILENAME = "scaler.json"
 # on each heap growth keeps that memory mapped, for 0 faults a step (a 64 MiB
 # pad left 384).
 M_TOP_PAD, TOP_PAD_BYTES = -2, 128 << 20
+# Setting M_TOP_PAD also freezes glibc's mmap threshold at 128 KiB. An array
+# above it comes from the heap's top when the top has room; when it has not,
+# glibc maps the array instead of growing the heap, so while the top stays
+# short each such array is faulted in afresh. Which of the two a run fell
+# into hung on heap layout: the same 6 000-row `detect` took 7 400 or 123 000
+# minor faults (0.44 or 0.69 s), depending on the length of its paths. Below
+# 32 MiB, glibc's largest threshold, arrays now always come from the heap.
+M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES = -3, 32 << 20
 
 
 def default_out_dir():
@@ -167,7 +175,9 @@ class RunManifest:
 
 
 class _SignalGuard:
-    """Finalize the manifest with a partial marker on SIGINT/SIGTERM."""
+    """Finalize the manifest with a partial marker on SIGINT/SIGTERM, and
+    end the swarm's worker processes, whose running candidates the pool
+    would otherwise wait for on the way out."""
 
     def __init__(self, manifest):
         self.manifest = manifest
@@ -183,6 +193,10 @@ class _SignalGuard:
 
     def _handle(self, signum, frame):
         self.manifest.write(partial=True)
+        # only optimize starts children, and it imports multiprocessing
+        mp = sys.modules.get("multiprocessing")
+        for child in mp.active_children() if mp else ():
+            child.terminate()
         raise SystemExit(130)
 
     def __exit__(self, *exc):
@@ -639,14 +653,16 @@ def _error_record(args, exc, code):
 
 
 def _set_allocator_policy():
-    """Set the process's glibc allocator policy (see M_TOP_PAD). It changes
-    no result, only when freed memory goes back to the kernel; without glibc
-    it does nothing."""
+    """Set the process's glibc allocator policy (see M_TOP_PAD and
+    M_MMAP_THRESHOLD). It changes no result, only where arrays are placed
+    and when freed memory goes back to the kernel; without glibc it does
+    nothing."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
         return
     mallopt(M_TOP_PAD, TOP_PAD_BYTES)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
 def main(argv=None):

@@ -4,14 +4,17 @@ Implements exactly the layer kinds the classifier needs (Input, Conv2D,
 BatchNorm, MaxPool2D, Flatten, Dense) with forward and backward passes on
 numpy arrays in channels-last (N, H, W, C) layout. Every convolution is
 stride-1 and runs as one 2-D GEMM over an im2col layout (Chellapilla, Puri &
-Simard, 2006) in both modes, and its input gradient is one GEMM too. A conv
+Simard, 2006) in both modes; its input gradient is one GEMM per kernel
+slot, each added into the slot's input window (Anderson, Vasudevan, Keane
+& Gregg, 2017). A conv
 with no activation of its own that feeds a BatchNorm has an inert bias: the
 batch mean cancels it (Ioffe & Szegedy, 2015, section 3.2), so a train
 forward adds none and backward gives it an exact-zero gradient, which keeps
 it at its initial 0. BatchNorm's input gradient reuses its parameter
 gradients (Ioffe & Szegedy, 2015). Pooling strides by its own kernel
 and takes the max over the window's strided slots, routing the gradient to the
-first max as argmax would; a ReLU in front of a pool runs after it, on half
+first max as argmax would, which a 2-slot pool finds with one compare; a
+ReLU in front of a pool runs after it, on half
 the elements. The final Dense layer carries a softmax so the network emits
 per-sample class probabilities directly. Only a train-mode forward keeps the
 per-layer arrays backward needs; an inference forward frees each layer's
@@ -284,20 +287,37 @@ def _im2col(x, kh, kw):
     return cols.reshape(n, h - kh + 1, w - kw + 1, kh * kw * c)
 
 
-def _col2im(dcols, x_shape, kh, kw):
-    """Sum each column slot back into its window position. Slot 0 covers
+def _conv_input_gradient(dz2, kmat, x_shape, kh, kw):
+    """Input gradient of a stride-1 conv from its (M, F) output gradient and
+    (K, F) kernel matrix, one kernel slot at a time (Anderson et al., 2017):
+    slot s's (M, C) block dz2 @ kmat[s*C:(s+1)*C].T goes into one reused
+    buffer and is added into its window of dx, each window a whole run of
+    every sample when kw == 1. The BLAS rounds a block as it rounds those
+    columns of the full dz2 @ kmat.T, except a one-column block, which numpy
+    hands to the matrix-vector routine, summing in another order: with one
+    input channel the small (M, kh*kw) product runs whole. Slot 0 covers
     [:oh, :ow] and is written as 0.0 + value, the bits a zero-filled buffer
     plus the slot gives (-0.0 becomes 0.0); only the cells outside it are
-    zeroed before the other slots add in."""
+    zeroed before the other slots add in, in slot order."""
     n, h, w, c = x_shape
     oh, ow = h - kh + 1, w - kw + 1
-    dx = np.empty(x_shape, dtype=dcols.dtype)
-    np.add(dcols[..., :c], 0.0, out=dx[:, :oh, :ow, :])
+    dx = np.empty(x_shape, dtype=dz2.dtype)
     dx[:, oh:, :, :] = 0
     dx[:, :oh, ow:, :] = 0
-    for slot in range(1, kh * kw):
+    if c == 1:
+        full = dz2 @ kmat.T
+        blocks = (full[:, s:s + 1] for s in range(kh * kw))
+    else:
+        buf = np.empty((len(dz2), c), dtype=dz2.dtype)
+        blocks = (np.matmul(dz2, kmat[s * c:(s + 1) * c].T, out=buf)
+                  for s in range(kh * kw))
+    for slot, block in enumerate(blocks):
         i, j = divmod(slot, kw)
-        dx[:, i:i + oh, j:j + ow, :] += dcols[..., slot * c:(slot + 1) * c]
+        window = block.reshape(n, oh, ow, c)
+        if slot:
+            dx[:, i:i + oh, j:j + ow, :] += window
+        else:
+            np.add(window, 0.0, out=dx[:, :oh, :ow, :])
     return dx
 
 
@@ -339,18 +359,24 @@ def _max_pool(x, kh, kw, padding, train):
     # the first max's slot is the number of leading slots below the max; a
     # window holding NaN counts as max-free and routes its NaN gradient to
     # the last slot
-    idx = np.zeros(z.shape, dtype=np.min_scalar_type(len(slots) - 1))
-    below = np.ones(z.shape, dtype=bool)
-    for s in slots[:-1]:
-        below &= s != z
-        idx += below
+    if len(slots) == 2:
+        # one compare: slot 1 exactly where slot 0 is below the max
+        idx = (slots[0] != z).view(np.uint8)
+    else:
+        idx = np.zeros(z.shape, dtype=np.min_scalar_type(len(slots) - 1))
+        below = np.ones(z.shape, dtype=bool)
+        for s in slots[:-1]:
+            below &= s != z
+            idx += below
     return z, {"argmax": idx, "padded_shape": xp.shape, "offsets": offsets}
 
 
 def _max_pool_backward(dz, x_shape, kh, kw, padding, cache):
     """Input gradient of _max_pool: each output's gradient goes to the slot
     its train-mode cache recorded, masked into that slot's strided view as
-    unsigned integers (a float product would leave -0.0 or NaN elsewhere)."""
+    unsigned integers (a float product would leave -0.0 or NaN elsewhere).
+    With 2 slots, slot 1 takes dz times the 0/1 index and slot 0 the rest,
+    dz xor that product."""
     n, h, w, c = x_shape
     ph, pw = cache["padded_shape"][1:3]
     # the slots fill a same-padded buffer; valid pooling dropped any trailing
@@ -358,9 +384,15 @@ def _max_pool_backward(dz, x_shape, kh, kw, padding, cache):
     alloc = np.empty if padding == "same" else np.zeros
     dx = alloc((n, max(ph, h), max(pw, w), c), dtype=dz.dtype)
     u = np.dtype(f"u{dz.itemsize}")
-    for s in range(kh * kw):
-        np.multiply(dz.view(u), cache["argmax"] == s,
-                    out=dx.view(u)[:, s // kw:ph:kh, s % kw:pw:kw, :])
+    du, idx = dz.view(u), cache["argmax"]
+    slots = [dx.view(u)[:, s // kw:ph:kh, s % kw:pw:kw, :]
+             for s in range(kh * kw)]
+    if len(slots) == 2:
+        np.multiply(du, idx, out=slots[1])
+        np.bitwise_xor(du, slots[1], out=slots[0])
+    else:
+        for s, slot in enumerate(slots):
+            np.multiply(du, idx == s, out=slot)
     bh, bw = cache["offsets"]
     return dx[:, bh:bh + h, bw:bw + w, :]
 
@@ -657,8 +689,7 @@ def backward(network, cache, true_labels):
     if any.
     Backward consumes the cache: it drops each layer's entry as it passes
     it, a conv's columns right after its kernel-gradient GEMM, before the
-    input-gradient GEMM allocates their gradient, and a spent cache is
-    rejected."""
+    input gradient's slot GEMMs run, and a spent cache is rejected."""
     if cache["mode"] != "train":
         raise StateError("backward requires a train-mode forward cache")
     if None in cache["layers"]:
@@ -713,10 +744,9 @@ def backward(network, cache, true_labels):
                         network.params[f"{j}.gamma"], folded))
             grads[f"{i}.kernel"] = g.reshape(kernel.shape)
             if i > 1:
-                dcols = dz2 @ kernel.reshape(-1, dz2.shape[1]).T
-                grad = _col2im(dcols.reshape(*dz.shape[:-1], -1), lc["shape"],
-                               *spec.kernel)
-                del dcols
+                grad = _conv_input_gradient(
+                    dz2, kernel.reshape(-1, dz2.shape[1]), lc["shape"],
+                    *spec.kernel)
             del dz2
         elif spec.kind == "BatchNorm":
             if "sigma" in lc:

@@ -443,10 +443,13 @@ def test_optimize_worker_death_exits_4(tmp_path, death):
 
 
 def test_optimize_sigterm_mid_swarm_exits_130_and_ends_workers(tmp_path):
-    child = _FaultyOptimize(tmp_path, "1")
+    # each candidate sleeps 30 s: the exit must not wait for them
+    child = _FaultyOptimize(tmp_path, "30")
     child.worker_pids()
+    start = time.monotonic()
     os.kill(child.proc.pid, signal.SIGTERM)
     code, stderr = child.wait()
+    assert time.monotonic() - start < 10, stderr
     assert code == 130, stderr
     manifest = json.loads((child.out / "manifest.json").read_text())
     assert manifest["partial"] is True
@@ -1099,17 +1102,21 @@ def test_commands_load_only_the_modules_they_run(train_run, tmp_path, command):
 
 
 _HEAP_LOOP = """
-import resource, sys
+import ctypes, resource, sys
 import numpy as np
 from csocnn import cli
 if sys.argv[1] == "policy":
     cli._set_allocator_policy()
+elif sys.argv[1] == "top-pad-only":
+    ctypes.CDLL("libc.so.6").mallopt(cli.M_TOP_PAD, cli.TOP_PAD_BYTES)
 
 def step():
     # like a train step: 64 KB arrays, under glibc's mmap threshold, grow
     # the heap (by the pad, under the policy), 1 MB arrays come from its
-    # top, and all of them are freed at the end
-    small = [np.ones(1 << 14, np.float32) for _ in range(64)]
+    # top, and all of them are freed at the end; with "large" alone, no
+    # small array grows the heap first
+    small = [np.ones(1 << 14, np.float32)
+             for _ in range(64 if sys.argv[2] == "mixed" else 0)]
     big = [np.ones(1 << 18, np.float32) for _ in range(16)]
 
 for _ in range(3):
@@ -1126,8 +1133,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 def test_allocator_policy_keeps_freed_heap_mapped():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
-    def faults_per_step(policy):
-        run = subprocess.run([sys.executable, "-c", _HEAP_LOOP, policy],
+    def faults_per_step(policy, arrays="mixed"):
+        run = subprocess.run([sys.executable, "-c", _HEAP_LOOP, policy, arrays],
                              capture_output=True, text=True, check=True,
                              env=env)
         return float(run.stdout)
@@ -1135,6 +1142,10 @@ def test_allocator_policy_keeps_freed_heap_mapped():
     # glibc's default trims the freed top each step and faults it back in
     assert faults_per_step("default") > 1000
     assert faults_per_step("policy") < 10
+    # the pad alone freezes the mmap threshold at 128 KiB: with the top too
+    # small, each 1 MB array is mmapped and faulted in afresh every step
+    assert faults_per_step("top-pad-only", "large") > 1000
+    assert faults_per_step("policy", "large") < 10
 
 
 class _Libc:
@@ -1161,4 +1172,5 @@ def test_main_runs_whatever_the_allocator(train_run, tmp_path, monkeypatch,
     assert cli.main(["evaluate", "--model", str(train_run / "model.model"),
                      "--synthetic", "--synthetic-samples", "300",
                      "--seed", "1", "--out", str(out)]) == 0
-    assert fake.calls == ([(-2, 128 << 20)] if libc == "glibc" else [])
+    assert fake.calls == ([(-2, 128 << 20), (-3, 32 << 20)]
+                          if libc == "glibc" else [])

@@ -143,14 +143,14 @@ def test_first_layer_input_gradient_is_skipped(monkeypatch):
     x = rng.random((24, 75, 1, 1)).astype(np.float32)
     y = rng.integers(0, 5, size=24)
     want = _train_step_grads(net.clone(), x, y)
-    original = nn._col2im
+    original = nn._conv_input_gradient
     shapes = []
 
-    def spy(dcols, x_shape, kh, kw):
+    def spy(dz2, kmat, x_shape, kh, kw):
         shapes.append(x_shape)
-        return original(dcols, x_shape, kh, kw)
+        return original(dz2, kmat, x_shape, kh, kw)
 
-    monkeypatch.setattr(nn, "_col2im", spy)
+    monkeypatch.setattr(nn, "_conv_input_gradient", spy)
     grads = _train_step_grads(net, x, y)
     # only the convolutions at layers 4 and 7 fold an input gradient back
     assert shapes == [(24, *net.shapes[6]), (24, *net.shapes[3])]
@@ -191,7 +191,8 @@ def test_conv_bias_outside_the_rule_keeps_its_gradient(layers):
 
 
 def _zero_fill_col2im(dcols, x_shape, kh, kw):
-    """nn._col2im as it was: a zero-filled buffer that every slot adds into."""
+    """The column sum of the conv input gradient as it was: a zero-filled
+    buffer that every slot of the full dcols = dz2 @ kmat.T adds into."""
     n, h, w, c = x_shape
     oh, ow = h - kh + 1, w - kw + 1
     dx = np.zeros(x_shape, dtype=dcols.dtype)
@@ -203,23 +204,34 @@ def _zero_fill_col2im(dcols, x_shape, kh, kw):
 
 @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32),
                                         (np.float64, np.uint64)])
-@pytest.mark.parametrize("kernel,x_shape", [
-    ((6, 1), (5, 75, 1, 4)), ((3, 1), (3, 35, 1, 64)), ((2, 2), (4, 5, 6, 3)),
+@pytest.mark.parametrize("n", [1, 32, 256])
+@pytest.mark.parametrize("kernel,x_shape,filters", [
+    ((6, 1), (75, 1, 4), 8), ((3, 1), (35, 1, 64), 64), ((2, 2), (5, 6, 3), 5),
+    # one input channel: each slot's product has one column
+    ((3, 1), (35, 1, 1), 16), ((2, 2), (5, 6, 1), 5),
 ])
-def test_col2im_matches_zero_filled_sum_bit_for_bit(kernel, x_shape, dtype, uint):
+def test_conv_input_gradient_matches_zero_filled_sum_bit_for_bit(
+        kernel, x_shape, filters, n, dtype, uint):
+    # one GEMM per kernel slot against the full GEMM and the zero-filled
+    # column sum: the bits rest on the BLAS rounding a slot's columns alike
     kh, kw = kernel
-    n, h, w, c = x_shape
-    shape = (n, h - kh + 1, w - kw + 1, kh * kw * c)
-    rng = np.random.default_rng(sum(x_shape))
-    dcols = rng.normal(size=shape).astype(dtype)
-    # -0.0 (which 0.0 + -0.0 turns into 0.0), 0.0, NaN and infinities
-    pick = rng.random(shape)
-    dcols[pick < 0.3] = -0.0
-    dcols[(pick >= 0.3) & (pick < 0.35)] = 0.0
-    dcols[(pick >= 0.35) & (pick < 0.36)] = np.nan
-    dcols[(pick >= 0.36) & (pick < 0.37)] = np.inf
-    got = nn._col2im(dcols, x_shape, kh, kw)
-    want = _zero_fill_col2im(dcols, x_shape, kh, kw)
+    h, w, c = x_shape
+    m = n * (h - kh + 1) * (w - kw + 1)
+    rng = np.random.default_rng([n, *x_shape])
+    dz2 = rng.normal(size=(m, filters)).astype(dtype)
+    kmat = rng.normal(size=(kh * kw * c, filters)).astype(dtype)
+    # zero rows of both signs (slot 0's 0.0 + value turns a -0.0 from the
+    # BLAS into 0.0, as the zero-filled sum does), NaN and infinities
+    pick = rng.random(m)
+    dz2[pick < 0.3] = -0.0
+    dz2[(pick >= 0.3) & (pick < 0.35)] = 0.0
+    odd = rng.random(dz2.shape)
+    dz2[odd < 0.002] = np.nan
+    dz2[(odd >= 0.002) & (odd < 0.004)] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = nn._conv_input_gradient(dz2, kmat, (n, *x_shape), kh, kw)
+        dcols = (dz2 @ kmat.T).reshape(n, h - kh + 1, w - kw + 1, -1)
+        want = _zero_fill_col2im(dcols, (n, *x_shape), kh, kw)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got.view(uint), want.view(uint))
 
@@ -286,7 +298,7 @@ def _unfolded_pair(x, kernel, gamma, beta, dy):
     grad *= gamma / std
     dz2 = grad.reshape(-1, f)
     dkernel = (cols2.T @ dz2).reshape(kernel.shape)
-    dx = nn._col2im((dz2 @ kmat.T).reshape(cols.shape), x.shape, kh, kw)
+    dx = _zero_fill_col2im((dz2 @ kmat.T).reshape(cols.shape), x.shape, kh, kw)
     return out, mean, var, dkernel, dgamma, dbeta, dx
 
 
@@ -393,7 +405,7 @@ def test_unfolded_pairs_keep_the_oracles_bits(monkeypatch, dtype):
          lambda args, _: pool_in.append(args[0].copy()))
     _spy(monkeypatch, "_batch_norm_backward",
          lambda args, _: bn_dz.append(args[0].copy()))
-    _spy(monkeypatch, "_col2im",
+    _spy(monkeypatch, "_conv_input_gradient",
          lambda _, result: conv_dx.append(result.copy()))
     _, grads, stats = _step(net, x, y)
     # forward runs convs 1, 4, 7 and pools 3, 6, 9; backward runs

@@ -194,10 +194,12 @@ def test_train_cache_keeps_only_what_backward_reads(monkeypatch):
 
 # --- MaxPool against the argmax pool it replaced ----------------------------
 
-def _argmax_pool_oracle(x, kh, kw, padding, dz):
-    """Pooled output and input gradient of the transpose / argmax /
-    take_along_axis forward and put_along_axis backward: argmax picks the
-    first max of each window in (row, col) order."""
+def _argmax_pool_oracle(x, kh, kw, padding, dz, mask=None):
+    """Pooled output, input gradient and slot index of the transpose /
+    argmax / take_along_axis forward and put_along_axis backward: argmax
+    picks the first max of each window in (row, col) order. A window holding
+    NaN pools to its first NaN and routes its gradient to the last slot; a
+    ReLU mask (False where the pooled output was cut) routes to slot 0."""
     n, h, w, c = x.shape
     xp, oh, ow, (bh, bw) = nn._pool_pad(x, kh, kw, padding)
     ph, pw = xp.shape[1:3]
@@ -205,8 +207,12 @@ def _argmax_pool_oracle(x, kh, kw, padding, dz):
                .reshape(n, oh, ow, kh * kw, c))
     argmax = windows.argmax(axis=3)[:, :, :, None, :]
     pooled = np.take_along_axis(windows, argmax, axis=3)[:, :, :, 0, :]
+    route = np.where(np.isnan(windows).any(axis=3, keepdims=True),
+                     kh * kw - 1, argmax)
+    if mask is not None:
+        route *= mask[:, :, :, None, :]
     dwin = np.zeros(windows.shape, dtype=dz.dtype)
-    np.put_along_axis(dwin, argmax, dz[:, :, :, None, :], axis=3)
+    np.put_along_axis(dwin, route, dz[:, :, :, None, :], axis=3)
     dxp = (dwin.reshape(n, oh, ow, kh, kw, c).transpose(0, 1, 3, 2, 4, 5)
            .reshape(n, ph, pw, c))
     grad = np.zeros(x.shape, dtype=dz.dtype)
@@ -214,7 +220,8 @@ def _argmax_pool_oracle(x, kh, kw, padding, dz):
         grad[...] = dxp[:, bh:bh + h, bw:bw + w, :]
     else:
         grad[:, :ph, :pw, :] = dxp
-    return pooled, grad
+    index = route[:, :, :, 0, :].astype(np.min_scalar_type(kh * kw - 1))
+    return pooled, grad, index
 
 
 _POOL_INPUTS = {
@@ -225,6 +232,9 @@ _POOL_INPUTS = {
     "relu": lambda rng, shape: np.maximum(rng.normal(size=shape) - 0.8, 0.0),
     # the output keeps the first max's zero sign, as take_along_axis did
     "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 1.0], size=shape),
+    # NaN, -inf and ties of +-0.0 and of finite values in every window mix
+    "nan_inf": lambda rng, shape: rng.choice(
+        [np.nan, -np.inf, -0.0, 0.0, 1.0, -2.0], size=shape),
 }
 
 
@@ -237,6 +247,10 @@ _POOL_INPUTS = {
     ((2, 2), "same", (5, 7, 5, 3)),    # -inf row and column
     ((2, 2), "valid", (5, 7, 5, 3)),
     ((2, 2), "same", (3, 1, 1, 2)),    # one real value per window
+    ((1, 2), "same", (4, 3, 8, 2)),
+    ((1, 2), "same", (4, 3, 7, 2)),    # odd width: one -inf column
+    ((1, 2), "valid", (4, 3, 7, 2)),
+    ((2, 1), "same", (4, 15, 2, 64)),
 ])
 def test_max_pool_matches_argmax_oracle(kernel, padding, shape, values, dtype):
     rng = np.random.default_rng([*kernel, *shape, padding == "same",
@@ -246,8 +260,17 @@ def test_max_pool_matches_argmax_oracle(kernel, padding, shape, values, dtype):
     pooled, cache = nn._max_pool(x, kh, kw, padding, train=True)
     dz = rng.normal(size=pooled.shape).astype(dtype)
     grad = nn._max_pool_backward(dz, x.shape, kh, kw, padding, cache)
-    want_pooled, want_grad = _argmax_pool_oracle(x, kh, kw, padding, dz)
+    want_pooled, want_grad, want_index = _argmax_pool_oracle(
+        x, kh, kw, padding, dz)
     assert _same_bits(pooled, want_pooled)
+    assert _same_bits(grad, want_grad)
+    assert cache["argmax"].dtype == want_index.dtype
+    assert np.array_equal(cache["argmax"], want_index)
+    # a ReLU after the pool masks the index, as forward does
+    mask = rng.random(pooled.shape) < 0.7
+    cache["argmax"] *= mask
+    grad = nn._max_pool_backward(dz, x.shape, kh, kw, padding, cache)
+    _, want_grad, _ = _argmax_pool_oracle(x, kh, kw, padding, dz, mask)
     assert _same_bits(grad, want_grad)
     inference_pooled, inference_cache = nn._max_pool(x, kh, kw, padding,
                                                      train=False)
@@ -278,6 +301,8 @@ def _odd_gradients(rng, shape, dtype):
     ((2, 2), "valid", (5, 7, 5, 3)),
     ((3, 2), "same", (4, 8, 5, 2)),
     ((4, 3), "same", (3, 5, 4, 2)),    # -inf rows and columns on both sides
+    ((1, 2), "same", (4, 3, 7, 2)),
+    ((1, 2), "valid", (4, 3, 7, 2)),
 ])
 def test_max_pool_backward_routes_odd_gradients_bit_for_bit(
         kernel, padding, shape, values, dtype):
@@ -289,7 +314,7 @@ def test_max_pool_backward_routes_odd_gradients_bit_for_bit(
     pooled, cache = nn._max_pool(x, *kernel, padding, train=True)
     dz = _odd_gradients(rng, pooled.shape, dtype)
     grad = nn._max_pool_backward(dz, x.shape, *kernel, padding, cache)
-    _, want_grad = _argmax_pool_oracle(x, *kernel, padding, dz)
+    _, want_grad, _ = _argmax_pool_oracle(x, *kernel, padding, dz)
     assert _same_bits(grad, want_grad)
 
 
@@ -302,7 +327,8 @@ def test_max_pool_propagates_nan(kernel, train):
     x[2, 5, 2, 2] = np.nan
     x[2, 4, 2, 2] = np.inf   # NaN wins over +inf in the same window
     pooled, _ = nn._max_pool(x, *kernel, "same", train)
-    want, _ = _argmax_pool_oracle(x, *kernel, "same", np.zeros_like(pooled))
+    want, _, _ = _argmax_pool_oracle(x, *kernel, "same",
+                                     np.zeros_like(pooled))
     kh, kw = kernel
     nan_windows = {(0, 0, 0, 0), (1, 1, 1 // kw, 1), (2, 2, 2 // kw, 2)}
     assert set(map(tuple, np.argwhere(np.isnan(pooled)))) == nan_windows
