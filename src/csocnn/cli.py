@@ -366,8 +366,9 @@ def cmd_optimize(args):
             epoch_range=tuple(args.epoch_range))
         swarm_config = cso.SwarmConfig(
             n_cats=args.cats, max_iters=args.iters, mixture_ratio=args.mr,
-            smp=args.smp, srd=args.srd, cdc=args.cdc, c1=args.c1, seed=seed,
-            n_workers=args.workers)
+            smp=args.smp, srd=args.srd, cdc=args.cdc, c1=args.c1, seed=seed)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.workers > 1 and not hasattr(os, "fork"):
         raise UsageError("--workers above 1 needs fork(), which this "
                          "platform lacks")
@@ -378,7 +379,7 @@ def cmd_optimize(args):
         prep = data.prepare_dataset(flows, seed)
         arch = nn.default_architecture(len(prep.codec))
         best_config, best_fit, history = hyperopt.optimize_hyperparams(
-            space, (prep.train, prep.val), arch, swarm_config)
+            space, (prep.train, prep.val), arch, swarm_config, args.workers)
         if best_fit == hyperopt.WORST_FITNESS:
             raise TrainingDiverged("every swarm candidate diverged")
 

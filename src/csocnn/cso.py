@@ -12,16 +12,21 @@ is the EvalContext naming the iteration and cat the evaluation belongs to.
 The swarm maximizes fitness; to minimize f, pass -f. Fitness values may be
 plain floats or any totally ordered objects; in the latter case
 ``weight_key`` must project them to floats for the roulette weights and
-history curves. Candidate evaluations within an iteration are independent
-and, with n_workers > 1, run on a thread pool; results are always reduced
-in cat-index order so runs are reproducible regardless of scheduling. A
-fitness function that holds the GIL can hand its work to processes and
-wait for it on the pool's thread, as hyperopt's training fitness does.
+history curves.
+
+Evaluations go to the caller's executor as soon as their inputs are known:
+a seeking move needs only its own cat's previous move, a tracing move also
+the best of the previous iteration, so a seeking cat runs ahead of slower
+cats while no iteration waits for its last evaluation. Moves commit with
+their own per-(iteration, cat) generator and iterations close in order,
+the best updated in cat order, so results do not depend on the executor
+or on the order its evaluations finish. With no executor each evaluation
+runs when it is submitted.
 """
 
 import csv
 import math
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,7 +58,6 @@ class SwarmConfig:
     cdc: fraction of dimensions mutated per candidate.
     mixture_ratio: fraction of the swarm in tracing mode each iteration.
     c1: tracing acceleration constant.
-    n_workers: candidate evaluations run at once; 1 is serial.
     """
 
     n_cats: int = 30
@@ -64,7 +68,6 @@ class SwarmConfig:
     c1: float = 2.0
     max_iters: int = 100
     seed: int = 0
-    n_workers: int = 1
 
     def __post_init__(self):
         if self.n_cats < 1:
@@ -82,8 +85,6 @@ class SwarmConfig:
             raise ValueError("c1 must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
 
 
 @dataclass
@@ -135,20 +136,24 @@ def init_swarm(config, bounds):
     positions = rng.uniform(lo, hi, (config.n_cats, len(bounds)))
     cats = [Cat(position=p, velocity=np.zeros(len(bounds)), mode="seeking")
             for p in positions]
-    _reassign_modes(cats, config, rng)
+    tracing = _tracing_cats(config, rng)
+    for i, cat in enumerate(cats):
+        _set_mode(cat, i in tracing)
     return cats
 
 
-def _reassign_modes(cats, config, rng):
-    n_tracing = round(config.mixture_ratio * len(cats))
-    tracing = set(rng.choice(len(cats), n_tracing, replace=False).tolist())
-    for i, cat in enumerate(cats):
-        new_mode = "tracing" if i in tracing else "seeking"
-        # A cat starting a fresh tracing stint accelerates from rest;
-        # without this the undamped velocity update oscillates forever.
-        if new_mode == "tracing" and cat.mode != "tracing":
-            cat.velocity = np.zeros_like(cat.velocity)
-        cat.mode = new_mode
+def _tracing_cats(config, rng):
+    """The indices of the round(MR * n) cats that trace this iteration."""
+    n_tracing = round(config.mixture_ratio * config.n_cats)
+    return set(rng.choice(config.n_cats, n_tracing, replace=False).tolist())
+
+
+def _set_mode(cat, tracing):
+    # A cat starting a fresh tracing stint accelerates from rest; without
+    # this the undamped velocity update oscillates forever.
+    if tracing and cat.mode != "tracing":
+        cat.velocity = np.zeros_like(cat.velocity)
+    cat.mode = "tracing" if tracing else "seeking"
 
 
 def _seeking_candidates(cat, config, bounds, rng):
@@ -194,7 +199,29 @@ def tracing_move(cat, global_best, config, bounds, rng):
     return replace(cat, position=position, velocity=velocity, fitness=None)
 
 
-def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
+class _Inline(Executor):
+    """Runs each job in submit: the executor of a serial swarm."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _fitness_error(exc, position):
+    if isinstance(exc, FitnessError):
+        return exc
+    error = FitnessError(f"fitness function failed at {np.asarray(position)}: {exc}",
+                         position=np.array(position, copy=True))
+    error.__cause__ = exc
+    return error
+
+
+def optimize(fitness_fn, bounds, config, weight_key=float, callback=None,
+             executor=None):
     """Run the swarm for max_iters iterations.
 
     Returns (best_position, best_fitness, history). The best is the largest
@@ -202,93 +229,120 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     the fitness each cat keeps after its move. A seeking candidate that the
     roulette does not keep is never compared with the best, so a better
     point can be evaluated and lost (ROADMAP item 2). Deterministic for a
-    fixed (seed, config, bounds, fitness function); fitness failures are
-    raised as FitnessError with the offending position attached.
+    fixed (seed, config, bounds, fitness function), whatever the executor.
 
     fitness_fn is called as fitness_fn(position, ctx), with ctx the
-    EvalContext naming the (iteration, cat_index) of the evaluation.
+    EvalContext naming the (iteration, cat_index) of the evaluation, through
+    executor.submit (a concurrent.futures.Executor; None runs each call at
+    once). After each iteration, callback(iteration, cats, best_position,
+    best_fitness) gets the cats as that iteration left them.
+
+    On the first failed evaluation no more are submitted, those not started
+    are cancelled and the running ones finish; then the FitnessError of the
+    earliest failed evaluation in (iteration, cat, candidate) order is
+    raised, with its position attached.
     """
-    def evaluate(jobs):
-        # jobs: list of (position, EvalContext); returns fitness values in order
-        def one(job):
-            pos, ctx = job
-            try:
-                return fitness_fn(pos, ctx)
-            except FitnessError:
-                raise
-            except Exception as exc:
-                raise FitnessError(
-                    f"fitness function failed at {np.asarray(pos)}: {exc}",
-                    position=np.array(pos, copy=True)) from exc
-        if config.n_workers == 1 or len(jobs) < 2:
-            return [one(job) for job in jobs]
-        pool = ThreadPoolExecutor(max_workers=config.n_workers)
-        try:
-            futures = [pool.submit(one, job) for job in jobs]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            # a failure, or the SystemExit a signal raises here, drops the
-            # candidates no worker has started
-            pool.shutdown(cancel_futures=True)
-        # every job ran unless one failed; then this raises the first failure
-        return [f.result() for f in futures if not f.cancelled()]
-
+    if executor is None:
+        executor = _Inline()
     cats = init_swarm(config, bounds)
-    fits = evaluate([(c.position, EvalContext(0, i)) for i, c in enumerate(cats)])
-    for cat, fit in zip(cats, fits):
-        cat.fitness = fit
-
-    best_index = 0
-    for i in range(1, len(cats)):
-        if cats[i].fitness > cats[best_index].fitness:
-            best_index = i
-    best_position = cats[best_index].position.copy()
-    best_fitness = cats[best_index].fitness
-
+    tracing = [None] + [_tracing_cats(config, _rng(config.seed, t))
+                        for t in range(1, config.max_iters + 1)]
+    moves = [None] * len(cats)  # each cat's move in flight: (move, rng, results)
+    committed = {}  # iteration -> {cat index: the cat as it committed}
+    jobs = {}  # future -> ((iteration, cat, candidate), position)
+    halted = False
     history = SwarmHistory()
-    for iteration in range(1, config.max_iters + 1):
-        _reassign_modes(cats, config, _rng(config.seed, iteration))
+    best_position = best_fitness = None
+    closed = -1  # the last iteration whose best and history are final
 
-        # Phase 1: draw every random move first, so evaluation can be
-        # parallel while RNG consumption stays in cat order.
-        # plans: (first job index, candidate positions or moved cat, rng)
-        jobs = []
-        plans = []
-        for i, cat in enumerate(cats):
-            rng = _rng(config.seed, iteration, i)
-            ctx = EvalContext(iteration, i)
-            if cat.mode == "seeking":
-                # the current position's fitness is known; it is not re-run
-                positions = _seeking_candidates(cat, config, bounds, rng)
-                plans.append((len(jobs), positions, rng))
-                jobs.extend((pos, ctx) for pos in positions[1:])
+    def submit(key, position):
+        nonlocal halted
+        if not halted:
+            future = executor.submit(fitness_fn, position, EvalContext(*key[:2]))
+            jobs[future] = (key, position)
+            # an inline failure is known at once: submit nothing after it
+            halted = future.done() and future.exception() is not None
+
+    def start(i, iteration):
+        cat = cats[i]
+        _set_mode(cat, i in tracing[iteration])
+        rng = _rng(config.seed, iteration, i)
+        if cat.mode == "seeking":
+            # the current position's fitness is known; it is not re-run
+            positions = _seeking_candidates(cat, config, bounds, rng)
+            moves[i] = (positions, rng, {})
+            for k in range(1, len(positions)):
+                submit((iteration, i, k), positions[k])
+        else:
+            moved = tracing_move(cat, best_position, config, bounds, rng)
+            moves[i] = (moved, rng, {})
+            submit((iteration, i, 0), moved.position)
+
+    def commit(i, iteration):
+        committed.setdefault(iteration, {})[i] = replace(cats[i])
+        if iteration < config.max_iters and i not in tracing[iteration + 1]:
+            start(i, iteration + 1)
+        close_finished()
+
+    def close_finished():
+        nonlocal closed, best_position, best_fitness
+        while len(committed.get(closed + 1, ())) == len(cats):
+            closed += 1
+            snapshot = [cat for _, cat in sorted(committed.pop(closed).items())]
+            for cat in snapshot:
+                if best_fitness is None or cat.fitness > best_fitness:
+                    best_fitness = cat.fitness
+                    best_position = cat.position.copy()
+            if closed > 0:
+                history.iterations.append(closed)
+                history.best_value.append(float(weight_key(best_fitness)))
+                history.mean_fitness.append(float(np.mean(
+                    [float(weight_key(c.fitness)) for c in snapshot])))
+                if callback is not None:
+                    callback(closed, snapshot, best_position, best_fitness)
+            if closed < config.max_iters:
+                for i in sorted(tracing[closed + 1]):
+                    start(i, closed + 1)
+
+    def deliver(key, fitness):
+        iteration, i, k = key
+        cat = cats[i]
+        if iteration > 0:
+            move, rng, results = moves[i]
+            results[k] = fitness
+            if cat.mode == "tracing":
+                cat.position, cat.velocity = move.position, move.velocity
+            elif len(results) < len(move) - 1:
+                return
             else:
-                moved = tracing_move(cat, best_position, config, bounds, rng)
-                plans.append((len(jobs), moved, rng))
-                jobs.append((moved.position, ctx))
-
-        results = evaluate(jobs)
-
-        # Phase 2: commit moves and update the global best in cat order.
-        for cat, (start, move, rng) in zip(cats, plans):
-            if cat.mode == "seeking":
-                fitnesses = [cat.fitness] + results[start:start + len(move) - 1]
+                fitnesses = [cat.fitness] + [results[j] for j in range(1, len(move))]
                 idx = _select_candidate(fitnesses, rng, weight_key)
-                cat.position = move[idx]
-                cat.fitness = fitnesses[idx]
-            else:
-                cat.position = move.position
-                cat.velocity = move.velocity
-                cat.fitness = results[start]
-            if cat.fitness > best_fitness:
-                best_fitness = cat.fitness
-                best_position = cat.position.copy()
+                cat.position, fitness = move[idx], fitnesses[idx]
+        cat.fitness = fitness
+        commit(i, iteration)
 
-        history.iterations.append(iteration)
-        history.best_value.append(float(weight_key(best_fitness)))
-        history.mean_fitness.append(
-            float(np.mean([float(weight_key(c.fitness)) for c in cats])))
-        if callback is not None:
-            callback(iteration, cats, best_position, best_fitness)
-
+    for i, cat in enumerate(cats):
+        submit((0, i, 0), cat.position)
+    failures = []
+    try:
+        while jobs and not failures:
+            done, _ = wait(jobs, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=lambda f: jobs[f][0]):
+                key, position = jobs.pop(future)
+                if future.exception() is not None:
+                    halted = True
+                    failures.append((key, _fitness_error(future.exception(), position)))
+                elif not failures:
+                    deliver(key, future.result())
+    finally:
+        # a failure, or the SystemExit a signal raises while this waits,
+        # drops the evaluations that have not started
+        for future in jobs:
+            future.cancel()
+    if failures:
+        wait(jobs)
+        failures += [(key, _fitness_error(f.exception(), position))
+                     for f, (key, position) in jobs.items()
+                     if not f.cancelled() and f.exception() is not None]
+        raise min(failures, key=lambda failure: failure[0])[1]
     return best_position, best_fitness, history

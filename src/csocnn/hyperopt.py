@@ -9,9 +9,9 @@ weights project to the accuracy component.
 With more than one worker, candidates train in forked worker processes:
 at the small batches the swarm tries, a training step is too short for
 numpy to release the GIL for long, so threads would run it mostly one at
-a time. The swarm's thread pool still schedules the candidates, and each
-of its threads waits on one worker, so every candidate is one
-evaluate_candidate call in this process.
+a time. The process pool is the swarm's executor: cso submits each
+candidate to it as soon as the candidate's inputs are known, and every
+candidate is one evaluate_candidate call in a worker.
 """
 
 import contextlib
@@ -115,10 +115,14 @@ def candidate_seed(global_seed, cat_index, iteration):
     return int(ss.generate_state(1)[0])
 
 
-def _train_candidate(config, datasets, arch):
-    """The validation Fitness of the best epoch of a fresh network of arch
-    trained with config, or WORST_FITNESS when the training diverges. Runs
-    in a pool worker, or in the caller's process when there is no pool."""
+def evaluate_candidate(config, datasets, arch):
+    """Train a fresh network of arch with config (trainer.train_new); return
+    the validation Fitness of its best epoch.
+
+    datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
+    training run (non-finite loss) comes back as the worst possible fitness
+    so the swarm routes around it.
+    """
     try:
         _, state = train_new(arch, *datasets, config)
     except TrainingDiverged:
@@ -126,20 +130,13 @@ def _train_candidate(config, datasets, arch):
     return Fitness(val_accuracy=state.best_val_acc, val_loss=state.best_val_loss)
 
 
-def evaluate_candidate(config, datasets, arch, pool=None):
-    """Train a fresh network of arch with config (trainer.train_new); return
-    the validation Fitness of its best epoch.
-
-    datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
-    training run (non-finite loss) comes back as the worst possible fitness
-    so the swarm routes around it. With a pool (a process executor) the
-    training runs in one of its workers and this call waits for it; an
-    exception in the worker is raised here, and a worker that dies raises
-    BrokenProcessPool.
-    """
-    if pool is None:
-        return _train_candidate(config, datasets, arch)
-    return pool.submit(_train_candidate, config, datasets, arch).result()
+def _candidate_fitness(space, datasets, arch, swarm_seed, position, ctx):
+    """The swarm's fitness: the position decoded, seeded for its cat and
+    iteration, and trained. A module-level function, so that a partial of
+    it pickles into a pool worker."""
+    seed = candidate_seed(swarm_seed, ctx.cat_index, ctx.iteration)
+    return evaluate_candidate(replace(decode(position, space), seed=seed),
+                              datasets, arch)
 
 
 def _init_worker():
@@ -151,49 +148,40 @@ def _init_worker():
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _worker_pool(swarm_config):
+def _worker_pool(swarm_config, workers):
     """The process pool candidates train in, or a null context (giving None)
-    for a serial swarm. It has no more workers than one iteration has
-    candidates. Both are context managers; leaving the pool waits for its
-    workers to exit."""
-    if swarm_config.n_workers == 1:
+    for a serial swarm. It has no more workers than the swarm has
+    candidates in flight at once, smp - 1 for each cat. Both are context
+    managers; leaving the pool waits for its workers to exit."""
+    if workers == 1:
         return contextlib.nullcontext()
     # imported here: the process pool takes 11-18 ms to import, which every
     # command would pay at start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(
-        max_workers=min(swarm_config.n_workers,
-                        swarm_config.n_cats * (swarm_config.smp - 1)),
+        max_workers=min(workers, swarm_config.n_cats * (swarm_config.smp - 1)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker)
 
 
-def optimize_hyperparams(space, datasets, arch, swarm_config):
+def optimize_hyperparams(space, datasets, arch, swarm_config, workers=1):
     """Run the swarm over the unit cube with training-based fitness; each
-    candidate trains with its decoded config and its candidate_seed, in a
-    worker process when swarm_config.n_workers > 1 (see _worker_pool).
+    candidate trains with its decoded config and its candidate_seed, in one
+    of `workers` forked worker processes when that is above 1 (see
+    _worker_pool), which fork at the first candidate.
 
     Returns (best TrainConfig, best Fitness, SwarmHistory); the config's seed
     is the default, for the caller to set. The history's float projection is
     validation accuracy, so its best-value sequence is non-decreasing. The
     result is the same for any number of workers.
     """
-    with _worker_pool(swarm_config) as pool:
-        if pool is not None:
-            # a fork pool forks all its workers at its first submit: make
-            # that happen here, on the main thread, before cso's threads exist
-            pool.submit(int)
-
-        def fitness(position, ctx):
-            seed = candidate_seed(swarm_config.seed, ctx.cat_index, ctx.iteration)
-            return evaluate_candidate(
-                replace(decode(position, space), seed=seed), datasets, arch,
-                pool)
-
+    fitness = functools.partial(_candidate_fitness, space, datasets, arch,
+                                swarm_config.seed)
+    with _worker_pool(swarm_config, workers) as pool:
         best_position, best_fitness, history = cso.optimize(
             fitness, [(0.0, 1.0)] * 3, swarm_config,
-            weight_key=lambda f: f.val_accuracy)
+            weight_key=lambda f: f.val_accuracy, executor=pool)
     return decode(best_position, space), best_fitness, history
 
 

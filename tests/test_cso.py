@@ -1,6 +1,7 @@
-import dataclasses
+import random
 import threading
 import time
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -74,12 +75,9 @@ def test_config_validation():
     for c1 in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             cso.SwarmConfig(c1=c1)
-    for workers in (0, -1):
-        with pytest.raises(ValueError):
-            cso.SwarmConfig(n_workers=workers)
-    assert cso.SwarmConfig().n_workers == 1  # serial has one spelling
+    # how many evaluations run at once is the executor's business
     with pytest.raises(TypeError):
-        cso.SwarmConfig(n_workers=None)
+        cso.SwarmConfig(n_workers=2)
 
 
 # --- seeking (through optimize) ------------------------------------------
@@ -239,10 +237,11 @@ def test_optimize_is_deterministic():
 
 
 def test_parallel_evaluation_matches_serial():
-    serial = cso.SwarmConfig(n_cats=10, max_iters=15, seed=31)
-    parallel = dataclasses.replace(serial, n_workers=4)
-    _, best_s, hist_s = cso.optimize(neg_sphere, BOUNDS5, serial)
-    _, best_p, hist_p = cso.optimize(neg_sphere, BOUNDS5, parallel)
+    config = cso.SwarmConfig(n_cats=10, max_iters=15, seed=31)
+    _, best_s, hist_s = cso.optimize(neg_sphere, BOUNDS5, config)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        _, best_p, hist_p = cso.optimize(neg_sphere, BOUNDS5, config,
+                                         executor=pool)
     assert best_s == best_p
     assert hist_s.best_value == hist_p.best_value
 
@@ -286,7 +285,7 @@ def test_fitness_failure_carries_position():
 def test_parallel_failure_cancels_queued_candidates():
     # cat 0 trains slowly, cat 1 fails at once and the rest are quick: the
     # failure must stop the candidates queued behind it, not wait for cat 0
-    config = cso.SwarmConfig(n_cats=10, max_iters=1, seed=0, n_workers=2)
+    config = cso.SwarmConfig(n_cats=10, max_iters=1, seed=0)
     calls = []
     lock = threading.Lock()
 
@@ -298,9 +297,191 @@ def test_parallel_failure_cancels_queued_candidates():
         time.sleep(1.0 if ctx.cat_index == 0 else 0.05)
         return 0.0
 
-    with pytest.raises(FitnessError):
-        cso.optimize(fitness, BOUNDS5, config)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(FitnessError):
+            cso.optimize(fitness, BOUNDS5, config, executor=pool)
     assert len(calls) < config.n_cats
+
+
+def test_earliest_failure_is_raised_when_failures_finish_in_reverse():
+    # cat 1 fails at once while cat 0 is still running; cat 0 then fails
+    # too, and its failure comes first in (iteration, cat, candidate) order
+    config = cso.SwarmConfig(n_cats=4, max_iters=2, seed=3)
+    cat_0 = cso.init_swarm(config, BOUNDS5)[0].position
+
+    def fitness(x, ctx):
+        if ctx.cat_index == 0:
+            time.sleep(0.3)
+            raise RuntimeError("cat 0")
+        if ctx.cat_index == 1:
+            raise RuntimeError("cat 1")
+        return 0.0
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(FitnessError) as info:
+            cso.optimize(fitness, BOUNDS5, config, executor=pool)
+    assert "cat 0" in str(info.value)
+    assert np.array_equal(info.value.position, cat_0)
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+def test_serial_failure_stops_submitting():
+    config = cso.SwarmConfig(n_cats=6, max_iters=3, seed=0)
+    calls = []
+
+    def fitness(x, ctx):
+        calls.append(ctx.cat_index)
+        if ctx.cat_index == 2:
+            raise RuntimeError("boom")
+        return 0.0
+
+    with pytest.raises(FitnessError, match="boom"):
+        cso.optimize(fitness, BOUNDS5, config)
+    assert calls == [0, 1, 2]
+
+
+class _Reordering(Executor):
+    """Runs each job as it is submitted but completes the futures later,
+    from a thread: whenever no job was submitted for a moment, it completes
+    the newest open future ("reverse") or a seeded-random one ("shuffle")."""
+
+    def __init__(self, order, seed=0):
+        self.order = order
+        self.rng = random.Random(seed)
+        self.open = []  # (future, outcome)
+        self.cond = threading.Condition()
+        self.closing = False
+        self.thread = threading.Thread(target=self._complete, daemon=True)
+        self.thread.start()
+
+    def submit(self, fn, *args):
+        try:
+            outcome = (fn(*args), None)
+        except Exception as exc:
+            outcome = (None, exc)
+        future = Future()
+        with self.cond:
+            self.open.append((future, outcome))
+            self.cond.notify()
+        return future
+
+    def _complete(self):
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self.open or self.closing)
+                if self.closing:
+                    return
+                while self.cond.wait(0.0005):  # until submits stop arriving
+                    pass
+                pick = (len(self.open) - 1 if self.order == "reverse"
+                        else self.rng.randrange(len(self.open)))
+                future, (value, exc) = self.open.pop(pick)
+            if exc is None:
+                future.set_result(value)
+            else:
+                future.set_exception(exc)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        with self.cond:
+            self.closing = True
+            self.cond.notify()
+        self.thread.join()
+
+
+def _recorded_run(config, bounds, executor=None):
+    """Everything optimize reveals: each evaluation as (iteration, cat,
+    position bytes, fitness) in a fixed order, the result, the history and
+    the cats each callback saw."""
+    evaluations, seen = [], []
+    lock = threading.Lock()
+
+    def fitness(x, ctx):
+        value = -round(float(np.sum((np.asarray(x) - 0.3) ** 2)), 1)  # ties
+        with lock:
+            evaluations.append((ctx.iteration, ctx.cat_index,
+                                np.asarray(x).tobytes(), value))
+        return value
+
+    def callback(iteration, cats, best_position, best_fitness):
+        seen.append((iteration, best_position.tobytes(), best_fitness,
+                     [(c.mode, c.position.tobytes(), c.velocity.tobytes(),
+                       c.fitness) for c in cats]))
+
+    position, best, history = cso.optimize(fitness, bounds, config,
+                                           callback=callback, executor=executor)
+    return (sorted(evaluations), position.tobytes(), best, history.iterations,
+            history.best_value, history.mean_fitness, seen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       n_cats=st.integers(1, 6),
+       smp=st.integers(2, 4),
+       mr=st.floats(0.05, 0.95),
+       iters=st.integers(1, 4),
+       order_seed=st.integers(0, 1_000))
+def test_completion_order_cannot_change_results(seed, n_cats, smp, mr, iters,
+                                                order_seed):
+    config = cso.SwarmConfig(n_cats=n_cats, smp=smp, mixture_ratio=mr,
+                             max_iters=iters, seed=seed)
+    bounds = [(-1.0, 2.0), (0.0, 1.0), (-3.0, 3.0)]
+    inline = _recorded_run(config, bounds)
+    for order in ("reverse", "shuffle"):
+        with _Reordering(order, order_seed) as executor:
+            assert _recorded_run(config, bounds, executor) == inline, order
+
+
+class _HoldFirst(Executor):
+    """Runs every job at once except cat 0's initial evaluation, whose
+    future stays open until another job of iteration 1 or later has been
+    submitted (or 5 s pass). Records each job's (iteration, cat) and
+    whether that future was still open then."""
+
+    def __init__(self):
+        self.log = []
+        self.later = threading.Event()
+        self.thread = None
+
+    def submit(self, fn, position, ctx):
+        future = Future()
+        held = self.thread is not None and self.thread.is_alive()
+        self.log.append((ctx.iteration, ctx.cat_index, held))
+        if (ctx.iteration, ctx.cat_index) == (0, 0):
+            value = fn(position, ctx)
+
+            def release():
+                self.later.wait(5.0)
+                future.set_result(value)
+
+            self.thread = threading.Thread(target=release, daemon=True)
+            self.thread.start()
+        else:
+            if ctx.iteration > 0:
+                self.later.set()
+            future.set_result(fn(position, ctx))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.later.set()
+        if self.thread is not None:
+            self.thread.join()
+
+
+def test_seeking_cat_moves_on_before_the_iteration_ends():
+    # mixture ratio 0.3 of 4 cats: one traces and three seek each iteration
+    config = cso.SwarmConfig(n_cats=4, max_iters=3, smp=3, seed=5)
+    with _HoldFirst() as executor:
+        cso.optimize(neg_sphere, BOUNDS5, config, executor=executor)
+    early = [(t, i) for t, i, held in executor.log if held and t >= 1]
+    assert early, executor.log
+    # a tracing move needs the previous iteration's best, so none of those
+    # may start while cat 0's initial fitness is unknown
+    modes = {}
+    cso.optimize(neg_sphere, BOUNDS5, config,
+                 callback=lambda t, cats, *_: modes.update(
+                     {(t, i): c.mode for i, c in enumerate(cats)}))
+    assert all(modes[key] == "seeking" for key in early)
+    assert any(t == 1 for t, _ in early)
 
 
 def test_history_csv_schema(tmp_path):

@@ -254,22 +254,21 @@ class _RecordingPool(concurrent.futures.Executor):
         return future
 
 
-@pytest.mark.parametrize("n_workers, n_cats, smp, expected", [
+@pytest.mark.parametrize("workers, n_cats, smp, expected", [
     (8, 2, 2, 2),  # one candidate per cat and iteration
     (2, 3, 3, 2),
     (6, 2, 3, 4),
     (1, 4, 3, None),  # serial: no pool at all
 ])
 def test_worker_pool_is_capped_at_one_iterations_candidates(
-        monkeypatch, n_workers, n_cats, smp, expected):
+        monkeypatch, workers, n_cats, smp, expected):
     made = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: _RecordingPool(made, **kw))
-    monkeypatch.setattr(hyperopt, "_train_candidate",
+    monkeypatch.setattr(hyperopt, "evaluate_candidate",
                         lambda config, datasets, arch: hyperopt.Fitness(0.5, 1.0))
-    config = cso.SwarmConfig(n_cats=n_cats, max_iters=2, smp=smp, seed=1,
-                             n_workers=n_workers)
-    hyperopt.optimize_hyperparams(SPACE, None, None, config)
+    config = cso.SwarmConfig(n_cats=n_cats, max_iters=2, smp=smp, seed=1)
+    hyperopt.optimize_hyperparams(SPACE, None, None, config, workers)
     if expected is None:
         assert made == []
         return
@@ -277,27 +276,30 @@ def test_worker_pool_is_capped_at_one_iterations_candidates(
     assert pool.max_workers == expected
     assert pool.start_method == "fork"
     assert pool.initializer is hyperopt._init_worker
-    # the first submit forks the workers: on the main thread, before any
-    # candidate, that is before cso starts its threads
-    first_fn, on_main_thread = pool.submits[0]
-    assert first_fn is not hyperopt._train_candidate and on_main_thread
-    trained = [fn for fn, _ in pool.submits[1:]]
-    assert len(trained) > n_cats  # the initial cats and two iterations
-    assert trained == [hyperopt._train_candidate] * len(trained)
+    # every candidate goes straight to the pool, from the main thread
+    assert len(pool.submits) > n_cats  # the initial cats and two iterations
+    for fn, on_main_thread in pool.submits:
+        assert fn.func is hyperopt._candidate_fitness and on_main_thread
 
 
+# the initial evaluation of each cat named in argv[1] raises in its worker;
+# with cat 0 among several, cat 0 fails last
 _RAISE_IN_WORKER = """
-import json, os
+import json, os, sys, time
 from csocnn import cso, data, hyperopt, nn
 from csocnn.errors import FitnessError
 
-config = cso.SwarmConfig(n_cats=2, max_iters=1, smp=2, seed=3, n_workers=2)
-failing_seed = hyperopt.candidate_seed(config.seed, 1, 0)  # cat 1, iteration 0
+config = cso.SwarmConfig(n_cats=2, max_iters=1, smp=2, seed=3)
+failing = {hyperopt.candidate_seed(config.seed, int(cat), 0): int(cat)
+           for cat in sys.argv[1].split(",")}
 real_train_new = hyperopt.train_new
 
 def train_new(arch, train, val, train_config):
-    if train_config.seed == failing_seed:
-        raise ValueError(f"boom in {os.getpid()}")
+    cat = failing.get(train_config.seed)
+    if cat is not None:
+        if cat == 0 and len(failing) > 1:
+            time.sleep(1.0)
+        raise ValueError(f"boom {cat} in {os.getpid()}")
     return real_train_new(arch, train, val, train_config)
 
 hyperopt.train_new = train_new
@@ -307,7 +309,7 @@ prep = data.prepare_dataset(flows, seed=3)
 space = hyperopt.SearchSpace(batch_range=(32, 64), epoch_range=(1, 2))
 try:
     hyperopt.optimize_hyperparams(space, (prep.train, prep.val),
-                                  nn.default_architecture(5), config)
+                                  nn.default_architecture(5), config, 2)
 except FitnessError as exc:
     print(json.dumps({"parent": os.getpid(), "message": str(exc),
                       "cause": type(exc.__cause__).__name__,
@@ -315,15 +317,24 @@ except FitnessError as exc:
 """
 
 
-def test_exception_in_worker_reaches_swarm_with_its_position():
+def _raise_in_worker(failing, raised):
+    """Run _RAISE_IN_WORKER and check its FitnessError names cat raised."""
     env = {**os.environ, "PYTHONPATH": str(Path(hyperopt.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", _RAISE_IN_WORKER],
+    run = subprocess.run([sys.executable, "-c", _RAISE_IN_WORKER, failing],
                          capture_output=True, text=True, timeout=120, env=env,
                          check=True)
     record = json.loads(run.stdout)
     assert record["cause"] == "ValueError"
-    worker = int(record["message"].rsplit("boom in ", 1)[1])
+    worker = int(record["message"].rsplit(f"boom {raised} in ", 1)[1])
     assert worker != record["parent"]  # raised in a worker process
     config = cso.SwarmConfig(n_cats=2, max_iters=1, smp=2, seed=3)
-    cat_1 = cso.init_swarm(config, [(0.0, 1.0)] * 3)[1].position
-    assert np.array_equal(record["position"], cat_1)
+    cat = cso.init_swarm(config, [(0.0, 1.0)] * 3)[raised].position
+    assert np.array_equal(record["position"], cat)
+
+
+def test_exception_in_worker_reaches_swarm_with_its_position():
+    _raise_in_worker("1", raised=1)
+
+
+def test_earliest_worker_failure_wins_when_failures_finish_in_reverse():
+    _raise_in_worker("0,1", raised=0)
