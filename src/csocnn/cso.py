@@ -14,19 +14,20 @@ plain floats or any totally ordered objects; in the latter case
 ``weight_key`` must project them to floats for the roulette weights and
 history curves.
 
-Evaluations go to the caller's executor as soon as their inputs are known:
-a seeking move needs only its own cat's previous move, a tracing move also
-the best of the previous iteration, so a seeking cat runs ahead of slower
-cats while no iteration waits for its last evaluation. Moves commit with
-their own per-(iteration, cat) generator and iterations close in order,
-the best updated in cat order, so results do not depend on the executor
-or on the order its evaluations finish. With no executor each evaluation
-runs when it is submitted.
+The fitness function returns the fitness, or a concurrent.futures.Future of
+it for an evaluation that runs elsewhere (a worker process). Each
+evaluation starts as soon as its inputs are known: a seeking move needs
+only its own cat's previous move, a tracing move also the best of the
+previous iteration, so a seeking cat runs ahead of slower cats while no
+iteration waits for its last evaluation. Moves commit with their own
+per-(iteration, cat) generator and iterations close in order, the best
+updated in cat order, so results do not depend on where evaluations run
+or on the order they finish.
 """
 
 import csv
 import math
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -199,18 +200,6 @@ def tracing_move(cat, global_best, config, bounds, rng):
     return replace(cat, position=position, velocity=velocity, fitness=None)
 
 
-class _Inline(Executor):
-    """Runs each job in submit: the executor of a serial swarm."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 def _fitness_error(exc, position):
     if isinstance(exc, FitnessError):
         return exc
@@ -220,8 +209,7 @@ def _fitness_error(exc, position):
     return error
 
 
-def optimize(fitness_fn, bounds, config, weight_key=float, callback=None,
-             executor=None):
+def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     """Run the swarm for max_iters iterations.
 
     Returns (best_position, best_fitness, history). The best is the largest
@@ -229,21 +217,20 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None,
     the fitness each cat keeps after its move. A seeking candidate that the
     roulette does not keep is never compared with the best, so a better
     point can be evaluated and lost (ROADMAP item 2). Deterministic for a
-    fixed (seed, config, bounds, fitness function), whatever the executor.
+    fixed (seed, config, bounds, fitness function), wherever and in
+    whatever order the evaluations run.
 
     fitness_fn is called as fitness_fn(position, ctx), with ctx the
-    EvalContext naming the (iteration, cat_index) of the evaluation, through
-    executor.submit (a concurrent.futures.Executor; None runs each call at
-    once). After each iteration, callback(iteration, cats, best_position,
-    best_fitness) gets the cats as that iteration left them.
+    EvalContext naming the (iteration, cat_index) of the evaluation, and
+    returns the fitness or a Future of it. After each iteration,
+    callback(iteration, cats, best_position, best_fitness) gets the cats as
+    that iteration left them.
 
-    On the first failed evaluation no more are submitted, those not started
-    are cancelled and the running ones finish; then the FitnessError of the
-    earliest failed evaluation in (iteration, cat, candidate) order is
-    raised, with its position attached.
+    On the first failed evaluation no more are started, the pending Futures
+    are cancelled (those already running finish); then, among the
+    evaluations that ran, the FitnessError of the earliest failed one in
+    (iteration, cat, candidate) order is raised, with its position attached.
     """
-    if executor is None:
-        executor = _Inline()
     cats = init_swarm(config, bounds)
     tracing = [None] + [_tracing_cats(config, _rng(config.seed, t))
                         for t in range(1, config.max_iters + 1)]
@@ -257,11 +244,21 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None,
 
     def submit(key, position):
         nonlocal halted
-        if not halted:
-            future = executor.submit(fitness_fn, position, EvalContext(*key[:2]))
-            jobs[future] = (key, position)
-            # an inline failure is known at once: submit nothing after it
-            halted = future.done() and future.exception() is not None
+        if halted:
+            return
+        future = Future()
+        try:
+            value = fitness_fn(position, EvalContext(*key[:2]))
+        except Exception as exc:
+            # an inline failure is known at once: start nothing after it
+            future.set_exception(exc)
+            halted = True
+        else:
+            if isinstance(value, Future):
+                future = value
+            else:
+                future.set_result(value)
+        jobs[future] = (key, position)
 
     def start(i, iteration):
         cat = cats[i]
@@ -277,12 +274,6 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None,
             moved = tracing_move(cat, best_position, config, bounds, rng)
             moves[i] = (moved, rng, {})
             submit((iteration, i, 0), moved.position)
-
-    def commit(i, iteration):
-        committed.setdefault(iteration, {})[i] = replace(cats[i])
-        if iteration < config.max_iters and i not in tracing[iteration + 1]:
-            start(i, iteration + 1)
-        close_finished()
 
     def close_finished():
         nonlocal closed, best_position, best_fitness
@@ -319,7 +310,10 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None,
                 idx = _select_candidate(fitnesses, rng, weight_key)
                 cat.position, fitness = move[idx], fitnesses[idx]
         cat.fitness = fitness
-        commit(i, iteration)
+        committed.setdefault(iteration, {})[i] = replace(cat)
+        if iteration < config.max_iters and i not in tracing[iteration + 1]:
+            start(i, iteration + 1)
+        close_finished()
 
     for i, cat in enumerate(cats):
         submit((0, i, 0), cat.position)
@@ -330,7 +324,6 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None,
             for future in sorted(done, key=lambda f: jobs[f][0]):
                 key, position = jobs.pop(future)
                 if future.exception() is not None:
-                    halted = True
                     failures.append((key, _fitness_error(future.exception(), position)))
                 elif not failures:
                     deliver(key, future.result())

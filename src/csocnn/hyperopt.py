@@ -9,9 +9,9 @@ weights project to the accuracy component.
 With more than one worker, candidates train in forked worker processes:
 at the small batches the swarm tries, a training step is too short for
 numpy to release the GIL for long, so threads would run it mostly one at
-a time. The process pool is the swarm's executor: cso submits each
-candidate to it as soon as the candidate's inputs are known, and every
-candidate is one evaluate_candidate call in a worker.
+a time. The process pool is the only scheduler: cso asks for each
+candidate as soon as its inputs are known, evaluate_candidate decodes and
+submits it to the pool in the parent, and cso gets back its Future.
 """
 
 import contextlib
@@ -115,14 +115,10 @@ def candidate_seed(global_seed, cat_index, iteration):
     return int(ss.generate_state(1)[0])
 
 
-def evaluate_candidate(config, datasets, arch):
-    """Train a fresh network of arch with config (trainer.train_new); return
-    the validation Fitness of its best epoch.
-
-    datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
-    training run (non-finite loss) comes back as the worst possible fitness
-    so the swarm routes around it.
-    """
+def _train_candidate(config, datasets, arch):
+    """The validation Fitness of the best epoch of a fresh network of arch
+    trained with config, or WORST_FITNESS when the training diverges. Runs
+    in a pool worker, or in the caller's process when there is no pool."""
     try:
         _, state = train_new(arch, *datasets, config)
     except TrainingDiverged:
@@ -130,13 +126,20 @@ def evaluate_candidate(config, datasets, arch):
     return Fitness(val_accuracy=state.best_val_acc, val_loss=state.best_val_loss)
 
 
-def _candidate_fitness(space, datasets, arch, swarm_seed, position, ctx):
-    """The swarm's fitness: the position decoded, seeded for its cat and
-    iteration, and trained. A module-level function, so that a partial of
-    it pickles into a pool worker."""
-    seed = candidate_seed(swarm_seed, ctx.cat_index, ctx.iteration)
-    return evaluate_candidate(replace(decode(position, space), seed=seed),
-                              datasets, arch)
+def evaluate_candidate(config, datasets, arch, pool=None):
+    """Train a fresh network of arch with config (trainer.train_new); return
+    the validation Fitness of its best epoch.
+
+    datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
+    training run (non-finite loss) comes back as the worst possible fitness
+    so the swarm routes around it. With a pool (a process executor) the
+    training runs in one of its workers and the Future of its Fitness is
+    returned at once; an exception in the worker is raised by that Future,
+    and a worker that dies makes it raise BrokenProcessPool.
+    """
+    if pool is None:
+        return _train_candidate(config, datasets, arch)
+    return pool.submit(_train_candidate, config, datasets, arch)
 
 
 def _init_worker():
@@ -176,12 +179,16 @@ def optimize_hyperparams(space, datasets, arch, swarm_config, workers=1):
     validation accuracy, so its best-value sequence is non-decreasing. The
     result is the same for any number of workers.
     """
-    fitness = functools.partial(_candidate_fitness, space, datasets, arch,
-                                swarm_config.seed)
     with _worker_pool(swarm_config, workers) as pool:
+        def fitness(position, ctx):
+            seed = candidate_seed(swarm_config.seed, ctx.cat_index, ctx.iteration)
+            return evaluate_candidate(
+                replace(decode(position, space), seed=seed), datasets, arch,
+                pool)
+
         best_position, best_fitness, history = cso.optimize(
             fitness, [(0.0, 1.0)] * 3, swarm_config,
-            weight_key=lambda f: f.val_accuracy, executor=pool)
+            weight_key=lambda f: f.val_accuracy)
     return decode(best_position, space), best_fitness, history
 
 

@@ -75,7 +75,7 @@ def test_config_validation():
     for c1 in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             cso.SwarmConfig(c1=c1)
-    # how many evaluations run at once is the executor's business
+    # how many evaluations run at once is the fitness function's business
     with pytest.raises(TypeError):
         cso.SwarmConfig(n_workers=2)
 
@@ -236,12 +236,18 @@ def test_optimize_is_deterministic():
     assert hist_a.mean_fitness == hist_b.mean_fitness
 
 
+def _through(executor, fitness):
+    """fitness run by executor: each evaluation returns the Future of its
+    value."""
+    return lambda x, ctx: executor.submit(fitness, x, ctx)
+
+
 def test_parallel_evaluation_matches_serial():
     config = cso.SwarmConfig(n_cats=10, max_iters=15, seed=31)
     _, best_s, hist_s = cso.optimize(neg_sphere, BOUNDS5, config)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        _, best_p, hist_p = cso.optimize(neg_sphere, BOUNDS5, config,
-                                         executor=pool)
+        _, best_p, hist_p = cso.optimize(_through(pool, neg_sphere),
+                                         BOUNDS5, config)
     assert best_s == best_p
     assert hist_s.best_value == hist_p.best_value
 
@@ -299,7 +305,7 @@ def test_parallel_failure_cancels_queued_candidates():
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(FitnessError):
-            cso.optimize(fitness, BOUNDS5, config, executor=pool)
+            cso.optimize(_through(pool, fitness), BOUNDS5, config)
     assert len(calls) < config.n_cats
 
 
@@ -319,7 +325,7 @@ def test_earliest_failure_is_raised_when_failures_finish_in_reverse():
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(FitnessError) as info:
-            cso.optimize(fitness, BOUNDS5, config, executor=pool)
+            cso.optimize(_through(pool, fitness), BOUNDS5, config)
     assert "cat 0" in str(info.value)
     assert np.array_equal(info.value.position, cat_0)
     assert isinstance(info.value.__cause__, RuntimeError)
@@ -407,8 +413,10 @@ def _recorded_run(config, bounds, executor=None):
                      [(c.mode, c.position.tobytes(), c.velocity.tobytes(),
                        c.fitness) for c in cats]))
 
+    if executor is not None:
+        fitness = _through(executor, fitness)
     position, best, history = cso.optimize(fitness, bounds, config,
-                                           callback=callback, executor=executor)
+                                           callback=callback)
     return (sorted(evaluations), position.tobytes(), best, history.iterations,
             history.best_value, history.mean_fitness, seen)
 
@@ -471,7 +479,7 @@ def test_seeking_cat_moves_on_before_the_iteration_ends():
     # mixture ratio 0.3 of 4 cats: one traces and three seek each iteration
     config = cso.SwarmConfig(n_cats=4, max_iters=3, smp=3, seed=5)
     with _HoldFirst() as executor:
-        cso.optimize(neg_sphere, BOUNDS5, config, executor=executor)
+        cso.optimize(_through(executor, neg_sphere), BOUNDS5, config)
     early = [(t, i) for t, i, held in executor.log if held and t >= 1]
     assert early, executor.log
     # a tracing move needs the previous iteration's best, so none of those

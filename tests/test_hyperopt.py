@@ -265,7 +265,7 @@ def test_worker_pool_is_capped_at_one_iterations_candidates(
     made = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: _RecordingPool(made, **kw))
-    monkeypatch.setattr(hyperopt, "evaluate_candidate",
+    monkeypatch.setattr(hyperopt, "_train_candidate",
                         lambda config, datasets, arch: hyperopt.Fitness(0.5, 1.0))
     config = cso.SwarmConfig(n_cats=n_cats, max_iters=2, smp=smp, seed=1)
     hyperopt.optimize_hyperparams(SPACE, None, None, config, workers)
@@ -279,7 +279,7 @@ def test_worker_pool_is_capped_at_one_iterations_candidates(
     # every candidate goes straight to the pool, from the main thread
     assert len(pool.submits) > n_cats  # the initial cats and two iterations
     for fn, on_main_thread in pool.submits:
-        assert fn.func is hyperopt._candidate_fitness and on_main_thread
+        assert fn is hyperopt._train_candidate and on_main_thread
 
 
 # the initial evaluation of each cat named in argv[1] raises in its worker;
