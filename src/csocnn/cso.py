@@ -242,7 +242,7 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     best_position = best_fitness = None
     closed = -1  # the last iteration whose best and history are final
 
-    def submit(key, position):
+    def evaluate(key, position):
         nonlocal halted
         if halted:
             return
@@ -269,11 +269,11 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
             positions = _seeking_candidates(cat, config, bounds, rng)
             moves[i] = (positions, rng, {})
             for k in range(1, len(positions)):
-                submit((iteration, i, k), positions[k])
+                evaluate((iteration, i, k), positions[k])
         else:
             moved = tracing_move(cat, best_position, config, bounds, rng)
             moves[i] = (moved, rng, {})
-            submit((iteration, i, 0), moved.position)
+            evaluate((iteration, i, 0), moved.position)
 
     def close_finished():
         nonlocal closed, best_position, best_fitness
@@ -316,7 +316,7 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
         close_finished()
 
     for i, cat in enumerate(cats):
-        submit((0, i, 0), cat.position)
+        evaluate((0, i, 0), cat.position)
     failures = []
     try:
         while jobs and not failures:

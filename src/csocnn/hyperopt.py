@@ -10,8 +10,9 @@ With more than one worker, candidates train in forked worker processes:
 at the small batches the swarm tries, a training step is too short for
 numpy to release the GIL for long, so threads would run it mostly one at
 a time. The process pool is the only scheduler: cso asks for each
-candidate as soon as its inputs are known, evaluate_candidate decodes and
-submits it to the pool in the parent, and cso gets back its Future.
+candidate as soon as its inputs are known, the swarm's fitness decodes it
+in this process, and evaluate_candidate submits its training to the pool
+and hands cso the Future.
 """
 
 import contextlib
