@@ -1,6 +1,7 @@
 """csocnn command line: train, optimize, evaluate, detect.
 
-Every command writes a run manifest (seeds, config snapshot, artifact
+Every command runs through one _Run, which owns its seed, output
+directory, signal guard and run manifest (seeds, config snapshot, artifact
 inventory, metric values) sufficient to reproduce its metric values
 exactly. Artifact plots are SVG derived from sibling CSVs. Exit codes:
 0 success, 2 usage, 3 data/model format, 4 numeric failure, 130 interrupted,
@@ -64,8 +65,9 @@ M_TOP_PAD, TOP_PAD_BYTES = -2, 128 << 20
 M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES = -3, 32 << 20
 
 
-def default_out_dir():
-    return os.environ.get("CSOCNN_OUT", "csocnn-out")
+def _out_dir(args):
+    """The output directory: --out, else $CSOCNN_OUT, else ./csocnn-out."""
+    return Path(args.out or os.environ.get("CSOCNN_OUT", "csocnn-out"))
 
 
 def _add_data_flags(p):
@@ -140,81 +142,79 @@ def build_parser():
     return parser
 
 
-class RunManifest:
-    """Collects the run's reproducibility record and writes manifest.json."""
+class _Run:
+    """One command's run: its seed (--seed, or a random one the manifest
+    records), output directory and manifest.json. Built where the command
+    starts; the command enters started() once, after its usage checks and
+    input loads, and adds its artifacts and metrics inside the block."""
 
-    def __init__(self, out_dir, command, config, seed, inputs):
-        self.out_dir = Path(out_dir)
-        self.started = time.time()
-        self.payload = {
-            "command": command,
-            "config": config,
-            "seed": seed,
+    def __init__(self, args):
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        self.seed = args.seed
+        if args.seed is None:
+            import secrets
+            self.seed = secrets.randbits(31)
+        self.args = args
+        self.out = _out_dir(args)
+        self.artifacts = []
+        self.metrics = {}
+        self.partial = False  # set by a block that ends short of its work
+
+    def add(self, path):
+        """Inventory the file at path, once written; returns path."""
+        self.artifacts.append(Path(path).name)
+        return path
+
+    @contextlib.contextmanager
+    def started(self, inputs, make_dir=True):
+        """Snapshot the config (the flags as the command resolved them),
+        then guard the block: SIGINT/SIGTERM write a partial manifest, end
+        the swarm's worker processes, whose running candidates the pool
+        would otherwise wait for on the way out, and exit 130. Makes the
+        output directory unless make_dir is false and gives its path;
+        writes the manifest when the block ends normally."""
+        self.record = {
+            "command": self.args.command,
+            "config": {k: v for k, v in sorted(vars(self.args).items())
+                       if k != "command"},
+            "seed": self.seed,
             "inputs": inputs,
-            "out_dir": str(self.out_dir),
-            "artifacts": [],
-            "metrics": {},
-            "partial": False,
+            "out_dir": str(self.out),
+            "artifacts": self.artifacts,
+            "metrics": self.metrics,
         }
-
-    def add_artifact(self, path):
-        self.payload["artifacts"].append(Path(path).name)
-        return path
-
-    def set_metrics(self, values):
-        self.payload["metrics"].update(values)
-
-    def write(self, partial=False):
-        self.payload["partial"] = partial
-        self.payload["duration_s"] = round(time.time() - self.started, 3)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.payload, fh, indent=1, sort_keys=True)
-        return path
-
-
-class _SignalGuard:
-    """Finalize the manifest with a partial marker on SIGINT/SIGTERM, and
-    end the swarm's worker processes, whose running candidates the pool
-    would otherwise wait for on the way out."""
-
-    def __init__(self, manifest):
-        self.manifest = manifest
-        self._previous = {}
-
-    def __enter__(self):
+        self.started_at = time.time()
+        previous = {}
         for sig in (signal.SIGINT, signal.SIGTERM):
             try:
-                self._previous[sig] = signal.signal(sig, self._handle)
+                previous[sig] = signal.signal(sig, self._interrupted)
             except ValueError:  # non-main thread
                 pass
-        return self
+        try:
+            if make_dir:
+                self.out.mkdir(parents=True, exist_ok=True)
+            yield self.out
+            self._write()
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
 
-    def _handle(self, signum, frame):
-        self.manifest.write(partial=True)
+    def _interrupted(self, signum, frame):
+        self.partial = True
+        self._write()
         # only optimize starts children, and it imports multiprocessing
         mp = sys.modules.get("multiprocessing")
         for child in mp.active_children() if mp else ():
             child.terminate()
         raise SystemExit(130)
 
-    def __exit__(self, *exc):
-        for sig, handler in self._previous.items():
-            signal.signal(sig, handler)
-        return False
-
-
-def _seed_and_out(args):
-    """The run's seed (--seed, or a random one the manifest records) and
-    its output directory."""
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    out = Path(args.out or default_out_dir())
-    if args.seed is not None:
-        return int(args.seed), out
-    import secrets
-    return secrets.randbits(31), out
+    def _write(self):
+        self.record["partial"] = self.partial
+        self.record["duration_s"] = round(time.time() - self.started_at, 3)
+        self.out.mkdir(parents=True, exist_ok=True)
+        with open(self.out / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(self.record, fh, indent=1, sort_keys=True)
 
 
 def _load_records(args, seed):
@@ -287,18 +287,13 @@ def _reading(flag, path):
             f"cannot read {flag} {path}: {exc.strerror or exc}") from None
 
 
-def _config_snapshot(args):
-    skip = {"command", "func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _save_trained(manifest, out, prep, network, state):
+def _save_trained(run, prep, network, state):
     """Write scaler.json, then model.model carrying the scaler fingerprint
     and the best epoch's training metrics."""
     best_idx = state.epochs.index(state.best_epoch)
-    manifest.add_artifact(prep.stats.save(out / SCALER_FILENAME))
-    manifest.add_artifact(save_model(
-        out / "model.model", network, prep.codec.classes,
+    run.add(prep.stats.save(run.out / SCALER_FILENAME))
+    run.add(save_model(
+        run.out / "model.model", network, prep.codec.classes,
         scaler_fingerprint=prep.stats.fingerprint(),
         training_metrics={
             "training_accuracy": state.train_acc[best_idx],
@@ -310,35 +305,33 @@ def _save_trained(manifest, out, prep, network, state):
 
 def cmd_train(args):
     from . import metrics, svg, trainer
-    seed, out = _seed_and_out(args)
+    run = _Run(args)
     with _usage_errors():
         config = trainer.TrainConfig(
             epochs=args.epochs, batch_size=args.batch, initial_lr=args.lr,
-            seed=seed)
-    flows, inputs = _load_records(args, seed)
-    manifest = RunManifest(out, "train", _config_snapshot(args), seed, inputs)
-    with _SignalGuard(manifest):
-        out.mkdir(parents=True, exist_ok=True)
-        prep = data.prepare_dataset(flows, seed)
+            seed=run.seed)
+    flows, inputs = _load_records(args, run.seed)
+    with run.started(inputs) as out:
+        prep = data.prepare_dataset(flows, run.seed)
         best, state = trainer.train_new(
             nn.default_architecture(len(prep.codec)), prep.train, prep.val,
             config)
 
         test_loss, test_acc, predictions, probs = trainer.evaluate(
             best, prep.test)
-        manifest.add_artifact(state.history_to_csv(out / "history.csv"))
-        manifest.add_artifact(svg.line_chart(
+        run.add(state.history_to_csv(out / "history.csv"))
+        run.add(svg.line_chart(
             out / "curves.svg", "Training and validation accuracy / loss",
             [("train_acc", state.epochs, state.train_acc),
              ("val_acc", state.epochs, state.val_acc),
              ("train_loss", state.epochs, state.train_loss),
              ("val_loss", state.epochs, state.val_loss)],
             x_label="epoch", y_label="value"))
-        _save_trained(manifest, out, prep, best, state)
+        _save_trained(run, prep, best, state)
         cm = metrics.confusion(prep.test[1], predictions, len(prep.codec),
                                prep.codec.classes)
-        manifest.add_artifact(cm.to_csv(out / "confusion_matrix.csv"))
-        manifest.set_metrics({
+        run.add(cm.to_csv(out / "confusion_matrix.csv"))
+        run.metrics.update({
             "test_accuracy": test_acc,
             "test_loss": test_loss,
             "best_val_accuracy": state.best_val_acc,
@@ -350,13 +343,12 @@ def cmd_train(args):
             "inf_imputed": prep.n_inf_imputed,
             "clamped": prep.n_clamped,
         })
-        manifest.write()
     return EXIT_OK
 
 
 def cmd_optimize(args):
     from . import cso, hyperopt, svg, trainer
-    seed, out = _seed_and_out(args)
+    run = _Run(args)
     if args.workers is None:
         args.workers = hyperopt.default_workers()
     with _usage_errors():
@@ -366,45 +358,43 @@ def cmd_optimize(args):
             epoch_range=tuple(args.epoch_range))
         swarm_config = cso.SwarmConfig(
             n_cats=args.cats, max_iters=args.iters, mixture_ratio=args.mr,
-            smp=args.smp, srd=args.srd, cdc=args.cdc, c1=args.c1, seed=seed)
+            smp=args.smp, srd=args.srd, cdc=args.cdc, c1=args.c1,
+            seed=run.seed)
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.workers > 1 and not hasattr(os, "fork"):
         raise UsageError("--workers above 1 needs fork(), which this "
                          "platform lacks")
-    flows, inputs = _load_records(args, seed)
-    manifest = RunManifest(out, "optimize", _config_snapshot(args), seed, inputs)
-    with _SignalGuard(manifest):
-        out.mkdir(parents=True, exist_ok=True)
-        prep = data.prepare_dataset(flows, seed)
+    flows, inputs = _load_records(args, run.seed)
+    with run.started(inputs) as out:
+        prep = data.prepare_dataset(flows, run.seed)
         arch = nn.default_architecture(len(prep.codec))
         best_config, best_fit, history = hyperopt.optimize_hyperparams(
             space, (prep.train, prep.val), arch, swarm_config, args.workers)
         if best_fit == hyperopt.WORST_FITNESS:
             raise TrainingDiverged("every swarm candidate diverged")
 
-        manifest.add_artifact(history.to_csv(out / "convergence.csv"))
-        manifest.add_artifact(svg.line_chart(
+        run.add(history.to_csv(out / "convergence.csv"))
+        run.add(svg.line_chart(
             out / "convergence.svg", "Swarm convergence",
             [("best_accuracy", history.iterations, history.best_value),
              ("mean_accuracy", history.iterations, history.mean_fitness)],
             x_label="iteration", y_label="validation accuracy"))
-        manifest.add_artifact(hyperopt.save_best(
+        run.add(hyperopt.save_best(
             out / "best_hyperparams.json", best_config, best_fit))
 
         # Materialize the winner: retrain at the best hyperparameters.
         best_net, state = trainer.train_new(
             arch, prep.train, prep.val,
-            dataclasses.replace(best_config, seed=seed))
-        _save_trained(manifest, out, prep, best_net, state)
-        manifest.set_metrics({
+            dataclasses.replace(best_config, seed=run.seed))
+        _save_trained(run, prep, best_net, state)
+        run.metrics.update({
             "best_fitness": [best_fit.val_accuracy, best_fit.val_loss],
             "best_learning_rate": best_config.initial_lr,
             "best_batch_size": best_config.batch_size,
             "best_epochs": best_config.epochs,
             "retrain_val_accuracy": state.best_val_acc,
         })
-        manifest.write()
     return EXIT_OK
 
 
@@ -481,21 +471,19 @@ def _write_roc_csv(path, curves):
 
 def cmd_evaluate(args):
     from . import metrics, svg
-    seed, out = _seed_and_out(args)
+    run = _Run(args)
     bundle, stats, scaler_path = _open_model(args)
     codec = data.LabelCodec(tuple(bundle.class_names))
-    manifest = RunManifest(out, "evaluate", _config_snapshot(args), seed,
-                           [args.data or "synthetic", args.model, scaler_path])
     with contextlib.ExitStack() as stack:
         if args.data and not args.synthetic:
             schema = data.CsvSchema(args.label_column, stats.n_features)
             chunks = stack.enter_context(
                 _csv_chunks("--data", args.data, schema, need_labels=True))
         else:  # the synthetic blobs as one chunk, or a usage error
-            flows, _ = _load_records(args, seed)
+            flows, _ = _load_records(args, run.seed)
             chunks = [(flows.features, flows.labels)]
-        stack.enter_context(_SignalGuard(manifest))
-        out.mkdir(parents=True, exist_ok=True)
+        out = stack.enter_context(run.started(
+            [args.data or "synthetic", args.model, scaler_path]))
         probs, labels = _gather(_scored(bundle.network, stats, chunks), codec)
         test_loss = nn.loss_sparse_ce(probs, labels)
         predictions = probs.argmax(axis=1)
@@ -506,9 +494,9 @@ def cmd_evaluate(args):
         report_path = out / "classification_report.txt"
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(metrics.report_text(m))
-        manifest.add_artifact(report_path)
-        manifest.add_artifact(cm.to_csv(out / "confusion_matrix.csv"))
-        manifest.add_artifact(svg.heatmap(
+        run.add(report_path)
+        run.add(cm.to_csv(out / "confusion_matrix.csv"))
+        run.add(svg.heatmap(
             out / "confusion_matrix.svg", "Confusion matrix",
             cm.counts.tolist(), codec.classes, codec.classes))
 
@@ -521,8 +509,8 @@ def cmd_evaluate(args):
             except DegenerateClass:
                 continue
             curves.append((name, pts, auc))
-        manifest.add_artifact(_write_roc_csv(out / "roc.csv", curves))
-        manifest.add_artifact(svg.line_chart(
+        run.add(_write_roc_csv(out / "roc.csv", curves))
+        run.add(svg.line_chart(
             out / "roc.svg", "ROC curves (one-vs-rest and micro-average)",
             [(f"{name} (auc={auc:.3f})", pts[:, 0], pts[:, 1])
              for name, pts, auc in curves],
@@ -555,25 +543,25 @@ def cmd_evaluate(args):
         record_path = out / "metrics.json"
         with open(record_path, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
-        manifest.add_artifact(record_path)
-        manifest.set_metrics({
+        run.add(record_path)
+        run.metrics.update({
             "test_accuracy": test_acc,
             "test_loss": test_loss,
             "kappa": m["kappa"],
             "micro_auc": micro_auc,
         })
-        manifest.write()
     return EXIT_OK
 
 
 def cmd_detect(args):
     if args.calibrate and args.threshold is not None:
         raise UsageError("--calibrate and --threshold are mutually exclusive")
-    seed, out = _seed_and_out(args)
+    run = _Run(args)
     bundle, stats, scaler_path = _open_model(args)
-    manifest = RunManifest(out, "detect", _config_snapshot(args), seed,
-                           [args.input or "stdin", args.model, scaler_path])
-    with _SignalGuard(manifest):
+    # no directory before the manifest: a usage error inside the block
+    # (an unreadable --input, a --threshold out of range) leaves none
+    with run.started([args.input or "stdin", args.model, scaler_path],
+                     make_dir=False):
         class_names = tuple(bundle.class_names)
         benign_name = args.benign_class
         if benign_name is None:
@@ -616,21 +604,19 @@ def cmd_detect(args):
                     n_records += len(scores)
                     n_anomalous += int(flags.sum())
                     sys.stdout.flush()
-            code = EXIT_OK
         except BrokenPipeError:
             # the reader left (say `detect ... | head -1`): send what is
             # still buffered to devnull so the exit-time flush cannot raise
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            code = EXIT_BROKEN_PIPE
-        manifest.set_metrics({
+            run.partial = True
+        run.metrics.update({
             "records": n_records,
             "anomalous": n_anomalous,
             "threshold": policy.threshold,
         })
-        manifest.write(partial=code != EXIT_OK)
-    return code
+    return EXIT_BROKEN_PIPE if run.partial else EXIT_OK
 
 
 _COMMANDS = {
@@ -643,10 +629,10 @@ _COMMANDS = {
 
 def _error_record(args, exc, code):
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    out = getattr(args, "out", None) or default_out_dir()
+    out = _out_dir(args)
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        with open(Path(out) / "error.json", "w", encoding="utf-8") as fh:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "error.json", "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
     except OSError:
         pass

@@ -226,10 +226,12 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     callback(iteration, cats, best_position, best_fitness) gets the cats as
     that iteration left them.
 
-    On the first failed evaluation no more are started, the pending Futures
-    are cancelled (those already running finish); then, among the
-    evaluations that ran, the FitnessError of the earliest failed one in
-    (iteration, cat, candidate) order is raised, with its position attached.
+    A failed evaluation drops those ordered after it in (iteration, cat,
+    candidate) order (pending Futures are cancelled, running ones finish),
+    while those ordered before it, which depend only on earlier
+    iterations, still run. Once none of them is pending, the earliest
+    failure's FitnessError is raised with its position attached, wherever
+    and in whatever order the evaluations ran.
     """
     cats = init_swarm(config, bounds)
     tracing = [None] + [_tracing_cats(config, _rng(config.seed, t))
@@ -237,27 +239,31 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
     moves = [None] * len(cats)  # each cat's move in flight: (move, rng, results)
     committed = {}  # iteration -> {cat index: the cat as it committed}
     jobs = {}  # future -> ((iteration, cat, candidate), position)
-    halted = False
+    failed = None  # (key, FitnessError) of the earliest failure so far
     history = SwarmHistory()
     best_position = best_fitness = None
     closed = -1  # the last iteration whose best and history are final
 
+    def fail(key, exc, position):
+        # every evaluation left to start or deliver is ordered before key
+        nonlocal failed
+        failed = (key, _fitness_error(exc, position))
+        for future in [f for f, (k, _) in jobs.items() if k > key]:
+            future.cancel()
+            del jobs[future]
+
     def evaluate(key, position):
-        nonlocal halted
-        if halted:
+        if failed is not None and key > failed[0]:
             return
-        future = Future()
         try:
             value = fitness_fn(position, EvalContext(*key[:2]))
         except Exception as exc:
-            # an inline failure is known at once: start nothing after it
-            future.set_exception(exc)
-            halted = True
-        else:
-            if isinstance(value, Future):
-                future = value
-            else:
-                future.set_result(value)
+            fail(key, exc, position)
+            return
+        future = value
+        if not isinstance(value, Future):
+            future = Future()
+            future.set_result(value)
         jobs[future] = (key, position)
 
     def start(i, iteration):
@@ -317,25 +323,22 @@ def optimize(fitness_fn, bounds, config, weight_key=float, callback=None):
 
     for i, cat in enumerate(cats):
         evaluate((0, i, 0), cat.position)
-    failures = []
     try:
-        while jobs and not failures:
+        while jobs:
             done, _ = wait(jobs, return_when=FIRST_COMPLETED)
             for future in sorted(done, key=lambda f: jobs[f][0]):
+                if future not in jobs:  # dropped by an earlier failure
+                    continue
                 key, position = jobs.pop(future)
                 if future.exception() is not None:
-                    failures.append((key, _fitness_error(future.exception(), position)))
-                elif not failures:
+                    fail(key, future.exception(), position)
+                else:
                     deliver(key, future.result())
     finally:
-        # a failure, or the SystemExit a signal raises while this waits,
-        # drops the evaluations that have not started
+        # the SystemExit a signal raises while this waits drops the
+        # evaluations that have not started
         for future in jobs:
             future.cancel()
-    if failures:
-        wait(jobs)
-        failures += [(key, _fitness_error(f.exception(), position))
-                     for f, (key, position) in jobs.items()
-                     if not f.cancelled() and f.exception() is not None]
-        raise min(failures, key=lambda failure: failure[0])[1]
+    if failed is not None:
+        raise failed[1]
     return best_position, best_fitness, history

@@ -249,11 +249,11 @@ def test_optimize_degenerate_single_cat(tmp_path):
 
 
 def test_signal_guard_writes_partial_manifest(tmp_path):
-    manifest = cli.RunManifest(tmp_path, "train", {}, 1, [])
-    guard = cli._SignalGuard(manifest)
+    run = cli._Run(cli.build_parser().parse_args(
+        ["train", "--seed", "1", "--out", str(tmp_path)]))
     with pytest.raises(SystemExit) as info:
-        with guard:
-            guard._handle(15, None)
+        with run.started([]):
+            signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
     assert info.value.code == 130
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["partial"] is True
@@ -497,6 +497,25 @@ def test_detect_threshold_out_of_range_is_usage_error(train_run, tmp_path,
     assert code == 2
 
 
+@pytest.mark.parametrize("outcome", [0, 3, 4])
+def test_main_restores_signal_handlers(tmp_path, monkeypatch, outcome):
+    flags = ["--synthetic", "--synthetic-samples", "300", "--epochs", "1"]
+    if outcome == 3:  # a header-only CSV
+        header_only = tmp_path / "flows.csv"
+        header_only.write_text(",".join([f"f{i}" for i in range(75)]
+                                        + ["label"]) + "\n")
+        flags = ["--data", str(header_only)]
+    elif outcome == 4:  # the validation loss turns NaN
+        poison_update(monkeypatch, 1)
+        flags += ["--batch", "1000"]
+    before = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+    code = cli.main(["train", *flags, "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+    assert code == outcome
+    assert [signal.getsignal(s)
+            for s in (signal.SIGINT, signal.SIGTERM)] == before
+
+
 @pytest.mark.parametrize("command", ["train", "optimize", "evaluate"])
 def test_header_only_csv_exits_3(train_run, tmp_path, command):
     data_path = tmp_path / "flows.csv"
@@ -543,6 +562,7 @@ def test_invalid_flag_values_are_usage_errors(tmp_path, capsys, flags):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("csocnn: usage error: ")
     assert not (out / "error.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "optimize", "evaluate", "detect"])

@@ -346,6 +346,82 @@ def test_serial_failure_stops_submitting():
     assert calls == [0, 1, 2]
 
 
+class _HoldCat0(Executor):
+    """Runs each job as it is submitted, except that cat 0's initial
+    evaluation gets its outcome only 0.3 s after a job has failed (or
+    after 5 s): a later-keyed failure is known first."""
+
+    def __init__(self):
+        self.failed = threading.Event()
+        self.thread = None
+
+    def submit(self, fn, position, ctx):
+        try:
+            outcome = (fn(position, ctx), None)
+        except Exception as exc:
+            outcome = (None, exc)
+            self.failed.set()
+        future = Future()
+        if (ctx.iteration, ctx.cat_index) == (0, 0):
+            self.thread = threading.Thread(
+                target=self._release, args=(future, outcome), daemon=True)
+            self.thread.start()
+        else:
+            self._complete(future, outcome)
+        return future
+
+    def _release(self, future, outcome):
+        self.failed.wait(5.0)
+        time.sleep(0.3)
+        self._complete(future, outcome)
+
+    @staticmethod
+    def _complete(future, outcome):
+        if future.set_running_or_notify_cancel():  # not cancelled
+            value, exc = outcome
+            if exc is None:
+                future.set_result(value)
+            else:
+                future.set_exception(exc)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        if self.thread is not None:
+            self.thread.join()
+
+
+@pytest.mark.parametrize("case", ["held", "held-then-traced", "inline"])
+def test_earliest_keyed_failure_is_raised_whatever_fails_first(case):
+    # two evaluations fail and the later-keyed one fails first. "held": cat
+    # 0's and cat 1's initial evaluations fail, cat 0's held open. Otherwise
+    # the iteration-1 moves of a tracing cat and of a seeking cat with a
+    # higher number fail: the seeking candidate runs first, inline because
+    # a tracing move waits for the previous iteration to close, and through
+    # the executor because that iteration waits for the held cat 0
+    config = cso.SwarmConfig(n_cats=4, max_iters=2, smp=3, seed=6)
+    modes = {}
+    cso.optimize(neg_sphere, BOUNDS5, config,
+                 callback=lambda t, cats, *_: modes.setdefault(
+                     t, [c.mode for c in cats]))
+    tracer, seeker = modes[1].index("tracing"), 3
+    assert tracer < seeker and modes[1][seeker] == "seeking"
+    failing = ({(0, 0), (0, 1)} if case == "held"
+               else {(1, tracer), (1, seeker)})
+    earliest = min(failing)
+
+    def fitness(x, ctx):
+        if (ctx.iteration, ctx.cat_index) in failing:
+            raise RuntimeError(f"cat {ctx.cat_index}")
+        return neg_sphere(x)
+
+    with pytest.raises(FitnessError) as info:
+        if case == "inline":
+            cso.optimize(fitness, BOUNDS5, config)
+        else:
+            with _HoldCat0() as executor:
+                cso.optimize(_through(executor, fitness), BOUNDS5, config)
+    assert str(info.value).endswith(f": cat {earliest[1]}")
+
+
 class _Reordering(Executor):
     """Runs each job as it is submitted but completes the futures later,
     from a thread: whenever no job was submitted for a moment, it completes
