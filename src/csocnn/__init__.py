@@ -9,8 +9,8 @@ Subpackages by concern:
 - ``hyperopt``: hyperparameter search hybridizing the swarm with training.
 - ``data``: the columnar flow table, CSV ingestion, cleaning, scaling,
   stratified splits, synthetic blob generation.
-- ``trainer``: the mini-batch loop with plateau LR reduction, early stopping,
-  and best-model checkpointing (kept in memory).
+- ``trainer``: the mini-batch loop with early stopping and best-model
+  checkpointing (kept in memory).
 - ``metrics``: confusion-matrix metrics, classification reports, ROC/AUC.
 - ``detector``: threshold-based anomaly verdicts over model scores.
 - ``cli``: the ``csocnn`` command-line entry point.

@@ -1,8 +1,7 @@
 """Adam parameter updates with bias correction.
 
 Moments live in a per-parameter dict keyed like the network's parameter
-dict; the learning rate is mutable so plateau callbacks can lower it
-mid-training.
+dict; the learning rate is fixed for the whole run.
 """
 
 from dataclasses import dataclass, field

@@ -1,12 +1,11 @@
-"""Mini-batch training loop with plateau LR reduction, early stopping, and
-best-model checkpointing.
+"""Mini-batch Adam training with early stopping and best-model
+checkpointing.
 
-The best model is kept in memory; the caller saves it. Callbacks run in a
-fixed order at every epoch end: keep the best model first (so it is kept even
-when the same epoch triggers the stop), then the learning-rate reduction, then
-the early-stop decision. "Improvement" means validation accuracy strictly
-above the best seen so far; the two plateau counters are independent, and the
-LR counter also resets after a reduction.
+The best model is kept in memory; the caller saves it. At every epoch end
+the network is kept first, when validation accuracy is strictly above the
+best seen so far (so it is kept even when the same epoch triggers the stop),
+then training stops after EARLY_STOP_PATIENCE epochs in a row without such
+an improvement. The learning rate stays at the configured initial rate.
 """
 
 import csv
@@ -19,9 +18,7 @@ from .errors import TrainingDiverged
 from .nn import Network, backward, forward, loss_sparse_ce, predict
 from .optim import AdamState, adam_step
 
-LR_FACTOR = 0.5  # plateau reduction multiplies the learning rate by this
-LR_PATIENCE = 2  # epochs without improvement before a reduction
-MIN_LR = 1e-5  # the reduction's floor
+MIN_LR = 1e-5  # the smallest accepted initial learning rate
 EARLY_STOP_PATIENCE = 2  # epochs without improvement before stopping
 
 
@@ -41,7 +38,7 @@ class TrainConfig:
 
 @dataclass
 class TrainingState:
-    """Epoch histories plus the callback bookkeeping."""
+    """Epoch histories plus the keep-best and early-stop bookkeeping."""
 
     epochs: list = field(default_factory=list)
     train_loss: list = field(default_factory=list)
@@ -53,8 +50,7 @@ class TrainingState:
     best_val_loss: float | None = None
     best_epoch: int | None = None
     best_network: Network | None = None
-    lr_stall_epochs: int = 0
-    stop_stall_epochs: int = 0
+    stall_epochs: int = 0
     stopped_early: bool = False
 
     def record_epoch(self, epoch, train_loss, train_acc, val_loss, val_acc, lr):
@@ -76,26 +72,22 @@ class TrainingState:
         return path
 
 
-def epoch_end(network, state, adam, epoch, val_loss, val_acc):
-    """Apply the callback ladder; returns True when training should stop.
+def epoch_end(network, state, epoch, val_loss, val_acc):
+    """Keep the best network and decide early stopping; returns True when
+    training should stop.
 
     A val_acc strictly above the best seen keeps a copy of the network and
-    resets both stall counters; a tie or a regression keeps nothing and
+    resets the stall counter; a tie or a regression keeps nothing and
     counts a stalled epoch."""
     if val_acc > state.best_val_acc:
         state.best_network = network.clone()
         state.best_val_acc = val_acc
         state.best_val_loss = val_loss
         state.best_epoch = epoch
-        state.lr_stall_epochs = 0
-        state.stop_stall_epochs = 0
+        state.stall_epochs = 0
     else:
-        state.lr_stall_epochs += 1
-        state.stop_stall_epochs += 1
-    if state.lr_stall_epochs >= LR_PATIENCE:
-        adam.learning_rate = max(adam.learning_rate * LR_FACTOR, MIN_LR)
-        state.lr_stall_epochs = 0
-    return state.stop_stall_epochs >= EARLY_STOP_PATIENCE
+        state.stall_epochs += 1
+    return state.stall_epochs >= EARLY_STOP_PATIENCE
 
 
 def evaluate(network, dataset):
@@ -112,9 +104,10 @@ def train(network, train_set, val_set, config):
     """Seeded mini-batch training; returns (best network, state).
 
     Shuffles every epoch, keeps the last partial batch, evaluates validation
-    at epoch end, applies the callbacks, and returns the copy of the network
+    at epoch end, applies epoch_end, and returns the copy of the network
     kept at the best epoch. Raises TrainingDiverged on a non-finite batch
-    or validation loss.
+    or validation loss; numpy's floating-point warnings on the way there are
+    silenced, so the exception is the one report of a divergence.
     """
     x_train, y_train = np.asarray(train_set[0]), np.asarray(train_set[1])
     state = TrainingState()
@@ -122,32 +115,33 @@ def train(network, train_set, val_set, config):
     rng = np.random.default_rng(config.seed)
     n = len(y_train)
 
-    for epoch in range(1, config.epochs + 1):
-        lr_this_epoch = adam.learning_rate
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            probs, cache = forward(network, xb, "train")
-            batch_loss = loss_sparse_ce(probs, yb)
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"non-finite loss in epoch {epoch} at sample {start}")
-            loss_sum += batch_loss * len(yb)
-            correct += int((probs.argmax(axis=1) == yb).sum())
-            grads = backward(network, cache, yb)
-            adam_step(adam, network.params, grads)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            correct = 0
+            for start in range(0, n, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                xb, yb = x_train[idx], y_train[idx]
+                probs, cache = forward(network, xb, "train")
+                batch_loss = loss_sparse_ce(probs, yb)
+                if not math.isfinite(batch_loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss in epoch {epoch} at sample {start}")
+                loss_sum += batch_loss * len(yb)
+                correct += int((probs.argmax(axis=1) == yb).sum())
+                grads = backward(network, cache, yb)
+                adam_step(adam, network.params, grads)
 
-        val_loss, val_acc, _, _ = evaluate(network, val_set)
-        if not math.isfinite(val_loss):
-            raise TrainingDiverged(f"non-finite validation loss in epoch {epoch}")
-        state.record_epoch(epoch, loss_sum / n, correct / n,
-                           val_loss, val_acc, lr_this_epoch)
-        if epoch_end(network, state, adam, epoch, val_loss, val_acc):
-            state.stopped_early = True
-            break
+            val_loss, val_acc, _, _ = evaluate(network, val_set)
+            if not math.isfinite(val_loss):
+                raise TrainingDiverged(
+                    f"non-finite validation loss in epoch {epoch}")
+            state.record_epoch(epoch, loss_sum / n, correct / n,
+                               val_loss, val_acc, config.initial_lr)
+            if epoch_end(network, state, epoch, val_loss, val_acc):
+                state.stopped_early = True
+                break
 
     return state.best_network, state
 

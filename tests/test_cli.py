@@ -601,6 +601,32 @@ def test_train_non_finite_validation_loss_exits_4(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+_OVERFLOW_OPTIMIZE = ["optimize", "--synthetic", "--synthetic-samples", "300",
+                      "--lr-range", "1e3", "1e6", "--cats", "2", "--iters",
+                      "1", "--smp", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["train", "--synthetic", "--synthetic-samples", "300", "--lr", "1e6",
+      "--epochs", "1", "--seed", "1"], 4),
+    (_OVERFLOW_OPTIMIZE + ["--workers", "1"], 0),
+    (_OVERFLOW_OPTIMIZE + ["--workers", "2"], 0),
+], ids=["train", "optimize-workers-1", "optimize-workers-2"])
+def test_overflowing_training_prints_no_numpy_warnings(tmp_path, flags, code):
+    # a child process, so the swarm workers' stderr is caught too
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "csocnn.cli", *flags,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 4:
+        assert proc.stderr.splitlines() == [
+            "csocnn: TrainingDiverged: non-finite validation loss in epoch 1"]
+    else:
+        assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("flags, bad", [
     (["train", "--data", "{missing}"], "{missing}"),
     (["train", "--data", "{dir}"], "{dir}"),

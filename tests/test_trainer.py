@@ -5,26 +5,22 @@ from conftest import poison_update, toy_layers
 from csocnn import data, nn, trainer
 from csocnn.errors import TrainingDiverged
 from csocnn.nn import forward
-from csocnn.optim import AdamState
 
 
-def _scripted_run(val_accs, config, network=None):
-    """Drive the epoch-end callback ladder with a scripted val-acc sequence.
+def _scripted_run(val_accs, network=None):
+    """Drive epoch_end with a scripted val-acc sequence.
 
-    Returns (lr per epoch, stop epoch or None, state)."""
+    Returns (stop epoch or None, state)."""
     network = network or nn.Network(toy_layers(2), (4, 1, 1), seed=0)
     state = trainer.TrainingState()
-    adam = AdamState(learning_rate=config.initial_lr)
-    lrs = []
     stopped_at = None
     for epoch, val_acc in enumerate(val_accs, start=1):
-        lrs.append(adam.learning_rate)
-        stop = trainer.epoch_end(network, state, adam, epoch,
+        stop = trainer.epoch_end(network, state, epoch,
                                  val_loss=1.0 - val_acc, val_acc=val_acc)
         if stop:
             stopped_at = epoch
             break
-    return lrs, stopped_at, state, adam
+    return stopped_at, state
 
 
 def test_train_config_rejects_out_of_range():
@@ -34,45 +30,26 @@ def test_train_config_rejects_out_of_range():
         trainer.TrainConfig(epochs=1, batch_size=64, initial_lr=0.0)
 
 
-def test_lr_halves_after_two_flat_epochs():
-    config = trainer.TrainConfig(initial_lr=1e-3, epochs=4)
-    lrs, stopped, _, adam = _scripted_run([0.90, 0.91, 0.91, 0.91], config)
-    # plateau counter reaches patience 2 at the end of epoch 4
-    assert lrs == [1e-3, 1e-3, 1e-3, 1e-3]
-    assert adam.learning_rate == pytest.approx(5e-4)
-
-
-def test_lr_reduction_clamps_at_minimum():
-    config = trainer.TrainConfig(initial_lr=1.5e-5, epochs=3)
-    lrs, _, _, adam = _scripted_run([0.9, 0.9, 0.9], config)
-    assert adam.learning_rate == pytest.approx(1e-5)  # not 7.5e-6
-
-
 def test_early_stop_after_two_non_improving_epochs():
-    config = trainer.TrainConfig(initial_lr=1e-3, epochs=10)
-    _, stopped, state, _ = _scripted_run([0.90, 0.89, 0.88], config)
+    stopped, state = _scripted_run([0.90, 0.89, 0.88])
     assert stopped == 3
     assert state.best_epoch == 1
 
 
 def test_early_stop_never_fires_before_patience_plus_one():
-    config = trainer.TrainConfig(initial_lr=1e-3, epochs=10)
-    _, stopped, _, _ = _scripted_run([0.5, 0.4], config)
+    stopped, _ = _scripted_run([0.5, 0.4])
     assert stopped is None  # only 2 epochs ran; needs patience+1 = 3
 
 
 def test_counters_reset_on_improvement():
-    config = trainer.TrainConfig(initial_lr=1e-3, epochs=6)
-    lrs, stopped, _, adam = _scripted_run(
-        [0.5, 0.4, 0.6, 0.5, 0.7, 0.6], config)
+    # never two consecutive stalls
+    stopped, _ = _scripted_run([0.5, 0.4, 0.6, 0.5, 0.7, 0.6])
     assert stopped is None
-    assert adam.learning_rate == 1e-3  # never two consecutive stalls
 
 
 def test_first_epoch_always_checkpoints():
     network = nn.Network(toy_layers(2), (4, 1, 1), seed=0)
-    config = trainer.TrainConfig(initial_lr=1e-3)
-    _, _, state, _ = _scripted_run([0.1], config, network)
+    _, state = _scripted_run([0.1], network)
     assert state.best_epoch == 1
     # a copy, so later training does not move it
     best = state.best_network
@@ -84,8 +61,7 @@ def test_first_epoch_always_checkpoints():
 
 def test_tie_does_not_checkpoint():
     network = nn.Network(toy_layers(2), (4, 1, 1), seed=0)
-    config = trainer.TrainConfig(initial_lr=1e-3)
-    _, _, state, _ = _scripted_run([0.8, 0.8], config, network)
+    _, state = _scripted_run([0.8, 0.8], network)
     assert state.best_epoch == 1
 
 
@@ -115,12 +91,9 @@ def test_histories_line_up(trained):
     assert state.best_val_acc == max(state.val_acc)
 
 
-def test_lr_trajectory_is_non_increasing_and_floored(trained):
+def test_every_epoch_records_the_initial_lr(trained):
     _, _, state, config = trained
-    for a, b in zip(state.lr, state.lr[1:]):
-        assert b <= a
-        assert b in (a, max(a * trainer.LR_FACTOR, trainer.MIN_LR))
-    assert all(lr >= trainer.MIN_LR for lr in state.lr)
+    assert state.lr == [config.initial_lr] * len(state.epochs)
 
 
 def test_train_returns_the_best_epochs_network(small_blobs_module,
@@ -128,9 +101,9 @@ def test_train_returns_the_best_epochs_network(small_blobs_module,
     snapshots = {}
     epoch_end = trainer.epoch_end
 
-    def snapshot_then_epoch_end(network, state, adam, epoch, *rest):
+    def snapshot_then_epoch_end(network, state, epoch, *rest):
         snapshots[epoch] = network.clone()
-        return epoch_end(network, state, adam, epoch, *rest)
+        return epoch_end(network, state, epoch, *rest)
 
     monkeypatch.setattr(trainer, "epoch_end", snapshot_then_epoch_end)
     prep = small_blobs_module
