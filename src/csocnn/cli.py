@@ -313,9 +313,10 @@ def cmd_train(args):
     flows, inputs = _load_records(args, run.seed)
     with run.started(inputs) as out:
         prep = data.prepare_dataset(flows, run.seed)
-        best, state = trainer.train_new(
-            nn.default_architecture(len(prep.codec)), prep.train, prep.val,
-            config)
+        with trainer.open_lane() as lane:
+            best, state = trainer.train_new(
+                nn.default_architecture(len(prep.codec)), prep.train,
+                prep.val, config, lane)
 
         test_loss, test_acc, predictions, probs = trainer.evaluate(
             best, prep.test)
@@ -350,7 +351,7 @@ def cmd_optimize(args):
     from . import cso, hyperopt, svg, trainer
     run = _Run(args)
     if args.workers is None:
-        args.workers = hyperopt.default_workers()
+        args.workers = trainer.default_workers()
     with _usage_errors():
         space = hyperopt.SearchSpace(
             lr_range=tuple(args.lr_range),
@@ -383,10 +384,12 @@ def cmd_optimize(args):
         run.add(hyperopt.save_best(
             out / "best_hyperparams.json", best_config, best_fit))
 
-        # Materialize the winner: retrain at the best hyperparameters.
-        best_net, state = trainer.train_new(
-            arch, prep.train, prep.val,
-            dataclasses.replace(best_config, seed=run.seed))
+        # Materialize the winner: retrain at the best hyperparameters. The
+        # swarm's pool has exited, so the lane's thread sees no fork.
+        with trainer.open_lane() as lane:
+            best_net, state = trainer.train_new(
+                arch, prep.train, prep.val,
+                dataclasses.replace(best_config, seed=run.seed), lane)
         _save_trained(run, prep, best_net, state)
         run.metrics.update({
             "best_fitness": [best_fit.val_accuracy, best_fit.val_loss],

@@ -12,14 +12,17 @@ numpy to release the GIL for long, so threads would run it mostly one at
 a time. The process pool is the only scheduler: cso asks for each
 candidate as soon as its inputs are known, the swarm's fitness decodes it
 in this process, and evaluate_candidate submits its training to the pool
-and hands cso the Future.
+and hands cso the Future. The workers get the data splits and the
+architecture once, through the fork, and each submit carries only the
+candidate's TrainConfig. The CLI's default worker count is
+trainer.default_workers. A candidate trains without the trainer's lane,
+as the pool already fills the cores.
 """
 
 import contextlib
 import functools
 import json
 import math
-import os
 import signal
 from dataclasses import dataclass, replace
 
@@ -28,6 +31,10 @@ import numpy as np
 from . import cso
 from .errors import TrainingDiverged
 from .trainer import MIN_LR, TrainConfig, train_new
+
+# a pool worker's (datasets, arch), set by _init_worker from the pool's
+# initargs; the serial swarm passes them to _train_candidate instead
+_worker_inputs = None
 
 
 @dataclass(frozen=True)
@@ -89,25 +96,6 @@ def decode(position, space):
     )
 
 
-def default_workers():
-    """Candidate trainings to run at once: the usable cores over the BLAS
-    threads each training's products use, at least 1. The BLAS threads are
-    the first positive integer in OPENBLAS_NUM_THREADS, then
-    OMP_NUM_THREADS; with neither set, OpenBLAS starts one per core.
-    Without fork (the workers' start method) it is 1."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdecimal() and int(value) > 0:
-            return max(1, cores // int(value))
-    return 1
-
-
 def candidate_seed(global_seed, cat_index, iteration):
     """Stable per-candidate seed so every evaluation is independent and
     reproducible."""
@@ -119,12 +107,18 @@ def candidate_seed(global_seed, cat_index, iteration):
 def _train_candidate(config, datasets, arch):
     """The validation Fitness of the best epoch of a fresh network of arch
     trained with config, or WORST_FITNESS when the training diverges. Runs
-    in a pool worker, or in the caller's process when there is no pool."""
+    in the caller's process when there is no pool, else through
+    _train_in_worker."""
     try:
         _, state = train_new(arch, *datasets, config)
     except TrainingDiverged:
         return WORST_FITNESS
     return Fitness(val_accuracy=state.best_val_acc, val_loss=state.best_val_loss)
+
+
+def _train_in_worker(config):
+    """_train_candidate in a pool worker, on the inputs the pool holds."""
+    return _train_candidate(config, *_worker_inputs)
 
 
 def evaluate_candidate(config, datasets, arch, pool=None):
@@ -133,30 +127,35 @@ def evaluate_candidate(config, datasets, arch, pool=None):
 
     datasets is a ((x_train, y_train), (x_val, y_val)) pair. A diverged
     training run (non-finite loss) comes back as the worst possible fitness
-    so the swarm routes around it. With a pool (a process executor) the
-    training runs in one of its workers and the Future of its Fitness is
-    returned at once; an exception in the worker is raised by that Future,
-    and a worker that dies makes it raise BrokenProcessPool.
+    so the swarm routes around it. With a pool (a process executor that
+    _worker_pool built over the same datasets and arch) the training runs
+    in one of its workers and the Future of its Fitness is returned at
+    once; an exception in the worker is raised by that Future, and a worker
+    that dies makes it raise BrokenProcessPool.
     """
     if pool is None:
         return _train_candidate(config, datasets, arch)
-    return pool.submit(_train_candidate, config, datasets, arch)
+    return pool.submit(_train_in_worker, config)
 
 
-def _init_worker():
-    """A forked worker inherits the parent's signal handlers, and the CLI's
-    would write the parent's manifest from the worker. Leave SIGINT, which
-    a terminal sends the whole process group, to the parent, and let
-    SIGTERM end the worker at once."""
+def _init_worker(datasets, arch):
+    """Keep the inputs every candidate trains on, which the fork handed
+    over without pickling. A forked worker inherits the parent's signal
+    handlers, and the CLI's would write the parent's manifest from the
+    worker. Leave SIGINT, which a terminal sends the whole process group,
+    to the parent, and let SIGTERM end the worker at once."""
+    global _worker_inputs
+    _worker_inputs = (datasets, arch)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _worker_pool(swarm_config, workers):
+def _worker_pool(swarm_config, workers, datasets, arch):
     """The process pool candidates train in, or a null context (giving None)
     for a serial swarm. It has no more workers than the swarm has
-    candidates in flight at once, smp - 1 for each cat. Both are context
-    managers; leaving the pool waits for its workers to exit."""
+    candidates in flight at once, smp - 1 for each cat, and holds datasets
+    and arch for them (_init_worker). Both are context managers; leaving
+    the pool waits for its workers to exit."""
     if workers == 1:
         return contextlib.nullcontext()
     # imported here: the process pool takes 11-18 ms to import, which every
@@ -166,7 +165,7 @@ def _worker_pool(swarm_config, workers):
     return ProcessPoolExecutor(
         max_workers=min(workers, swarm_config.n_cats * (swarm_config.smp - 1)),
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker)
+        initializer=_init_worker, initargs=(datasets, arch))
 
 
 def optimize_hyperparams(space, datasets, arch, swarm_config, workers=1):
@@ -180,7 +179,7 @@ def optimize_hyperparams(space, datasets, arch, swarm_config, workers=1):
     validation accuracy, so its best-value sequence is non-decreasing. The
     result is the same for any number of workers.
     """
-    with _worker_pool(swarm_config, workers) as pool:
+    with _worker_pool(swarm_config, workers, datasets, arch) as pool:
         def fitness(position, ctx):
             seed = candidate_seed(swarm_config.seed, ctx.cat_index, ctx.iteration)
             return evaluate_candidate(

@@ -23,8 +23,13 @@ conv (Jacob et al., 2018). Training folds the pair of the conv that reads
 the network input too, with batch statistics taken from the conv's few
 input columns, and backward takes the pair's gradients from the conv's
 kernel-gradient GEMM, so no BatchNorm pass over its activation remains.
+Given a lane (a one-thread executor), backward runs each conv's
+kernel-gradient GEMM in it while the calling thread takes the input
+gradient (Oh et al., "Out-of-Order Backprop", 2022): the same products on
+the same operands, so the same bits.
 """
 
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -676,7 +681,7 @@ def loss_sparse_ce(probs, labels):
     return float(-np.mean(np.log(picked)))
 
 
-def backward(network, cache, true_labels):
+def backward(network, cache, true_labels, lane=None):
     """Gradients of the mean sparse cross-entropy loss for every trainable
     parameter, given the cache of a train-mode forward on the same batch.
     Layer 1's GEMM input gradient, which would go to the batch, is skipped.
@@ -687,9 +692,16 @@ def backward(network, cache, true_labels):
     no activation between) gets an exact-zero gradient, so Adam never moves
     it. A layer's gradient is masked by the ReLU mask its cache entry holds,
     if any.
+    lane is None or a one-thread concurrent.futures executor. With a lane,
+    each conv that takes an input gradient submits its kernel-gradient GEMM
+    to it, run in a copy of the caller's context so numpy's error state
+    carries over, and computes the input gradient meanwhile; every product
+    is the same call on the same operands, so the gradients are the same
+    bits. Worth it only with a core to spare for the lane's thread.
     Backward consumes the cache: it drops each layer's entry as it passes
-    it, a conv's columns right after its kernel-gradient GEMM, before the
-    input gradient's slot GEMMs run, and a spent cache is rejected."""
+    it, a conv's columns once its kernel-gradient GEMM has read them (before
+    the input gradient's slot GEMMs run, without a lane), and a spent cache
+    is rejected."""
     if cache["mode"] != "train":
         raise StateError("backward requires a train-mode forward cache")
     if None in cache["layers"]:
@@ -734,7 +746,21 @@ def backward(network, cache, true_labels):
                 np.zeros_like(network.params[f"{i}.bias"])
                 if _folds_into_batch_norm(network.layers, i)
                 else dz.sum(axis=(0, 1, 2)))
-            g = lc.pop("cols").reshape(len(dz2), -1).T @ dz2
+            cols = lc.pop("cols").reshape(len(dz2), -1)
+            pending = None
+            if i > 1 and lane is not None:
+                pending = lane.submit(contextvars.copy_context().run,
+                                      np.matmul, cols.T, dz2)
+            else:
+                g = cols.T @ dz2
+            # the columns die when the GEMM that reads them returns
+            del cols
+            if i > 1:
+                grad = _conv_input_gradient(
+                    dz2, kernel.reshape(-1, dz2.shape[1]), lc["shape"],
+                    *spec.kernel)
+            if pending is not None:
+                g = pending.result()
             if folded is not None:
                 # dz is the gradient at the folded BatchNorm's output
                 j = i + 1
@@ -743,10 +769,6 @@ def backward(network, cache, true_labels):
                         g, dz2, kernel.reshape(g.shape),
                         network.params[f"{j}.gamma"], folded))
             grads[f"{i}.kernel"] = g.reshape(kernel.shape)
-            if i > 1:
-                grad = _conv_input_gradient(
-                    dz2, kernel.reshape(-1, dz2.shape[1]), lc["shape"],
-                    *spec.kernel)
             del dz2
         elif spec.kind == "BatchNorm":
             if "sigma" in lc:

@@ -6,10 +6,17 @@ the network is kept first, when validation accuracy is strictly above the
 best seen so far (so it is kept even when the same epoch triggers the stop),
 then training stops after EARLY_STOP_PATIENCE epochs in a row without such
 an improvement. The learning rate stays at the configured initial rate.
+
+A training call may take a lane (open_lane): a one-thread executor that
+runs each step's conv kernel-gradient GEMMs beside the input gradients
+(nn.backward), for the same bits. It opens only in a process with a core
+to spare, which default_workers also measures for the swarm's pool.
 """
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,14 +107,15 @@ def evaluate(network, dataset):
     return loss, accuracy, predictions, probs
 
 
-def train(network, train_set, val_set, config):
+def train(network, train_set, val_set, config, lane=None):
     """Seeded mini-batch training; returns (best network, state).
 
     Shuffles every epoch, keeps the last partial batch, evaluates validation
     at epoch end, applies epoch_end, and returns the copy of the network
     kept at the best epoch. Raises TrainingDiverged on a non-finite batch
     or validation loss; numpy's floating-point warnings on the way there are
-    silenced, so the exception is the one report of a divergence.
+    silenced, in the lane's GEMMs too, so the exception is the one report
+    of a divergence. lane goes to every nn.backward; it changes no bits.
     """
     x_train, y_train = np.asarray(train_set[0]), np.asarray(train_set[1])
     state = TrainingState()
@@ -130,7 +138,7 @@ def train(network, train_set, val_set, config):
                         f"non-finite loss in epoch {epoch} at sample {start}")
                 loss_sum += batch_loss * len(yb)
                 correct += int((probs.argmax(axis=1) == yb).sum())
-                grads = backward(network, cache, yb)
+                grads = backward(network, cache, yb, lane)
                 adam_step(adam, network.params, grads)
 
             val_loss, val_acc, _, _ = evaluate(network, val_set)
@@ -146,9 +154,42 @@ def train(network, train_set, val_set, config):
     return state.best_network, state
 
 
-def train_new(layers, train_set, val_set, config):
+def train_new(layers, train_set, val_set, config, lane=None):
     """Train a fresh network of the given layers, initialized from the
     config's seed, on the training set's sample shape; returns train's
     (best network, state)."""
     network = Network(layers, np.shape(train_set[0])[1:], seed=config.seed)
-    return train(network, train_set, val_set, config)
+    return train(network, train_set, val_set, config, lane)
+
+
+def default_workers():
+    """Trainings to run at once: the usable cores over the BLAS threads
+    each training's products use, at least 1. The BLAS threads are the
+    first positive integer in OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS;
+    with neither set, OpenBLAS starts one per core. Without fork (the
+    swarm's workers' start method) it is 1."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdecimal() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
+def open_lane():
+    """A one-thread executor for train's lane when default_workers() leaves
+    a core to spare, else a null context giving None. Both are context
+    managers; leaving the executor joins its thread, so the lane lives for
+    one training call and no thread outlives it into a later fork. On one
+    core the lane's thread would only take turns with the caller's."""
+    if default_workers() == 1:
+        return contextlib.nullcontext()
+    # imported here, as the swarm's process pool is: detect and evaluate
+    # never train, and need not load it
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1)

@@ -6,6 +6,7 @@ import platform
 import signal
 import subprocess
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -318,7 +319,7 @@ def test_optimize_smoke_and_convergence_rows(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["metrics"]["best_fitness"][0] >= best_values[0]
     workers = manifest["config"]["workers"]  # the resolved default
-    assert type(workers) is int and workers == hyperopt.default_workers()
+    assert type(workers) is int and workers == trainer.default_workers()
     assert (out / "best_hyperparams.json").exists()
     assert (out / "model.model").exists()
     assert ({p.name for p in out.iterdir()}
@@ -456,6 +457,93 @@ def test_optimize_sigterm_mid_swarm_exits_130_and_ends_workers(tmp_path):
     for pid in (int(p.name) for p in child.pid_dir.iterdir()):
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("command, outcome", [
+    ("train", 0), ("train", 4), ("optimize", 0)])
+def test_training_lane_is_joined_when_the_command_ends(tmp_path, monkeypatch,
+                                                      command, outcome):
+    # a core to spare opens the lane; its thread must not outlive the
+    # command, also when training diverges mid-epoch
+    monkeypatch.setattr(trainer, "default_workers", lambda: 2)
+    lanes = []  # (lane, threads alive once the step's backward returned)
+    real_backward = trainer.backward
+
+    def backward(network, cache, labels, lane=None):
+        grads = real_backward(network, cache, labels, lane)
+        lanes.append((lane, threading.active_count()))
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    flags = ["--synthetic", "--synthetic-samples", "300", "--seed", "1",
+             "--out", str(tmp_path / "out")]
+    if command == "train":
+        flags += ["--epochs", "1", "--batch", "64"]
+        if outcome == 4:
+            poison_update(monkeypatch, 1)  # the second batch's loss is NaN
+    else:
+        # a serial swarm: its candidates train in this process, laneless
+        flags += ["--workers", "1", "--cats", "1", "--iters", "1",
+                  "--epoch-range", "1", "2", "--batch-range", "64", "128"]
+    before = threading.active_count()
+    code = cli.main([command, *flags])
+    assert code == outcome
+    assert threading.active_count() == before
+    retrain = [count for lane, count in lanes if lane is not None]
+    assert retrain and set(retrain) == {before + 1}
+    if command == "optimize":
+        # the serial swarm's candidates train first, with no lane
+        candidates = len(lanes) - len(retrain)
+        assert candidates > 0
+        assert all(lane is None for lane, _ in lanes[:candidates])
+
+
+# marks the first training step, with whether it ran with a lane, then runs
+# the CLI; two usable cores, whatever the host has, so the lane opens
+_MARK_FIRST_STEP = """
+import sys
+from pathlib import Path
+from csocnn import cli, trainer
+
+real_backward = trainer.backward
+
+def backward(network, cache, labels, lane=None):
+    Path(sys.argv[1]).write_text(str(lane is not None))
+    return real_backward(network, cache, labels, lane)
+
+trainer.backward = backward
+trainer.default_workers = lambda: 2
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_train_sigterm_mid_training_exits_130(tmp_path):
+    marker, out = tmp_path / "first-step", tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    # 14 000 training rows at batch 64 take seconds an epoch
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _MARK_FIRST_STEP, str(marker), "train",
+         "--synthetic", "--synthetic-samples", "20000", "--epochs", "20",
+         "--batch", "64", "--seed", "1", "--out", str(out)],
+        stderr=subprocess.PIPE, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        start = time.monotonic()
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=5)
+        assert time.monotonic() - start < 5
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130, stderr.decode()
+    assert marker.read_text() == "True"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["partial"] is True
+    assert manifest["artifacts"] == []
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

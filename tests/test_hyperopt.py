@@ -19,41 +19,6 @@ from csocnn.errors import TrainingDiverged
 SPACE = hyperopt.SearchSpace()
 
 
-@pytest.mark.parametrize("env, expected", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-    ({}, 1),
-    ({"OMP_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
-], ids=["openblas-1", "unset", "omp-only", "non-numeric-then-omp",
-        "zero-then-omp", "non-numeric", "more-threads-than-cores"])
-def test_default_workers_divides_cores_by_blas_threads(monkeypatch, env,
-                                                        expected):
-    monkeypatch.setattr(hyperopt.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert hyperopt.default_workers() == expected
-
-
-def test_default_workers_without_affinity_counts_cpus(monkeypatch):
-    monkeypatch.delattr(hyperopt.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(hyperopt.os, "cpu_count", lambda: 6)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert hyperopt.default_workers() == 3
-
-
-def test_default_workers_without_fork_is_1(monkeypatch):
-    # the workers are forked: without fork the swarm runs serially
-    monkeypatch.delattr(hyperopt.os, "fork", raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert hyperopt.default_workers() == 1
-
-
 def test_decode_lower_corner():
     config = hyperopt.decode([0.0, 0.0, 0.0], SPACE)
     assert config.initial_lr == pytest.approx(1e-4, rel=1e-12)
@@ -239,16 +204,17 @@ class _RecordingPool(concurrent.futures.Executor):
     """Stands in for ProcessPoolExecutor: records how it was built and what
     was submitted, and runs each task at once in the submitting thread."""
 
-    def __init__(self, made, max_workers, mp_context, initializer):
+    def __init__(self, made, max_workers, mp_context, initializer, initargs):
         made.append(self)
         self.max_workers = max_workers
         self.start_method = mp_context.get_start_method()
         self.initializer = initializer
-        self.submits = []  # (function, on the main thread)
+        self.initargs = initargs
+        self.submits = []  # (function, its arguments, on the main thread)
 
     def submit(self, fn, *args):
         self.submits.append(
-            (fn, threading.current_thread() is threading.main_thread()))
+            (fn, args, threading.current_thread() is threading.main_thread()))
         future = concurrent.futures.Future()
         future.set_result(fn(*args))
         return future
@@ -265,10 +231,19 @@ def test_worker_pool_is_capped_at_one_iterations_candidates(
     made = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: _RecordingPool(made, **kw))
-    monkeypatch.setattr(hyperopt, "_train_candidate",
-                        lambda config, datasets, arch: hyperopt.Fitness(0.5, 1.0))
+    datasets, arch = object(), object()
+    trained_on = []
+
+    def train_candidate(config, *inputs):
+        trained_on.append(inputs)
+        return hyperopt.Fitness(0.5, 1.0)
+
+    monkeypatch.setattr(hyperopt, "_train_candidate", train_candidate)
+    # what _init_worker would set in a forked worker
+    monkeypatch.setattr(hyperopt, "_worker_inputs", (datasets, arch))
     config = cso.SwarmConfig(n_cats=n_cats, max_iters=2, smp=smp, seed=1)
-    hyperopt.optimize_hyperparams(SPACE, None, None, config, workers)
+    hyperopt.optimize_hyperparams(SPACE, datasets, arch, config, workers)
+    assert trained_on and set(trained_on) == {(datasets, arch)}
     if expected is None:
         assert made == []
         return
@@ -276,10 +251,34 @@ def test_worker_pool_is_capped_at_one_iterations_candidates(
     assert pool.max_workers == expected
     assert pool.start_method == "fork"
     assert pool.initializer is hyperopt._init_worker
-    # every candidate goes straight to the pool, from the main thread
+    # the pool holds the inputs, handed over once through the fork
+    assert pool.initargs == (datasets, arch)
+    # every candidate goes straight to the pool, from the main thread, and
+    # carries only its TrainConfig
     assert len(pool.submits) > n_cats  # the initial cats and two iterations
-    for fn, on_main_thread in pool.submits:
-        assert fn is hyperopt._train_candidate and on_main_thread
+    for fn, args, on_main_thread in pool.submits:
+        assert fn is hyperopt._train_in_worker and on_main_thread
+        assert [type(a) for a in args] == [trainer.TrainConfig]
+
+
+class _Unpicklable(tuple):
+    def __reduce__(self):
+        raise TypeError("the splits were pickled")
+
+
+def test_forked_workers_inherit_the_splits_unpickled(tiny_sets):
+    # the pool hands its workers the splits through the fork, and each
+    # submit pickles only a TrainConfig: splits that refuse pickling still
+    # train, to the serial swarm's result
+    config = cso.SwarmConfig(n_cats=2, max_iters=1, smp=2, seed=3)
+    space = hyperopt.SearchSpace(lr_range=(1e-3, 3e-3), batch_range=(64, 128),
+                                 epoch_range=(1, 2))
+    arch = nn.default_architecture(5)
+    datasets = _Unpicklable((tiny_sets.train, tiny_sets.val))
+    serial = hyperopt.optimize_hyperparams(space, datasets, arch, config, 1)
+    pooled = hyperopt.optimize_hyperparams(space, datasets, arch, config, 2)
+    assert pooled[:2] == serial[:2]
+    assert pooled[2].best_value == serial[2].best_value
 
 
 # the initial evaluation of each cat named in argv[1] raises in its worker;

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,61 @@ def test_conv_bias_outside_the_rule_keeps_its_gradient(layers):
     assert np.all(analytic["1.bias"] != 0)
     numeric = finite_difference_gradients(net, x, y, keys=["1.bias"])
     assert max_relative_error({"1.bias": analytic["1.bias"]}, numeric) < 1e-4
+
+
+# a stack whose second conv takes an input gradient and, with no BatchNorm
+# after it, keeps a live bias
+_LIVE_BIAS_STACK = [nn.input_layer(), nn.conv2d(4, (3, 1), activation="relu"),
+                    nn.conv2d(3, (2, 1)), nn.flatten(),
+                    nn.dense(3, activation="softmax")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 37, 256])
+@pytest.mark.parametrize("layers, input_shape", [
+    (nn.default_architecture(5), (75, 1, 1)),
+    (_LIVE_BIAS_STACK, (9, 1, 2)),
+], ids=["default", "live-bias"])
+def test_lane_gives_the_same_gradient_bits(layers, input_shape, n, dtype):
+    net = nn.Network(layers, input_shape, seed=n, dtype=dtype)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, *input_shape)).astype(dtype)
+    y = rng.integers(0, net.num_classes, size=n)
+    want = _train_step_grads(net.clone(), x, y)
+    with concurrent.futures.ThreadPoolExecutor(1) as lane:
+        _, cache = forward(net, x, "train")
+        grads = backward(net, cache, y, lane)
+    assert set(grads) == set(want)
+    for key in want:
+        assert grads[key].tobytes() == want[key].tobytes(), key
+
+
+class _SpyLane(concurrent.futures.Executor):
+    """Runs each submit at once, recording the operands' shapes."""
+
+    def __init__(self):
+        self.operands = []
+
+    def submit(self, fn, *args):
+        self.operands.append([a.shape for a in args[1:]])
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_lane_runs_the_kernel_gradient_of_each_conv_with_an_input_gradient():
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=2)
+    rng = np.random.default_rng(6)
+    x = rng.random((24, 75, 1, 1)).astype(np.float32)
+    y = rng.integers(0, 5, size=24)
+    lane = _SpyLane()
+    _, cache = forward(net, x, "train")
+    backward(net, cache, y, lane)
+    # cols' x dz of convs 7 and 4, in backward's order; none for conv 1,
+    # which takes no input gradient
+    assert lane.operands == [
+        [(3 * 64, 24 * net.shapes[i][0]), (24 * net.shapes[i][0], 64)]
+        for i in (7, 4)]
 
 
 def _zero_fill_col2im(dcols, x_shape, kh, kw):

@@ -1,9 +1,12 @@
 """How much memory a forward and backward hold at their peak, traced with
 tracemalloc: each array must be released once its last reader has run."""
 
+import concurrent.futures
+import contextlib
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from csocnn import nn
 
@@ -17,23 +20,27 @@ def _batch(n):
     return rng.random((n, 75, 1, 1)).astype(np.float32), rng.integers(0, 5, n)
 
 
-def test_backward_never_holds_more_than_the_forward_peak():
+@pytest.mark.parametrize("with_lane", [False, True], ids=["no-lane", "lane"])
+def test_backward_never_holds_more_than_the_forward_peak(with_lane):
     # backward only consumes the cache the forward built, so it must not
     # need more than the forward's own peak. A conv's columns kept cached
     # while the input-gradient GEMM allocates dcols of their size would
-    # take backward about 9 % above it at 256 rows.
+    # take backward about 9 % above it at 256 rows. A lane keeps a conv's
+    # columns alive through its input gradient, and still fits.
     net = _network()
     x, y = _batch(256)
-    nn.backward(net, nn.forward(net, x, "train")[1], y)  # warm-up step
-    tracemalloc.start()
-    try:
-        _, cache = nn.forward(net, x, "train")
-        forward_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        nn.backward(net, cache, y)
-        backward_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with (concurrent.futures.ThreadPoolExecutor(1) if with_lane
+          else contextlib.nullcontext()) as lane:
+        nn.backward(net, nn.forward(net, x, "train")[1], y, lane)  # warm-up
+        tracemalloc.start()
+        try:
+            _, cache = nn.forward(net, x, "train")
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            nn.backward(net, cache, y, lane)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert backward_peak <= forward_peak
 
 

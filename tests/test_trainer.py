@@ -1,3 +1,6 @@
+import concurrent.futures
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,41 @@ def _scripted_run(val_accs, network=None):
             stopped_at = epoch
             break
     return stopped_at, state
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+], ids=["openblas-1", "unset", "omp-only", "non-numeric-then-omp",
+        "zero-then-omp", "non-numeric", "more-threads-than-cores"])
+def test_default_workers_divides_cores_by_blas_threads(monkeypatch, env,
+                                                        expected):
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert trainer.default_workers() == expected
+
+
+def test_default_workers_without_affinity_counts_cpus(monkeypatch):
+    monkeypatch.delattr(trainer.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(trainer.os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert trainer.default_workers() == 3
+
+
+def test_default_workers_without_fork_is_1(monkeypatch):
+    # the swarm's workers are forked: without fork the swarm runs serially
+    monkeypatch.delattr(trainer.os, "fork", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert trainer.default_workers() == 1
 
 
 def test_train_config_rejects_out_of_range():
@@ -163,6 +201,29 @@ def test_divergence_raises(small_blobs_module):
     config = trainer.TrainConfig(epochs=1, batch_size=64, seed=1)
     with pytest.raises(TrainingDiverged):
         trainer.train(net, prep.train, prep.val, config)
+
+
+def test_overflow_in_the_lane_raises_training_diverged():
+    # a conv at layer 2 whose input is ~1e20 and whose output gradient is
+    # ~1e25 / n: the forward and the loss stay finite, and only the kernel
+    # gradient GEMM, which runs in the lane, overflows. Without the caller's
+    # error state the lane's thread would warn, here an error.
+    layers = [nn.input_layer(), nn.conv2d(2, (1, 1), activation="relu"),
+              nn.conv2d(2, (1, 1)), nn.flatten(),
+              nn.dense(3, activation="softmax")]
+    net = nn.Network(layers, (6, 1, 1), seed=0)
+    net.params["1.kernel"][...] = [[[[1e20, -1e20]]]]
+    net.params["2.kernel"] *= 1e-15
+    net.params["4.weight"] *= 1e25
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(32, 6, 1, 1)).astype(np.float32)
+    y = rng.integers(0, 3, size=32)
+    config = trainer.TrainConfig(epochs=1, batch_size=8, seed=0)
+    with (concurrent.futures.ThreadPoolExecutor(1) as lane,
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged):
+            trainer.train(net, (x, y), (x, y), config, lane)
 
 
 def test_non_finite_validation_loss_raises(small_blobs_module, monkeypatch):
