@@ -130,16 +130,13 @@ def scalar_metrics(cm):
         macro[field] = sum(vals) / cm.k
         weighted[field] = sum(v * s for v, s in zip(vals, supports)) / total
 
+    # summed over the classes, the one-vs-rest TPs are the trace, the FPs and
+    # the FNs each the off-diagonal count, and the TNs k totals less those
+    fps = fns = total - trace
+    tns = (cm.k - 2) * total + trace
     micro = {}
-    tps = fps = tns = fns = 0
-    for i in range(cm.k):
-        tp, fp, tn, fn = basic_rates(cm, i)
-        tps += tp
-        fps += fp
-        tns += tn
-        fns += fn
-    micro["precision"] = _ratio(tps, tps + fps)
-    micro["recall"] = _ratio(tps, tps + fns)
+    micro["precision"] = _ratio(trace, trace + fps)
+    micro["recall"] = _ratio(trace, trace + fns)
     micro["f1"] = _f1(micro["precision"], micro["recall"])
     micro["sensitivity"] = micro["recall"]
     micro["specificity"] = _ratio(tns, tns + fps)
@@ -243,7 +240,6 @@ def micro_roc_curve(true_labels, probabilities):
     """Micro-average ROC: pool every (sample, class) indicator/score pair."""
     p = _check_prob_rows(probabilities)
     t = np.asarray(true_labels, dtype=np.int64)
-    k = p.shape[1]
     onehot = np.zeros_like(p, dtype=bool)
     onehot[np.arange(t.size), t] = True
     return binary_roc(onehot.reshape(-1), p.reshape(-1))

@@ -2,26 +2,28 @@
 
 Implements exactly the layer kinds the classifier needs (Input, Conv2D,
 BatchNorm, MaxPool2D, Flatten, Dense) with forward and backward passes on
-numpy arrays in channels-last (N, H, W, C) layout. Every convolution is
-stride-1 and runs as one 2-D GEMM over an im2col layout (Chellapilla, Puri &
-Simard, 2006) in both modes; its input gradient is one GEMM per kernel
-slot, each added into the slot's input window (Anderson, Vasudevan, Keane
-& Gregg, 2017). A conv
-with no activation of its own that feeds a BatchNorm has an inert bias: the
-batch mean cancels it (Ioffe & Szegedy, 2015, section 3.2), so a train
-forward adds none and backward gives it an exact-zero gradient, which keeps
-it at its initial 0. BatchNorm's input gradient reuses its parameter
-gradients (Ioffe & Szegedy, 2015). Pooling strides by its own kernel
-and takes the max over the window's strided slots, routing the gradient to the
-first max as argmax would, which a 2-slot pool finds with one compare; a
-ReLU in front of a pool runs after it, on half
-the elements. The final Dense layer carries a softmax so the network emits
-per-sample class probabilities directly. Only a train-mode forward keeps the
-per-layer arrays backward needs; an inference forward frees each layer's
-intermediates as it goes, and folds each Conv2D -> BatchNorm pair into one
-conv (Jacob et al., 2018). Training folds the pair of the conv that reads
-the network input too, with batch statistics taken from the conv's few
-input columns, and backward takes the pair's gradients from the conv's
+numpy arrays in channels-last (N, H, W, C) layout, for the stacks the
+classifier is built from: a Conv2D is valid-padded, has no activation and
+feeds a BatchNorm, a BatchNorm reads a Conv2D, and a MaxPool2D is a
+same-padded 2 x 1 or 1 x 2 pool. LayerSpec and infer_shapes reject any other
+stack with ShapeError. Every convolution is stride-1 and runs as one 2-D
+GEMM over an im2col layout (Chellapilla, Puri & Simard, 2006) in both
+modes; its input gradient is one GEMM per kernel slot, each added into the
+slot's input window (Anderson, Vasudevan, Keane & Gregg, 2017). A conv's
+bias is inert in training: the BatchNorm's batch mean cancels it (Ioffe &
+Szegedy, 2015, section 3.2), so a train forward adds none and backward
+gives it an exact-zero gradient, which keeps it at its initial 0.
+BatchNorm's input gradient reuses its parameter gradients (Ioffe & Szegedy,
+2015). Pooling strides by its own kernel and takes the larger of the
+window's two strided slots, routing the gradient to the first max as argmax
+would, found with one compare; a ReLU in front of a pool runs after it, on
+half the elements. The final Dense layer carries a softmax so the network
+emits per-sample class probabilities directly. Only a train-mode forward
+keeps the per-layer arrays backward needs; an inference forward frees each
+layer's intermediates as it goes, and folds each Conv2D -> BatchNorm pair
+into one conv (Jacob et al., 2018). Training folds the pair of the conv that
+reads the network input too, with batch statistics taken from the conv's
+few input columns, and backward takes the pair's gradients from the conv's
 kernel-gradient GEMM, so no BatchNorm pass over its activation remains.
 Given a lane (a one-thread executor), backward runs each conv's
 kernel-gradient GEMM in it while the calling thread takes the input
@@ -39,7 +41,6 @@ from .errors import LabelError, ShapeError, StateError
 
 LAYER_KINDS = ("Input", "Conv2D", "BatchNorm", "MaxPool2D", "Flatten", "Dense")
 ACTIVATIONS = ("relu", "softmax", "none")
-PADDINGS = ("valid", "same")
 
 BN_EPSILON = 1e-3
 # Running stats must converge within the few dozen updates a desk-scale
@@ -77,13 +78,21 @@ class LayerSpec:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ShapeError(f"unknown activation {self.activation!r}")
-        if self.padding not in PADDINGS:
-            raise ShapeError(f"unknown padding {self.padding!r}")
-        if self.kind == "Conv2D" and self.padding != "valid":
-            raise ShapeError("Conv2D supports only valid padding")
-        if self.kind in ("Conv2D", "MaxPool2D"):
+        padding = "same" if self.kind == "MaxPool2D" else "valid"
+        if self.padding != padding:
+            raise ShapeError(f"{self.kind} needs {padding} padding, "
+                             f"got {self.padding!r}")
+        # (2.0, 1) == (2, 1), but a float kernel cannot slice a window
+        if self.kind == "MaxPool2D" and (
+                self.kernel not in ((2, 1), (1, 2))
+                or not all(type(k) is int for k in self.kernel)):
+            raise ShapeError(
+                f"MaxPool2D kernel must be 2 x 1 or 1 x 2, got {self.kernel}")
+        if self.kind == "Conv2D":
+            if self.activation != "none":
+                raise ShapeError("Conv2D takes no activation")
             if self.kernel is None:
-                raise ShapeError(f"{self.kind} requires a kernel")
+                raise ShapeError("Conv2D requires a kernel")
             kh, kw = self.kernel
             if kh < 1 or kw < 1:
                 raise ShapeError(f"kernel dimensions must be >= 1, got {self.kernel}")
@@ -96,17 +105,16 @@ def input_layer():
     return LayerSpec("Input")
 
 
-def conv2d(filters, kernel, activation="none"):
-    return LayerSpec("Conv2D", kernel=tuple(kernel), filters_or_units=filters,
-                     activation=activation)
+def conv2d(filters, kernel):
+    return LayerSpec("Conv2D", kernel=tuple(kernel), filters_or_units=filters)
 
 
 def batch_norm(activation="none"):
     return LayerSpec("BatchNorm", activation=activation)
 
 
-def max_pool2d(kernel, padding="same"):
-    return LayerSpec("MaxPool2D", kernel=tuple(kernel), padding=padding)
+def max_pool2d(kernel):
+    return LayerSpec("MaxPool2D", kernel=tuple(kernel), padding="same")
 
 
 def flatten():
@@ -141,10 +149,11 @@ def infer_shapes(layers, input_shape):
     """Propagate the input shape through a layer sequence.
 
     Returns one output shape per layer. Conv2D is stride-1 with valid
-    padding (out = in - kernel + 1); MaxPool2D strides by its kernel
-    (same: out = ceil(in / kernel); valid: out = floor(in / kernel)).
-    Raises ShapeError when a dimension would become non-positive or a layer
-    is applied to an input of the wrong rank.
+    padding (out = in - kernel + 1); MaxPool2D strides by its kernel and
+    pads a trailing row or column (out = ceil(in / kernel)). Raises
+    ShapeError when a dimension would become non-positive, a layer is
+    applied to an input of the wrong rank, a Conv2D is not followed by a
+    BatchNorm or a BatchNorm does not read a Conv2D.
     """
     input_shape = tuple(int(s) for s in input_shape)
     if not layers or layers[0].kind != "Input":
@@ -168,22 +177,17 @@ def infer_shapes(layers, input_shape):
                 raise ShapeError(
                     f"Conv2D kernel {spec.kernel} does not fit input {shape}")
             shape = (oh, ow, spec.filters_or_units)
+            if idx + 1 == len(layers) or layers[idx + 1].kind != "BatchNorm":
+                raise ShapeError(f"Conv2D {idx} is not followed by a BatchNorm")
         elif spec.kind == "BatchNorm":
-            if len(shape) != 3:
-                raise ShapeError(f"BatchNorm needs rank-3 input, got {shape}")
+            if layers[idx - 1].kind != "Conv2D":
+                raise ShapeError(f"BatchNorm {idx} does not read a Conv2D")
         elif spec.kind == "MaxPool2D":
             if len(shape) != 3:
                 raise ShapeError(f"MaxPool2D needs rank-3 input, got {shape}")
             h, w, c = shape
             kh, kw = spec.kernel
-            if spec.padding == "same":
-                oh, ow = math.ceil(h / kh), math.ceil(w / kw)
-            else:
-                oh, ow = h // kh, w // kw
-            if oh <= 0 or ow <= 0:
-                raise ShapeError(
-                    f"MaxPool2D kernel {spec.kernel} does not fit input {shape}")
-            shape = (oh, ow, c)
+            shape = (math.ceil(h / kh), math.ceil(w / kw), c)
         elif spec.kind == "Flatten":
             shape = (int(np.prod(shape)),)
         elif spec.kind == "Dense":
@@ -326,80 +330,53 @@ def _conv_input_gradient(dz2, kmat, x_shape, kh, kw):
     return dx
 
 
-def _pool_pad(x, kh, kw, padding):
+def _pool_pad(x, kh, kw):
+    """x with a trailing -inf row where a 2 x 1 pool meets an odd height,
+    or a trailing -inf column where a 1 x 2 pool meets an odd width."""
     n, h, w, c = x.shape
-    if padding == "same":
-        oh, ow = math.ceil(h / kh), math.ceil(w / kw)
-    else:
-        oh, ow = h // kh, w // kw
-        x = x[:, :oh * kh, :ow * kw, :]
-        return x, oh, ow, (0, 0)
-    total_h, total_w = oh * kh - h, ow * kw - w
-    bh, bw = total_h // 2, total_w // 2
-    if total_h or total_w:
-        # np.pad's buffer without its per-call overhead: -inf borders around
+    ph, pw = h + h % kh, w + w % kw
+    if (ph, pw) != (h, w):
+        # np.pad's buffer without its per-call overhead: a -inf border after
         # one copy of x, each element written once
-        xp = np.empty((n, oh * kh, ow * kw, c), dtype=x.dtype)
-        xp[:, :bh] = xp[:, bh + h:] = -np.inf
-        xp[:, :, :bw] = xp[:, :, bw + w:] = -np.inf
-        xp[:, bh:bh + h, bw:bw + w] = x
+        xp = np.empty((n, ph, pw, c), dtype=x.dtype)
+        xp[:, h:] = -np.inf
+        xp[:, :, w:] = -np.inf
+        xp[:, :h, :w] = x
         x = xp
-    return x, oh, ow, (bh, bw)
+    return x
 
 
-def _max_pool(x, kh, kw, padding, train):
-    """Max over each pooling window as an np.maximum chain over the kh*kw
-    strided window slots. Returns (pooled, backward cache); in train mode the
-    cache holds each output's first slot in (row, col) order that holds the
-    max, the slot argmax over the window would pick."""
-    xp, oh, ow, offsets = _pool_pad(x, kh, kw, padding)
-    slots = [xp[:, a::kh, b::kw, :] for a in range(kh) for b in range(kw)]
-    # np.maximum returns its second operand on ties, so chaining from the
-    # last slot back keeps the first slot's value (the sign of a tied zero)
-    z = slots[-1]
-    for s in slots[-2::-1]:
-        z = np.maximum(z, s)
+def _max_pool(x, kh, kw, train):
+    """Max over each window's two strided slots. Returns (pooled, backward
+    cache); in train mode the cache holds each output's first slot that
+    holds the max, the slot argmax over the window would pick: 1 exactly
+    where slot 0 is below the max, found with one compare. A window holding
+    NaN counts as max-free and routes its NaN gradient to slot 1."""
+    xp = _pool_pad(x, kh, kw)
+    first, second = xp[:, ::kh, ::kw, :], xp[:, kh - 1::kh, kw - 1::kw, :]
+    # np.maximum returns its second operand on ties, so the first slot's
+    # value (the sign of a tied zero) is kept
+    z = np.maximum(second, first)
     if not train:
         return z, {}
-    # the first max's slot is the number of leading slots below the max; a
-    # window holding NaN counts as max-free and routes its NaN gradient to
-    # the last slot
-    if len(slots) == 2:
-        # one compare: slot 1 exactly where slot 0 is below the max
-        idx = (slots[0] != z).view(np.uint8)
-    else:
-        idx = np.zeros(z.shape, dtype=np.min_scalar_type(len(slots) - 1))
-        below = np.ones(z.shape, dtype=bool)
-        for s in slots[:-1]:
-            below &= s != z
-            idx += below
-    return z, {"argmax": idx, "padded_shape": xp.shape, "offsets": offsets}
+    return z, {"argmax": (first != z).view(np.uint8),
+               "padded_shape": xp.shape}
 
 
-def _max_pool_backward(dz, x_shape, kh, kw, padding, cache):
+def _max_pool_backward(dz, x_shape, kh, kw, cache):
     """Input gradient of _max_pool: each output's gradient goes to the slot
     its train-mode cache recorded, masked into that slot's strided view as
-    unsigned integers (a float product would leave -0.0 or NaN elsewhere).
-    With 2 slots, slot 1 takes dz times the 0/1 index and slot 0 the rest,
-    dz xor that product."""
+    unsigned integers (a float product would leave -0.0 or NaN elsewhere):
+    slot 1 takes dz times the 0/1 index and slot 0 the rest, dz xor that
+    product."""
     n, h, w, c = x_shape
-    ph, pw = cache["padded_shape"][1:3]
-    # the slots fill a same-padded buffer; valid pooling dropped any trailing
-    # remainder, whose gradient stays zero
-    alloc = np.empty if padding == "same" else np.zeros
-    dx = alloc((n, max(ph, h), max(pw, w), c), dtype=dz.dtype)
+    dx = np.empty(cache["padded_shape"], dtype=dz.dtype)
     u = np.dtype(f"u{dz.itemsize}")
-    du, idx = dz.view(u), cache["argmax"]
-    slots = [dx.view(u)[:, s // kw:ph:kh, s % kw:pw:kw, :]
-             for s in range(kh * kw)]
-    if len(slots) == 2:
-        np.multiply(du, idx, out=slots[1])
-        np.bitwise_xor(du, slots[1], out=slots[0])
-    else:
-        for s, slot in enumerate(slots):
-            np.multiply(du, idx == s, out=slot)
-    bh, bw = cache["offsets"]
-    return dx[:, bh:bh + h, bw:bw + w, :]
+    du, dxu = dz.view(u), dx.view(u)
+    second = dxu[:, kh - 1::kh, kw - 1::kw, :]
+    np.multiply(du, cache["argmax"], out=second)
+    np.bitwise_xor(du, second, out=dxu[:, ::kh, ::kw, :])
+    return dx[:, :h, :w, :]
 
 
 def _batch_norm_backward(dz, xhat, std, gamma):
@@ -425,28 +402,15 @@ def _run_activations(layers):
     relu(-0.0) is 0.0 either way. Where the pooled value is positive, both
     orders route its gradient to the same first max. Where it is not, the
     gradient is masked to a zero, and forward points the window at slot 0,
-    the first max among the ReLU's zeros. That needs a pool that pads no
-    window ahead of its first real slot: valid padding, or a kernel of at
-    most 2 x 2, whose same padding adds at most one trailing row and column.
-    Any other pool keeps the ReLU in front. A NaN forward routes
-    differently, but train raises TrainingDiverged on it before backward
-    runs."""
+    the first max among the ReLU's zeros, which is real: a pool pads only
+    after it. A NaN forward routes differently, but train raises
+    TrainingDiverged on it before backward runs."""
     acts = [spec.activation for spec in layers]
     for i in range(len(layers) - 1):
-        pool = layers[i + 1]
-        if (acts[i] == "relu" and pool.kind == "MaxPool2D"
-                and acts[i + 1] == "none"
-                and (pool.padding == "valid" or max(pool.kernel) <= 2)):
+        if (acts[i] == "relu" and layers[i + 1].kind == "MaxPool2D"
+                and acts[i + 1] == "none"):
             acts[i], acts[i + 1] = "none", "relu"
     return acts
-
-
-def _folds_into_batch_norm(layers, i):
-    """Whether inference folds the BatchNorm after Conv2D layer i into it,
-    and so whether the conv's bias is inert in training: the conv has no
-    activation of its own and a BatchNorm reads its output."""
-    return (layers[i].activation == "none" and i + 1 < len(layers)
-            and layers[i + 1].kind == "BatchNorm")
 
 
 def _folds_in_training(layers, i):
@@ -454,7 +418,7 @@ def _folds_in_training(layers, i):
     it too: only for the conv that reads the network input. Any other conv
     needs its input gradient, and its Gram matrix would cost M*K^2 (K = 192
     at layers 4 and 7 of default_architecture)."""
-    return i == 1 and _folds_into_batch_norm(layers, i)
+    return i == 1
 
 
 def _update_running_stats(network, i, mean, var):
@@ -530,23 +494,21 @@ def forward(network, batch, mode):
     mask per ReLU, on the entry of the layer that runs it. A ReLU that feeds
     a MaxPool2D runs after the pool, with the same bits (_run_activations),
     so its mask is at pooled resolution. Every Conv2D is one 2-D GEMM of its
-    (N*H*W, K) columns by its (K, F) kernel. A train forward adds no bias to
-    a conv that feeds a BatchNorm with no activation between: the batch mean
-    cancels it.
+    (N*H*W, K) columns by its (K, F) kernel. A train forward adds no conv
+    bias: the batch mean of the BatchNorm after the conv cancels it.
 
-    Inference folds each Conv2D with no activation into the BatchNorm that
-    follows it: the same GEMM with the folded kernel and bias, then the
-    BatchNorm's activation. Training folds that pair only for the conv that
-    reads the network input, with batch statistics from its columns
-    (_fold_batch_norm), and that BatchNorm's entry keeps no xhat. A fold
-    rounds differently from the unfolded pair in the last bits. In inference
-    mode BatchNorm uses the stored running stats, the call has no side
-    effects, and the cache holds no layer arrays, so backward() rejects it.
-    In both modes every other array is dropped at its last reader: a
-    layer's input once the layer has read it, a pre-activation once its
-    activation has run. The inference fold keeps the conv bias's
+    Inference folds each Conv2D into the BatchNorm that follows it, with the
+    stored running stats: the same GEMM with the folded kernel and bias,
+    then the BatchNorm's activation. The fold keeps the conv bias's
     (b - mean) term, so a model file whose conv biases are nonzero still
-    scores exactly.
+    scores exactly. Training folds the pair only for the conv that reads the
+    network input, with batch statistics from its columns
+    (_fold_batch_norm), and that BatchNorm's entry keeps no xhat. A fold
+    rounds differently from the unfolded pair in the last bits. An inference
+    call has no side effects, and its cache holds no layer arrays, so
+    backward() rejects it. In both modes every other array is dropped at its
+    last reader: a layer's input once the layer has read it, a
+    pre-activation once its activation has run.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -577,47 +539,39 @@ def forward(network, batch, mode):
             cols = _im2col(x, kh, kw)
             del x
             cols2 = cols.reshape(-1, cols.shape[-1])
-            inert = _folds_into_batch_norm(network.layers, i)
-            if inert and (not train or _folds_in_training(network.layers, i)):
+            folds = not train or _folds_in_training(network.layers, i)
+            if folds:
                 kmat, bias, bn_cache = _fold_batch_norm(
                     network, i, cols2 if train else None)
                 # the BatchNorm's activation runs on the folded output
                 folded = i + 1
                 act = acts[folded]
             else:
+                # no bias: the next BatchNorm's batch mean cancels it
                 kmat = network.params[f"{i}.kernel"].reshape(
                     -1, spec.filters_or_units)
-                # the next BatchNorm's batch mean cancels an inert bias
-                bias = None if inert else network.params[f"{i}.bias"]
             z = (cols2 @ kmat).reshape(*cols.shape[:-1], -1)
-            if bias is not None:
+            if folds:
                 z += bias
             if train:
                 cache["cols"] = cols
             del cols, cols2
         elif spec.kind == "BatchNorm":
-            gamma, beta = network.params[f"{i}.gamma"], network.params[f"{i}.beta"]
-            if train:
-                mean = x.mean(axis=(0, 1, 2))
-                xc = x - mean
-                del x
-                # the sum of squared deviations x.var would take, in its order
-                var = np.square(xc).mean(axis=(0, 1, 2))
-                _update_running_stats(network, i, mean, var)
-            else:
-                mean = network.bn_stats[f"{i}.mean"]
-                var = network.bn_stats[f"{i}.var"]
-                xc = x - mean
-                del x
+            # train mode only: inference folds every BatchNorm into its conv
+            mean = x.mean(axis=(0, 1, 2))
+            xc = x - mean
+            del x
+            # the sum of squared deviations x.var would take, in its order
+            var = np.square(xc).mean(axis=(0, 1, 2))
+            _update_running_stats(network, i, mean, var)
             std = np.sqrt(var + BN_EPSILON)
             xc /= std
-            # inference keeps no xhat, so it scales and shifts it in place
-            z = xc * gamma if train else np.multiply(xc, gamma, out=xc)
-            z += beta
+            z = xc * network.params[f"{i}.gamma"]
+            z += network.params[f"{i}.beta"]
             cache.update(xhat=xc, std=std)
             del xc
         elif spec.kind == "MaxPool2D":
-            z, pool_cache = _max_pool(x, *spec.kernel, spec.padding, train)
+            z, pool_cache = _max_pool(x, *spec.kernel, train)
             del x
             cache.update(pool_cache)
         elif spec.kind == "Flatten":
@@ -688,9 +642,8 @@ def backward(network, cache, true_labels, lane=None):
     A BatchNorm that the train forward folded into the conv before it hands
     its output gradient on unchanged, and the conv turns its kernel-gradient
     GEMM into the pair's gradients (_folded_batch_norm_backward). A conv
-    bias that the train forward left inert (the conv feeds a BatchNorm with
-    no activation between) gets an exact-zero gradient, so Adam never moves
-    it. A layer's gradient is masked by the ReLU mask its cache entry holds,
+    bias, which the train forward left inert, gets an exact-zero gradient,
+    so Adam never moves it. A layer's gradient is masked by the ReLU mask its cache entry holds,
     if any.
     lane is None or a one-thread concurrent.futures executor. With a lane,
     each conv that takes an input gradient submits its kernel-gradient GEMM
@@ -742,10 +695,7 @@ def backward(network, cache, true_labels, lane=None):
         if spec.kind == "Conv2D":
             kernel = network.params[f"{i}.kernel"]
             dz2 = dz.reshape(-1, spec.filters_or_units)
-            grads[f"{i}.bias"] = (
-                np.zeros_like(network.params[f"{i}.bias"])
-                if _folds_into_batch_norm(network.layers, i)
-                else dz.sum(axis=(0, 1, 2)))
+            grads[f"{i}.bias"] = np.zeros_like(network.params[f"{i}.bias"])
             cols = lc.pop("cols").reshape(len(dz2), -1)
             pending = None
             if i > 1 and lane is not None:
@@ -779,8 +729,7 @@ def backward(network, cache, true_labels, lane=None):
                     _batch_norm_backward(dz, lc["xhat"], lc["std"],
                                          network.params[f"{i}.gamma"]))
         elif spec.kind == "MaxPool2D":
-            grad = _max_pool_backward(dz, lc["shape"], *spec.kernel,
-                                      spec.padding, lc)
+            grad = _max_pool_backward(dz, lc["shape"], *spec.kernel, lc)
         elif spec.kind == "Flatten":
             grad = dz.reshape(lc["shape"])
         elif spec.kind == "Dense":

@@ -46,8 +46,8 @@ def test_criterion_01_architecture_fidelity():
 def _toy_variants():
     # The finite-difference step is per-variant: small enough that the
     # oracle's own truncation noise sits below the 1e-4 tolerance at that
-    # fixture (the bare-BN valid-pool net has near-flat directions where
-    # h=1e-3 secants read curvature, not gradient).
+    # fixture (the bare-BN net has near-flat directions where h=1e-3
+    # secants read curvature, not gradient).
     yield "tall", [
         nn.input_layer(),
         nn.conv2d(3, (3, 1)),
@@ -61,16 +61,16 @@ def _toy_variants():
         nn.input_layer(),
         nn.conv2d(2, (2, 2)),
         nn.batch_norm(activation="relu"),
-        nn.max_pool2d((2, 2)),
+        nn.max_pool2d((1, 2)),
         nn.flatten(),
         nn.dense(5, activation="relu"),
         nn.dense(2, activation="softmax"),
     ], (5, 4, 2), 1e-3
-    yield "valid-pool", [
+    yield "bare-bn", [
         nn.input_layer(),
         nn.conv2d(4, (4, 1)),
         nn.batch_norm(),
-        nn.max_pool2d((3, 1), padding="valid"),
+        nn.max_pool2d((2, 1)),
         nn.flatten(),
         nn.dense(3, activation="softmax"),
     ], (11, 1, 1), 3e-5

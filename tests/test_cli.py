@@ -176,6 +176,38 @@ def test_evaluate_model_with_aliased_tensor_exits_3(train_run, tmp_path):
     assert "bad tensor table: 1.kernel" in error["message"]
 
 
+@pytest.mark.parametrize("edit", [
+    # a ReLU on conv 1, whose BatchNorm inference folds into it
+    lambda m: m["layers"][1].update(activation="relu"),
+    lambda m: m["layers"][3].update(padding="valid"),
+    lambda m: m["layers"][3].update(kernel=[3, 1]),
+    lambda m: m["layers"][3].update(kernel=[2, 2]),
+    lambda m: m["layers"][3].update(kernel=[2.0, 1]),
+    # conv 1 with no BatchNorm after it
+    lambda m: m["layers"].pop(2) and None,
+    # a BatchNorm after pool 3
+    lambda m: m["layers"].insert(4, dict(m["layers"][2])),
+], ids=["relu-conv", "valid-pool", "pool-3x1", "pool-2x2", "float-kernel",
+        "conv-without-bn", "bn-after-pool"])
+def test_detect_model_outside_the_stack_contract_exits_3(train_run, tmp_path,
+                                                       capsys, edit):
+    # the layer table is rejected at load time, before any verdict line
+    model = tmp_path / "edited.model"
+    model.write_bytes((train_run / "model.model").read_bytes())
+    rewrite_manifest(model, edit)
+    stream = _write_stream(tmp_path / "stream.csv", n=20)
+    out = tmp_path / "out"
+    code = cli.main(["detect", "--model", str(model),
+                     "--scaler", str(train_run / "scaler.json"),
+                     "--input", str(stream), "--threshold", "0.5",
+                     "--out", str(out)])
+    assert code == 3
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ModelFormatError"
+    assert "bad layer table" in error["message"]
+    assert capsys.readouterr().out == ""
+
+
 def test_detect_streams_in_order(train_run, tmp_path, capsys):
     stream = _write_stream(tmp_path / "stream.csv", n=3)
     code = cli.main(["detect", "--model", str(train_run / "model.model"),
@@ -508,7 +540,11 @@ from csocnn import cli, trainer
 real_backward = trainer.backward
 
 def backward(network, cache, labels, lane=None):
-    Path(sys.argv[1]).write_text(str(lane is not None))
+    # written whole, then renamed into place: the SIGTERM that the test
+    # sends once the marker exists can land in any step's write
+    part = Path(sys.argv[1] + ".part")
+    part.write_text(str(lane is not None))
+    part.replace(sys.argv[1])
     return real_backward(network, cache, labels, lane)
 
 trainer.backward = backward

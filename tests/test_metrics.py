@@ -65,6 +65,20 @@ def oracle_metrics(true_labels, pred_labels, k):
     return accuracy, per_class, macro, weighted, kappa
 
 
+def oracle_micro(true_labels, pred_labels, k):
+    """Micro aggregates from the one-vs-rest counts summed over classes."""
+    tp, fp, tn, fn = (sum(rates) for rates in zip(
+        *(oracle_rates(true_labels, pred_labels, c) for c in range(k))))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    return {"precision": precision, "recall": recall, "f1": f1,
+            "sensitivity": recall,
+            "specificity": tn / (tn + fp) if tn + fp else 0.0,
+            "ppv": precision, "npv": tn / (tn + fn) if tn + fn else 0.0}
+
+
 def oracle_auc(positives, scores):
     """Pairwise concordance: P(score_pos > score_neg) + 0.5 P(tie)."""
     pos = [s for y, s in zip(positives, scores) if y]
@@ -163,6 +177,7 @@ def test_scalar_metrics_agree_with_oracle_bit_for_bit():
         for field in macro:
             assert got["macro"][field] == macro[field]
             assert got["weighted"][field] == weighted[field]
+        assert got["micro"] == oracle_micro(t, p, k)
 
 
 def test_known_f1_rounding():

@@ -71,11 +71,22 @@ def test_garbled_manifest_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ModelFormatError):
         load_model(path)
-    # valid JSON: a Conv2D padding the network does not support, no tensor
-    # table, a tensor entry that is not an object, an offset that is not a
-    # number, and a manifest that is a list rather than an object
+    # valid JSON: a Conv2D padding the network does not support; a
+    # valid-padding, a 3 x 1, a 2 x 2 and a float-kernel pool, a conv with a
+    # ReLU, a conv with no BatchNorm after it and a BatchNorm after a pool,
+    # none of which the network runs; no tensor table, a tensor entry that
+    # is not an object, an offset that is not a number, and a manifest that
+    # is a list rather than an object
     edits = [
         (lambda m: m["layers"][1].update(padding="same"), "layer table"),
+        (lambda m: m["layers"][3].update(padding="valid"), "layer table"),
+        (lambda m: m["layers"][3].update(kernel=[3, 1]), "layer table"),
+        (lambda m: m["layers"][3].update(kernel=[2, 2]), "layer table"),
+        (lambda m: m["layers"][3].update(kernel=[2.0, 1]), "layer table"),
+        (lambda m: m["layers"][1].update(activation="relu"), "layer table"),
+        (lambda m: m["layers"].pop(2) and None, "layer table"),
+        (lambda m: m["layers"].insert(4, dict(m["layers"][2])),
+         "layer table"),
         (lambda m: m.__delitem__("tensors"), "tensor table"),
         (lambda m: m["tensors"].__setitem__(0, None), "tensor table"),
         (lambda m: m["tensors"][0].update(offset="0"), "tensor table"),

@@ -37,6 +37,27 @@ def test_dense_only_gradients_match_finite_differences():
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
+def test_pool_first_stack_gradients_match_finite_differences(monkeypatch):
+    # a pool ahead of the first conv: training leaves the conv's pair at
+    # layer 2 unfolded, and the conv's one-channel input gradient runs as
+    # one whole product in _conv_input_gradient
+    layers = [nn.input_layer(), nn.max_pool2d((2, 1)), nn.conv2d(3, (2, 1)),
+              nn.batch_norm(activation="relu"), nn.max_pool2d((2, 1)),
+              nn.flatten(), nn.dense(3, activation="softmax")]
+    net = nn.Network(layers, (11, 1, 1), seed=5, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, 11, 1, 1))
+    y = np.array([0, 1, 2, 0, 1, 2])
+    shapes = []
+    original = nn._conv_input_gradient
+    monkeypatch.setattr(nn, "_conv_input_gradient", lambda *args: (
+        shapes.append(args[2]) or original(*args)))
+    analytic = _train_step_grads(net, x, y)
+    assert shapes == [(6, 6, 1, 1)]
+    numeric = finite_difference_gradients(net, x, y, step=1e-4)
+    assert max_relative_error(analytic, numeric) < 1e-4
+
+
 def test_confident_correct_prediction_has_near_zero_gradient():
     layers = [nn.input_layer(), nn.dense(2, activation="softmax")]
     net = nn.Network(layers, (2,), seed=0, dtype=np.float64)
@@ -173,38 +194,21 @@ def test_conv_bias_before_batch_norm_gets_exact_zero_gradient():
         assert np.any(grads[f"{i}.kernel"] != 0), i
 
 
-@pytest.mark.parametrize("layers", [
-    # a conv with its own activation ahead of a BatchNorm
-    [nn.input_layer(), nn.conv2d(4, (3, 1), activation="relu"),
-     nn.batch_norm(), nn.flatten(), nn.dense(3, activation="softmax")],
-    # a conv that no BatchNorm reads
-    [nn.input_layer(), nn.conv2d(4, (3, 1)), nn.flatten(),
-     nn.dense(3, activation="softmax")],
-])
-def test_conv_bias_outside_the_rule_keeps_its_gradient(layers):
-    net = nn.Network(layers, (6, 1, 2), seed=5, dtype=np.float64)
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(6, 6, 1, 2))
-    y = np.array([0, 1, 2, 0, 1, 2])
-    analytic = _train_step_grads(net, x, y)
-    assert np.all(analytic["1.bias"] != 0)
-    numeric = finite_difference_gradients(net, x, y, keys=["1.bias"])
-    assert max_relative_error({"1.bias": analytic["1.bias"]}, numeric) < 1e-4
-
-
-# a stack whose second conv takes an input gradient and, with no BatchNorm
-# after it, keeps a live bias
-_LIVE_BIAS_STACK = [nn.input_layer(), nn.conv2d(4, (3, 1), activation="relu"),
-                    nn.conv2d(3, (2, 1)), nn.flatten(),
-                    nn.dense(3, activation="softmax")]
+# two conv blocks over a width the first block's 1 x 2 pool halves: the
+# second conv's kernel gradient runs in the lane beside its input gradient
+_WIDE_STACK = [nn.input_layer(), nn.conv2d(4, (3, 1)),
+               nn.batch_norm(activation="relu"), nn.max_pool2d((1, 2)),
+               nn.conv2d(3, (2, 1)), nn.batch_norm(activation="relu"),
+               nn.max_pool2d((2, 1)), nn.flatten(),
+               nn.dense(3, activation="softmax")]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 37, 256])
 @pytest.mark.parametrize("layers, input_shape", [
     (nn.default_architecture(5), (75, 1, 1)),
-    (_LIVE_BIAS_STACK, (9, 1, 2)),
-], ids=["default", "live-bias"])
+    (_WIDE_STACK, (9, 3, 2)),
+], ids=["default", "wide"])
 def test_lane_gives_the_same_gradient_bits(layers, input_shape, n, dtype):
     net = nn.Network(layers, input_shape, seed=n, dtype=dtype)
     rng = np.random.default_rng(n)

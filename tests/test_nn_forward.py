@@ -47,20 +47,27 @@ def test_zero_dense_network_is_uniform():
 
 
 def test_conv_matches_scalar_oracle():
-    net = nn.Network([nn.input_layer(), nn.conv2d(3, (3, 1))], (7, 1, 2),
-                     seed=5, dtype=np.float64)
+    # the im2col product of forward's conv, before any BatchNorm fold;
+    # _unfolded_inference and _unfolded_pair build on it
+    net = nn.Network([nn.input_layer(), nn.conv2d(3, (3, 1)), nn.batch_norm()],
+                     (7, 1, 2), seed=5, dtype=np.float64)
     x = np.random.default_rng(6).normal(size=(2, 7, 1, 2))
-    out, _ = forward(net, x, "inference")
-    expected = conv_scalar_oracle(x, net.params["1.kernel"],
-                                  net.params["1.bias"])
+    kernel, bias = net.params["1.kernel"], net.params["1.bias"]
+    cols = nn._im2col(x, 3, 1)
+    out = cols @ kernel.reshape(-1, 3) + bias
+    expected = conv_scalar_oracle(x, kernel, bias)
     assert np.allclose(out, expected, atol=1e-10)
 
 
-def test_batchnorm_normalizes_batch_statistics():
+@pytest.mark.parametrize("folded", [True, False])
+def test_batchnorm_normalizes_batch_statistics(monkeypatch, folded):
     # gamma=1, beta=0 at init, so the output is the normalized activation;
-    # large input variance keeps the epsilon bias below the tolerance.
-    net = nn.Network([nn.input_layer(), nn.batch_norm()], (4, 1, 3),
-                     seed=0, dtype=np.float64)
+    # large input variance keeps the epsilon bias below the tolerance. The
+    # input conv's pair is folded in training unless patched not to be.
+    if not folded:
+        monkeypatch.setattr(nn, "_folds_in_training", lambda layers, i: False)
+    net = nn.Network([nn.input_layer(), nn.conv2d(3, (1, 1)), nn.batch_norm()],
+                     (4, 1, 3), seed=0, dtype=np.float64)
     x = np.random.default_rng(7).normal(loc=5.0, scale=50.0, size=(64, 4, 1, 3))
     out, _ = forward(net, x, "train")
     mean = out.mean(axis=(0, 1, 2))
@@ -120,20 +127,25 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("shape", [(97, 70, 1, 64), (33, 7, 3, 5), (1, 1, 1, 4)])
 def test_batchnorm_batch_stats_equal_mean_and_var(monkeypatch, shape, dtype):
     # momentum 0 makes the running stats the batch mean and variance
-    # exactly, so a last-bit difference from x.mean / x.var shows
+    # exactly, so a last-bit difference from x.mean / x.var shows. An
+    # identity 1 x 1 conv hands the BatchNorm x unchanged, and the pair is
+    # left unfolded, as training runs every pair but the input conv's.
     monkeypatch.setattr(nn, "BN_MOMENTUM", 0.0)
+    monkeypatch.setattr(nn, "_folds_in_training", lambda layers, i: False)
     x = np.random.default_rng(sum(shape)).normal(
         3.0, 20.0, size=shape).astype(dtype)
-    net = nn.Network([nn.input_layer(), nn.batch_norm()], shape[1:], seed=0,
-                     dtype=dtype)
-    net.params["1.gamma"][:] = 1.5
-    net.params["1.beta"][:] = -0.25
+    c = shape[-1]
+    net = nn.Network([nn.input_layer(), nn.conv2d(c, (1, 1)), nn.batch_norm()],
+                     shape[1:], seed=0, dtype=dtype)
+    net.params["1.kernel"][...] = np.eye(c)
+    net.params["2.gamma"][:] = 1.5
+    net.params["2.beta"][:] = -0.25
     out, _ = forward(net, x, "train")
     mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
-    assert _same_bits(net.bn_stats["1.mean"], mean)
-    assert _same_bits(net.bn_stats["1.var"], var)
+    assert _same_bits(net.bn_stats["2.mean"], mean)
+    assert _same_bits(net.bn_stats["2.var"], var)
     xhat = (x - mean) / np.sqrt(var + nn.BN_EPSILON)
-    assert _same_bits(out, net.params["1.gamma"] * xhat + net.params["1.beta"])
+    assert _same_bits(out, net.params["2.gamma"] * xhat + net.params["2.beta"])
 
 
 def test_inference_cache_holds_no_layer_arrays():
@@ -194,15 +206,16 @@ def test_train_cache_keeps_only_what_backward_reads(monkeypatch):
 
 # --- MaxPool against the argmax pool it replaced ----------------------------
 
-def _argmax_pool_oracle(x, kh, kw, padding, dz, mask=None):
+def _argmax_pool_oracle(x, kh, kw, dz, mask=None):
     """Pooled output, input gradient and slot index of the transpose /
     argmax / take_along_axis forward and put_along_axis backward: argmax
     picks the first max of each window in (row, col) order. A window holding
     NaN pools to its first NaN and routes its gradient to the last slot; a
     ReLU mask (False where the pooled output was cut) routes to slot 0."""
     n, h, w, c = x.shape
-    xp, oh, ow, (bh, bw) = nn._pool_pad(x, kh, kw, padding)
+    xp = nn._pool_pad(x, kh, kw)
     ph, pw = xp.shape[1:3]
+    oh, ow = ph // kh, pw // kw
     windows = (xp.reshape(n, oh, kh, ow, kw, c).transpose(0, 1, 3, 2, 4, 5)
                .reshape(n, oh, ow, kh * kw, c))
     argmax = windows.argmax(axis=3)[:, :, :, None, :]
@@ -216,10 +229,7 @@ def _argmax_pool_oracle(x, kh, kw, padding, dz, mask=None):
     dxp = (dwin.reshape(n, oh, ow, kh, kw, c).transpose(0, 1, 3, 2, 4, 5)
            .reshape(n, ph, pw, c))
     grad = np.zeros(x.shape, dtype=dz.dtype)
-    if padding == "same":
-        grad[...] = dxp[:, bh:bh + h, bw:bw + w, :]
-    else:
-        grad[:, :ph, :pw, :] = dxp
+    grad[...] = dxp[:, :h, :w, :]
     index = route[:, :, :, 0, :].astype(np.min_scalar_type(kh * kw - 1))
     return pooled, grad, index
 
@@ -238,30 +248,32 @@ _POOL_INPUTS = {
 }
 
 
+# the two pools a layer table may hold, over the shapes that decide their
+# padding: even and odd extents, one real value per window, and wide channels
+_SAME_POOLS = [
+    ((2, 1), (6, 70, 1, 4)),
+    ((2, 1), (6, 33, 1, 4)),   # odd height: one -inf row
+    ((2, 1), (3, 1, 1, 2)),    # one real value per window
+    ((1, 2), (4, 3, 8, 2)),
+    ((1, 2), (4, 3, 7, 2)),    # odd width: one -inf column
+    ((2, 1), (4, 15, 2, 64)),
+    ((1, 2), (3, 2, 1, 2)),    # one real value per window
+    ((1, 2), (4, 2, 15, 64)),
+]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("values", sorted(_POOL_INPUTS))
-@pytest.mark.parametrize("kernel,padding,shape", [
-    ((2, 1), "same", (6, 70, 1, 4)),
-    ((2, 1), "same", (6, 33, 1, 4)),   # odd height: one -inf row
-    ((2, 1), "valid", (6, 33, 1, 4)),  # odd height: the last row is dropped
-    ((2, 2), "same", (5, 7, 5, 3)),    # -inf row and column
-    ((2, 2), "valid", (5, 7, 5, 3)),
-    ((2, 2), "same", (3, 1, 1, 2)),    # one real value per window
-    ((1, 2), "same", (4, 3, 8, 2)),
-    ((1, 2), "same", (4, 3, 7, 2)),    # odd width: one -inf column
-    ((1, 2), "valid", (4, 3, 7, 2)),
-    ((2, 1), "same", (4, 15, 2, 64)),
-])
-def test_max_pool_matches_argmax_oracle(kernel, padding, shape, values, dtype):
-    rng = np.random.default_rng([*kernel, *shape, padding == "same",
+@pytest.mark.parametrize("kernel,shape", _SAME_POOLS)
+def test_max_pool_matches_argmax_oracle(kernel, shape, values, dtype):
+    rng = np.random.default_rng([*kernel, *shape, 1,
                                  sorted(_POOL_INPUTS).index(values)])
     x = _POOL_INPUTS[values](rng, shape).astype(dtype)
     kh, kw = kernel
-    pooled, cache = nn._max_pool(x, kh, kw, padding, train=True)
+    pooled, cache = nn._max_pool(x, kh, kw, train=True)
     dz = rng.normal(size=pooled.shape).astype(dtype)
-    grad = nn._max_pool_backward(dz, x.shape, kh, kw, padding, cache)
-    want_pooled, want_grad, want_index = _argmax_pool_oracle(
-        x, kh, kw, padding, dz)
+    grad = nn._max_pool_backward(dz, x.shape, kh, kw, cache)
+    want_pooled, want_grad, want_index = _argmax_pool_oracle(x, kh, kw, dz)
     assert _same_bits(pooled, want_pooled)
     assert _same_bits(grad, want_grad)
     assert cache["argmax"].dtype == want_index.dtype
@@ -269,11 +281,10 @@ def test_max_pool_matches_argmax_oracle(kernel, padding, shape, values, dtype):
     # a ReLU after the pool masks the index, as forward does
     mask = rng.random(pooled.shape) < 0.7
     cache["argmax"] *= mask
-    grad = nn._max_pool_backward(dz, x.shape, kh, kw, padding, cache)
-    _, want_grad, _ = _argmax_pool_oracle(x, kh, kw, padding, dz, mask)
+    grad = nn._max_pool_backward(dz, x.shape, kh, kw, cache)
+    _, want_grad, _ = _argmax_pool_oracle(x, kh, kw, dz, mask)
     assert _same_bits(grad, want_grad)
-    inference_pooled, inference_cache = nn._max_pool(x, kh, kw, padding,
-                                                     train=False)
+    inference_pooled, inference_cache = nn._max_pool(x, kh, kw, train=False)
     assert _same_bits(inference_pooled, want_pooled)
     assert inference_cache == {}
 
@@ -293,44 +304,35 @@ def _odd_gradients(rng, shape, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("values", sorted(_POOL_INPUTS))
-@pytest.mark.parametrize("kernel,padding,shape", [
-    ((2, 1), "same", (6, 70, 1, 4)),
-    ((2, 1), "same", (6, 33, 1, 4)),
-    ((2, 1), "valid", (6, 33, 1, 4)),
-    ((2, 2), "same", (5, 7, 5, 3)),
-    ((2, 2), "valid", (5, 7, 5, 3)),
-    ((3, 2), "same", (4, 8, 5, 2)),
-    ((4, 3), "same", (3, 5, 4, 2)),    # -inf rows and columns on both sides
-    ((1, 2), "same", (4, 3, 7, 2)),
-    ((1, 2), "valid", (4, 3, 7, 2)),
-])
+@pytest.mark.parametrize("kernel,shape", _SAME_POOLS)
 def test_max_pool_backward_routes_odd_gradients_bit_for_bit(
-        kernel, padding, shape, values, dtype):
+        kernel, shape, values, dtype):
     # every chosen slot carries its upstream bits (NaN payload and sign,
     # -0.0) unchanged, and every other slot is +0.0
-    rng = np.random.default_rng([*kernel, *shape, padding == "same",
+    rng = np.random.default_rng([*kernel, *shape, 1,
                                  sorted(_POOL_INPUTS).index(values), 1])
     x = _POOL_INPUTS[values](rng, shape).astype(dtype)
-    pooled, cache = nn._max_pool(x, *kernel, padding, train=True)
+    pooled, cache = nn._max_pool(x, *kernel, train=True)
     dz = _odd_gradients(rng, pooled.shape, dtype)
-    grad = nn._max_pool_backward(dz, x.shape, *kernel, padding, cache)
-    _, want_grad, _ = _argmax_pool_oracle(x, *kernel, padding, dz)
+    grad = nn._max_pool_backward(dz, x.shape, *kernel, cache)
+    _, want_grad, _ = _argmax_pool_oracle(x, *kernel, dz)
     assert _same_bits(grad, want_grad)
 
 
 @pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("kernel", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("kernel", [(2, 1), (1, 2)])
 def test_max_pool_propagates_nan(kernel, train):
     x = np.random.default_rng(9).normal(size=(4, 8, 4, 3)).astype(np.float32)
     x[0, 0, 0, 0] = np.nan   # first slot of its window
     x[1, 3, 1, 1] = np.nan   # last slot
     x[2, 5, 2, 2] = np.nan
-    x[2, 4, 2, 2] = np.inf   # NaN wins over +inf in the same window
-    pooled, _ = nn._max_pool(x, *kernel, "same", train)
-    want, _, _ = _argmax_pool_oracle(x, *kernel, "same",
-                                     np.zeros_like(pooled))
+    # NaN wins over +inf in the same window: a 2 x 1 pool's, then a 1 x 2's
+    x[2, 4, 2, 2] = x[2, 5, 3, 2] = np.inf
+    pooled, _ = nn._max_pool(x, *kernel, train)
+    want, _, _ = _argmax_pool_oracle(x, *kernel, np.zeros_like(pooled))
     kh, kw = kernel
-    nan_windows = {(0, 0, 0, 0), (1, 1, 1 // kw, 1), (2, 2, 2 // kw, 2)}
+    nan_windows = {(0, 0, 0, 0), (1, 3 // kh, 1 // kw, 1),
+                   (2, 5 // kh, 2 // kw, 2)}
     assert set(map(tuple, np.argwhere(np.isnan(pooled)))) == nan_windows
     np.testing.assert_array_equal(pooled, want)
 
@@ -348,8 +350,8 @@ def _np_pad_same(x, kh, kw):
 @pytest.mark.parametrize("kernel,shape", [
     ((2, 1), (4, 33, 1, 3)),  # the default architecture's pools: 33 -> 34
     ((2, 1), (4, 15, 1, 3)),  # and 15 -> 16 rows
-    ((2, 2), (3, 7, 5, 2)),
-    ((4, 3), (3, 5, 4, 2)),   # -inf rows and columns on both sides
+    ((1, 2), (3, 4, 7, 2)),   # 7 -> 8 columns
+    ((1, 2), (3, 4, 6, 2)),   # no padding
 ])
 def test_same_pool_pad_matches_np_pad(kernel, shape, dtype, train):
     rng = np.random.default_rng([*kernel, *shape])
@@ -357,15 +359,16 @@ def test_same_pool_pad_matches_np_pad(kernel, shape, dtype, train):
                    size=shape).astype(dtype)
     kh, kw = kernel
     want = _np_pad_same(x, kh, kw)
-    xp, oh, ow, _ = nn._pool_pad(x, kh, kw, "same")
+    xp = nn._pool_pad(x, kh, kw)
     assert _same_bits(xp, want)
     # the pooled output is the maximum chain over the np.pad buffer's slots
     slots = [want[:, a::kh, b::kw, :] for a in range(kh) for b in range(kw)]
     want_pooled = slots[-1]
     for s in slots[-2::-1]:
         want_pooled = np.maximum(want_pooled, s)
-    pooled, _ = nn._max_pool(x, kh, kw, "same", train)
-    assert pooled.shape == (shape[0], oh, ow, shape[3])
+    pooled, _ = nn._max_pool(x, kh, kw, train)
+    assert pooled.shape == (shape[0], -(-shape[1] // kh), -(-shape[2] // kw),
+                            shape[3])
     assert _same_bits(pooled, want_pooled)
 
 
@@ -385,22 +388,20 @@ def _train_steps(net, x, y, steps=2):
                    *net.bn_stats.values()]
 
 
-def _pooled_net(kernel, input_shape):
-    # no conv before the BatchNorm
-    return ([nn.input_layer(), nn.batch_norm(activation="relu"),
-             nn.max_pool2d(kernel), nn.flatten(), nn.dense(4, activation="relu"),
-             nn.dense(3, activation="softmax")], input_shape)
-
-
 @pytest.mark.parametrize("n", [1, 64, 240])
 @pytest.mark.parametrize("layers,input_shape,moved", [
-    # pool inputs of heights 70, 33 and 15, the last two with "same" padding
+    # pool inputs of heights 70, 33 and 15, the last two with a -inf row
     (nn.default_architecture(5), (75, 1, 1), 3),
-    # a 2 x 2 pool padding one trailing row and column
-    (*_pooled_net((2, 2), (7, 3, 2)), 1),
-    # a kernel-3 pool pads a slot ahead of the first real one, where a pool
-    # over the ReLU's zeros routes to the first real slot: the ReLU stays
-    (*_pooled_net((3, 1), (7, 1, 2)), 0),
+    # a 1 x 2 pool over 3 columns, padding one trailing column
+    ([nn.input_layer(), nn.conv2d(3, (2, 1)), nn.batch_norm(activation="relu"),
+      nn.max_pool2d((1, 2)), nn.flatten(), nn.dense(4, activation="relu"),
+      nn.dense(3, activation="softmax")], (7, 3, 2), 1),
+    # a pool reading the input, where no ReLU moves, and a 2 x 1 pool over
+    # 5 rows, padding one trailing row
+    ([nn.input_layer(), nn.max_pool2d((2, 1)), nn.conv2d(3, (2, 1)),
+      nn.batch_norm(activation="relu"), nn.max_pool2d((2, 1)), nn.flatten(),
+      nn.dense(4, activation="relu"), nn.dense(3, activation="softmax")],
+     (11, 1, 2), 1),
 ])
 def test_relu_after_pool_keeps_the_bits(monkeypatch, layers, input_shape,
                                         moved, n):
@@ -459,7 +460,7 @@ def _unfolded_inference(network, batch):
             z *= p[f"{i}.gamma"]
             z += p[f"{i}.beta"]
         elif spec.kind == "MaxPool2D":
-            z, _ = nn._max_pool(x, *spec.kernel, spec.padding, train=False)
+            z, _ = nn._max_pool(x, *spec.kernel, train=False)
         elif spec.kind == "Flatten":
             z = x.reshape(len(x), -1)
         elif spec.kind == "Dense":
@@ -493,34 +494,26 @@ def _randomized_network(layers, input_shape, dtype, seed=0):
     (np.float32, 64 * np.finfo(np.float32).eps),
     (np.float64, 1e-12),
 ])
-def test_folded_inference_matches_unfolded(dtype, atol):
-    net = _randomized_network(nn.default_architecture(5), (75, 1, 1), dtype)
+@pytest.mark.parametrize("layers,input_shape", [
+    (nn.default_architecture(5), (75, 1, 1)),
+    # a pool ahead of the first conv, then a 1 x 2 pool over 3 columns
+    ([nn.input_layer(), nn.max_pool2d((2, 1)), nn.conv2d(4, (2, 1)),
+      nn.batch_norm(activation="relu"), nn.max_pool2d((1, 2)),
+      nn.conv2d(3, (2, 1)), nn.batch_norm(activation="relu"), nn.flatten(),
+      nn.dense(3, activation="softmax")], (11, 3, 2)),
+], ids=["default", "pool-first"])
+def test_folded_inference_matches_unfolded(layers, input_shape, dtype, atol):
+    net = _randomized_network(layers, input_shape, dtype)
     # a smaller last layer keeps the softmax off saturation, where a
     # difference in the logits would not show in the probabilities
-    net.params["13.weight"] *= 0.05
+    net.params[f"{len(layers) - 1}.weight"] *= 0.05
     # more rows than one inference slice, the last slice partial
-    x = np.random.default_rng(1).random((1100, 75, 1, 1))
+    x = np.random.default_rng(1).random((1100, *input_shape))
     probs = nn.predict(net, x)
     want = _unfolded_inference(net, x)
     assert probs.dtype == want.dtype == dtype
     assert np.abs(probs - want).max() <= atol
     assert np.array_equal(probs.argmax(axis=1), want.argmax(axis=1))
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("layers,input_shape", [
-    # a BatchNorm with no conv before it
-    ([nn.input_layer(), nn.batch_norm(activation="relu"), nn.flatten(),
-      nn.dense(3, activation="softmax")], (6, 1, 2)),
-    # a conv with its own activation: its BatchNorm is not folded
-    ([nn.input_layer(), nn.conv2d(4, (3, 1), activation="relu"),
-      nn.batch_norm(), nn.flatten(), nn.dense(3, activation="softmax")],
-     (6, 1, 2)),
-])
-def test_unfoldable_batch_norm_keeps_unfolded_bits(layers, input_shape, dtype):
-    net = _randomized_network(layers, input_shape, dtype, seed=3)
-    x = np.random.default_rng(4).normal(size=(50, *input_shape))
-    assert _same_bits(nn.predict(net, x), _unfolded_inference(net, x))
 
 
 def test_predict_leaves_model_untouched(tmp_path):

@@ -28,13 +28,13 @@ def test_dense_identity_case():
 
 
 def test_conv_shape_arithmetic():
-    layers = [nn.input_layer(), nn.conv2d(8, (3, 1))]
-    assert nn.infer_shapes(layers, (10, 1, 1))[-1] == (8, 1, 8)
+    layers = [nn.input_layer(), nn.conv2d(8, (3, 1)), nn.batch_norm()]
+    assert nn.infer_shapes(layers, (10, 1, 1))[1:] == [(8, 1, 8)] * 2
 
 
 def test_kernel_too_large_raises():
-    layers = [nn.input_layer(), nn.conv2d(4, (11, 1))]
-    with pytest.raises(ShapeError):
+    layers = [nn.input_layer(), nn.conv2d(4, (11, 1)), nn.batch_norm()]
+    with pytest.raises(ShapeError, match="does not fit"):
         nn.infer_shapes(layers, (10, 1, 1))
 
 
@@ -68,8 +68,10 @@ def test_flow_classifier_param_breakdown():
 
 
 def test_first_conv_param_cell():
-    net = nn.Network([nn.input_layer(), nn.conv2d(64, (6, 1))], FLOW_INPUT)
-    assert nn.count_params(net) == (448, 448, 0)
+    net = nn.Network([nn.input_layer(), nn.conv2d(64, (6, 1)),
+                      nn.batch_norm()], FLOW_INPUT)
+    # the conv's 448 and the BatchNorm's 4 x 64
+    assert nn.count_params(net) == (448 + 256, 448 + 128, 128)
 
 
 def test_input_flatten_only_network_has_no_params():
@@ -83,13 +85,51 @@ def test_batchnorm_non_trainable_split():
     assert nn.count_params(net) == (24 + 32, 24 + 16, 16)
 
 
-def test_layer_spec_validation():
-    with pytest.raises(ShapeError):
-        nn.LayerSpec("Conv2D", kernel=(0, 1), filters_or_units=4)
-    with pytest.raises(ShapeError):
-        nn.LayerSpec("Conv2D", kernel=(3, 1), filters_or_units=4,
-                     padding="same")
-    with pytest.raises(ShapeError):
-        nn.LayerSpec("Dense", filters_or_units=0)
-    with pytest.raises(ShapeError):
-        nn.LayerSpec("Dense", filters_or_units=3, activation="gelu")
+@pytest.mark.parametrize("spec,message", [
+    (dict(kind="Conv2D", kernel=(0, 1), filters_or_units=4), ">= 1"),
+    (dict(kind="Conv2D", kernel=(3, 1), filters_or_units=4, padding="same"),
+     "needs valid padding"),
+    (dict(kind="Dense", filters_or_units=0), "filters_or_units >= 1"),
+    (dict(kind="Dense", filters_or_units=3, activation="gelu"),
+     "unknown activation"),
+    # layers outside the stacks the network runs
+    (dict(kind="MaxPool2D", kernel=(2, 1)), "needs same padding"),
+    (dict(kind="MaxPool2D", kernel=(2, 1), padding="full"),
+     "needs same padding"),
+    (dict(kind="Dense", filters_or_units=3, padding="same"),
+     "needs valid padding"),
+    (dict(kind="MaxPool2D", kernel=(3, 1), padding="same"), "2 x 1 or 1 x 2"),
+    (dict(kind="MaxPool2D", kernel=(2, 2), padding="same"), "2 x 1 or 1 x 2"),
+    (dict(kind="MaxPool2D", kernel=(1, 1), padding="same"), "2 x 1 or 1 x 2"),
+    (dict(kind="MaxPool2D", kernel=(2.0, 1), padding="same"),
+     "2 x 1 or 1 x 2"),
+    (dict(kind="MaxPool2D", padding="same"), "2 x 1 or 1 x 2"),
+    (dict(kind="Conv2D", kernel=(3, 1), filters_or_units=4,
+          activation="relu"), "no activation"),
+])
+def test_layer_spec_validation(spec, message):
+    with pytest.raises(ShapeError, match=message):
+        nn.LayerSpec(**spec)
+
+
+@pytest.mark.parametrize("layers,message", [
+    # a conv with no BatchNorm after it, last or not
+    ([nn.input_layer(), nn.conv2d(4, (3, 1))], "not followed by a BatchNorm"),
+    ([nn.input_layer(), nn.conv2d(4, (3, 1)), nn.max_pool2d((2, 1)),
+      nn.batch_norm()], "not followed by a BatchNorm"),
+    # a BatchNorm reading the input, a pool or another BatchNorm
+    ([nn.input_layer(), nn.batch_norm()], "does not read a Conv2D"),
+    ([nn.input_layer(), nn.max_pool2d((2, 1)), nn.batch_norm()],
+     "does not read a Conv2D"),
+    ([nn.input_layer(), nn.conv2d(4, (3, 1)), nn.batch_norm(),
+      nn.batch_norm()], "does not read a Conv2D"),
+])
+def test_infer_shapes_rejects_stacks_outside_the_contract(layers, message):
+    with pytest.raises(ShapeError, match=message):
+        nn.infer_shapes(layers, (9, 1, 2))
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_default_architecture_builds_for_every_class_count(k):
+    net = nn.Network(nn.default_architecture(k), FLOW_INPUT, seed=0)
+    assert net.num_classes == k

@@ -204,17 +204,18 @@ def test_divergence_raises(small_blobs_module):
 
 
 def test_overflow_in_the_lane_raises_training_diverged():
-    # a conv at layer 2 whose input is ~1e20 and whose output gradient is
-    # ~1e25 / n: the forward and the loss stay finite, and only the kernel
-    # gradient GEMM, which runs in the lane, overflows. Without the caller's
-    # error state the lane's thread would warn, here an error.
-    layers = [nn.input_layer(), nn.conv2d(2, (1, 1), activation="relu"),
-              nn.conv2d(2, (1, 1)), nn.flatten(),
-              nn.dense(3, activation="softmax")]
+    # a conv at layer 3 whose input is ~1e20 (BatchNorm 2's gamma) and
+    # whose output gradient is ~1e20 (Dense 6's 1e25 weights over BatchNorm
+    # 4's std of ~1e5): the forward and the loss stay finite, and only the
+    # kernel gradient GEMM, which runs in the lane, overflows. Without the
+    # caller's error state the lane's thread would warn, here an error.
+    layers = [nn.input_layer(), nn.conv2d(2, (1, 1)),
+              nn.batch_norm(activation="relu"), nn.conv2d(2, (1, 1)),
+              nn.batch_norm(), nn.flatten(), nn.dense(3, activation="softmax")]
     net = nn.Network(layers, (6, 1, 1), seed=0)
-    net.params["1.kernel"][...] = [[[[1e20, -1e20]]]]
-    net.params["2.kernel"] *= 1e-15
-    net.params["4.weight"] *= 1e25
+    net.params["2.gamma"][...] = 1e20
+    net.params["3.kernel"] *= 1e-15
+    net.params["6.weight"] *= 1e25
     rng = np.random.default_rng(0)
     x = rng.normal(size=(32, 6, 1, 1)).astype(np.float32)
     y = rng.integers(0, 3, size=32)
