@@ -21,10 +21,13 @@ half the elements. The final Dense layer carries a softmax so the network
 emits per-sample class probabilities directly. Only a train-mode forward
 keeps the per-layer arrays backward needs; an inference forward frees each
 layer's intermediates as it goes, and folds each Conv2D -> BatchNorm pair
-into one conv (Jacob et al., 2018). Training folds the pair of the conv that
-reads the network input too, with batch statistics taken from the conv's
-few input columns, and backward takes the pair's gradients from the conv's
-kernel-gradient GEMM, so no BatchNorm pass over its activation remains.
+into one conv (Jacob et al., 2018). At inference a finite folded bias that
+feeds a pool is added after it, on half the elements, and a pool of odd
+height or width makes no padded copy; both keep the bits. Training folds
+the pair of the conv that reads the network input too, with batch
+statistics taken from the conv's few input columns, and backward takes the
+pair's gradients from the conv's kernel-gradient GEMM, so no BatchNorm pass
+over its activation remains.
 Given a lane (a one-thread executor), backward runs each conv's
 kernel-gradient GEMM in it while the calling thread takes the input
 gradient (Oh et al., "Out-of-Order Backprop", 2022): the same products on
@@ -332,7 +335,9 @@ def _conv_input_gradient(dz2, kmat, x_shape, kh, kw):
 
 def _pool_pad(x, kh, kw):
     """x with a trailing -inf row where a 2 x 1 pool meets an odd height,
-    or a trailing -inf column where a 1 x 2 pool meets an odd width."""
+    or a trailing -inf column where a 1 x 2 pool meets an odd width: the
+    buffer a train-mode pool indexes, so that backward can scatter into
+    whole windows. An inference pool reads x unpadded."""
     n, h, w, c = x.shape
     ph, pw = h + h % kh, w + w % kw
     if (ph, pw) != (h, w):
@@ -351,16 +356,27 @@ def _max_pool(x, kh, kw, train):
     cache); in train mode the cache holds each output's first slot that
     holds the max, the slot argmax over the window would pick: 1 exactly
     where slot 0 is below the max, found with one compare. A window holding
-    NaN counts as max-free and routes its NaN gradient to slot 1."""
-    xp = _pool_pad(x, kh, kw)
-    first, second = xp[:, ::kh, ::kw, :], xp[:, kh - 1::kh, kw - 1::kw, :]
+    NaN counts as max-free and routes its NaN gradient to slot 1.
+
+    Only a train-mode pool pads an odd height or width (_pool_pad). At
+    inference the lone trailing row or column is copied straight from x:
+    max(-inf, v) is v for every v, NaN and -0.0 included, so the bits are
+    those of the padded pool, with no copy of x."""
+    if train:
+        x = _pool_pad(x, kh, kw)
+    first, second = x[:, ::kh, ::kw, :], x[:, kh - 1::kh, kw - 1::kw, :]
+    z = np.empty(first.shape, dtype=x.dtype)
+    oh, ow = second.shape[1:3]
     # np.maximum returns its second operand on ties, so the first slot's
     # value (the sign of a tied zero) is kept
-    z = np.maximum(second, first)
+    np.maximum(second, first[:, :oh, :ow], out=z[:, :oh, :ow])
+    # the lone trailing row or column of an unpadded odd extent, if any
+    z[:, oh:] = first[:, oh:]
+    z[:, :, ow:] = first[:, :, ow:]
     if not train:
         return z, {}
     return z, {"argmax": (first != z).view(np.uint8),
-               "padded_shape": xp.shape}
+               "padded_shape": x.shape}
 
 
 def _max_pool_backward(dz, x_shape, kh, kw, cache):
@@ -499,7 +515,14 @@ def forward(network, batch, mode):
 
     Inference folds each Conv2D into the BatchNorm that follows it, with the
     stored running stats: the same GEMM with the folded kernel and bias,
-    then the BatchNorm's activation. The fold keeps the conv bias's
+    then the BatchNorm's activation. Where that activation has moved after a
+    MaxPool2D, or the BatchNorm has none, and the folded bias is finite, the
+    bias is added after the pool, on half the elements, with the same bits:
+    round-to-nearest x + b is monotone in x, so the max picks the same
+    operand (+-0 ties and NaN payloads included). An infinite bias stays
+    before the pool, where -inf + inf is NaN. A zero-row train forward
+    raises ShapeError before any state changes; a zero-row inference
+    forward returns (0, k) probabilities. The fold keeps the conv bias's
     (b - mean) term, so a model file whose conv biases are nonzero still
     scores exactly. Training folds the pair only for the conv that reads the
     network input, with batch statistics from its columns
@@ -516,14 +539,18 @@ def forward(network, batch, mode):
     if x.shape[1:] != network.input_shape:
         raise ShapeError(
             f"batch shape {x.shape} does not end with {network.input_shape}")
+    train = mode == "train"
+    if train and not len(x):
+        # batch statistics of no rows would write NaN into the running stats
+        raise ShapeError("a train forward needs at least one row")
     x = x.astype(network.dtype, copy=False)
 
-    train = mode == "train"
     if train:
         network._forward_version += 1
     acts = _run_activations(network.layers)
     layer_caches = []
     folded = None  # index of the BatchNorm the previous conv absorbed
+    pool_bias = None  # a folded bias the next pool adds after its max
     for i, spec in enumerate(network.layers):
         if i == folded:
             continue
@@ -550,8 +577,15 @@ def forward(network, batch, mode):
                 # no bias: the next BatchNorm's batch mean cancels it
                 kmat = network.params[f"{i}.kernel"].reshape(
                     -1, spec.filters_or_units)
-            z = (cols2 @ kmat).reshape(*cols.shape[:-1], -1)
-            if folds:
+            z = (cols2 @ kmat).reshape(*cols.shape[:-1],
+                                       spec.filters_or_units)
+            if (not train and act == "none" and folded + 1 < len(acts)
+                    and network.layers[folded + 1].kind == "MaxPool2D"
+                    and np.isfinite(bias).all()):
+                # round-to-nearest x + b is monotone in x for a finite b,
+                # so max(a + b, c + b) is max(a, c) + b, bit for bit
+                pool_bias = bias
+            elif folds:
                 z += bias
             if train:
                 cache["cols"] = cols
@@ -573,9 +607,12 @@ def forward(network, batch, mode):
         elif spec.kind == "MaxPool2D":
             z, pool_cache = _max_pool(x, *spec.kernel, train)
             del x
+            if pool_bias is not None:
+                z += pool_bias
+                pool_bias = None
             cache.update(pool_cache)
         elif spec.kind == "Flatten":
-            z = x.reshape(x.shape[0], -1)
+            z = x.reshape(len(x), *network.shapes[i])
         elif spec.kind == "Dense":
             z = x @ network.params[f"{i}.weight"] + network.params[f"{i}.bias"]
             cache["x"] = x

@@ -102,6 +102,26 @@ def test_shape_mismatch_raises():
         forward(net, np.zeros((4, 8, 1, 1)), "inference")
 
 
+def test_zero_row_train_forward_raises_before_any_state_changes():
+    # batch statistics of no rows are 0 / 0: before the check they went
+    # into BatchNorm 2's running stats as NaN
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=0)
+    before = {k: v.tobytes() for k, v in net.bn_stats.items()}
+    with pytest.raises(ShapeError, match="at least one row"):
+        forward(net, np.zeros((0, 75, 1, 1)), "train")
+    assert {k: v.tobytes() for k, v in net.bn_stats.items()} == before
+    assert net._forward_version == 0
+
+
+def test_zero_row_inference_forward_returns_no_rows():
+    net = nn.Network(nn.default_architecture(5), (75, 1, 1), seed=0)
+    x = np.zeros((0, 75, 1, 1))
+    probs, _ = forward(net, x, "inference")
+    want = nn.predict(net, x)
+    assert probs.shape == want.shape == (0, 5)
+    assert probs.dtype == want.dtype == np.float32
+
+
 def test_bad_mode_rejected():
     net = nn.Network(toy_layers(), (9, 1, 1), seed=0)
     with pytest.raises(ValueError):
@@ -528,3 +548,120 @@ def test_predict_leaves_model_untouched(tmp_path):
                                         *net.bn_stats.items())} == snapshot
     save_model(after, net, list("abcde"))
     assert after.read_bytes() == before.read_bytes()
+
+
+# --- the inference forward against the order it had before -------------------
+
+def _reference_slice(network, x, bias_after_pool):
+    acts = nn._run_activations(network.layers)
+    pending = None
+    for i, spec in enumerate(network.layers):
+        if spec.kind == "Input":
+            z = x
+        elif spec.kind == "Conv2D":
+            kmat, bias, _ = nn._fold_batch_norm(network, i)
+            cols = nn._im2col(x, *spec.kernel)
+            z = (cols.reshape(-1, cols.shape[-1]) @ kmat).reshape(
+                *cols.shape[:-1], spec.filters_or_units)
+            if (bias_after_pool and acts[i + 1] == "none"
+                    and i + 2 < len(acts)
+                    and network.layers[i + 2].kind == "MaxPool2D"):
+                pending = bias
+            else:
+                z = z + bias
+        elif spec.kind == "BatchNorm":
+            z = x  # folded into the conv before it
+        elif spec.kind == "MaxPool2D":
+            kh, kw = spec.kernel
+            xp = nn._pool_pad(x, kh, kw)
+            z = np.maximum(xp[:, kh - 1::kh, kw - 1::kw], xp[:, ::kh, ::kw])
+            if pending is not None:
+                z, pending = z + pending, None
+        elif spec.kind == "Flatten":
+            z = x.reshape(len(x), -1)
+        elif spec.kind == "Dense":
+            z = x @ network.params[f"{i}.weight"] + network.params[f"{i}.bias"]
+        x = nn._activate(z, acts[i])
+    return x
+
+
+def _reference_predict(network, batch, bias_after_pool=False):
+    """nn.predict in the order the inference forward ran before its folded
+    biases moved after the pool: per INFERENCE_ROWS slice, each conv folded
+    into its BatchNorm, its GEMM plus the folded bias, each pool the max of
+    the two slots of the _pool_pad buffer, and every activation where
+    _run_activations puts it. With bias_after_pool, a folded bias that
+    feeds a pool is added after the max whatever its value."""
+    x = np.asarray(batch).astype(network.dtype, copy=False)
+    return np.concatenate([
+        _reference_slice(network, x[start:start + nn.INFERENCE_ROWS],
+                         bias_after_pool)
+        for start in range(0, len(x), nn.INFERENCE_ROWS)])
+
+
+_ORACLE_STACKS = {
+    "default": (nn.default_architecture(5), (75, 1, 1)),
+    "pool-first": ([nn.input_layer(), nn.max_pool2d((2, 1)),
+                    nn.conv2d(4, (2, 1)), nn.batch_norm(activation="relu"),
+                    nn.max_pool2d((1, 2)), nn.conv2d(3, (2, 1)),
+                    nn.batch_norm(activation="relu"), nn.flatten(),
+                    nn.dense(3, activation="softmax")], (11, 3, 2)),
+    # a one-channel 2 x 2 kernel, then a 1 x 2 pool over 5 columns that
+    # runs its own ReLU, so the BatchNorm's stays before it, and with it
+    # the folded bias
+    "1x2-pool": ([nn.input_layer(), nn.conv2d(3, (2, 2)),
+                  nn.batch_norm(activation="relu"),
+                  nn.LayerSpec("MaxPool2D", kernel=(1, 2), padding="same",
+                               activation="relu"),
+                  nn.flatten(), nn.dense(4, activation="relu"),
+                  nn.dense(3, activation="softmax")], (7, 6, 1)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 37, 256, 1100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_ORACLE_STACKS))
+def test_inference_matches_the_bias_before_pool_order(name, dtype, n):
+    layers, input_shape = _ORACLE_STACKS[name]
+    net = _randomized_network(layers, input_shape, dtype, seed=n)
+    # off saturation, every logit's last bits reach the probabilities
+    net.params[f"{len(layers) - 1}.weight"] *= 0.05
+    rng = np.random.default_rng([n, len(input_shape)])
+    # few levels, so that windows tie, zeros of both signs, and a sparse
+    # NaN, +inf and -inf that leave most rows finite
+    x = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(n, *input_shape))
+    odd = rng.random(x.shape)
+    x[odd < 3e-4] = np.nan
+    x[(odd >= 3e-4) & (odd < 6e-4)] = np.inf
+    x[(odd >= 6e-4) & (odd < 9e-4)] = -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = nn.predict(net, x)
+        want = _reference_predict(net, x)
+    assert _same_bits(got, want)
+    if n > 1:  # a NaN or inf input spreads over its row: most rows stay finite
+        assert np.isfinite(got).all(axis=1).mean() > 0.5
+
+
+def test_an_infinite_folded_bias_is_added_before_the_pool():
+    # gamma 1e30 over a running mean of -1e10 folds to a bias of 1e40,
+    # which is inf in float32. Added after the max, inf would turn the
+    # window [-inf, 5e29] into max + inf = inf instead of max(NaN, inf) =
+    # NaN, and the Dense ReLU below maps the -inf it leads to onto 0
+    net = nn.Network([nn.input_layer(), nn.conv2d(1, (1, 1)),
+                      nn.batch_norm(activation="relu"), nn.max_pool2d((2, 1)),
+                      nn.flatten(), nn.dense(1, activation="relu"),
+                      nn.dense(2, activation="softmax")], (2, 1, 1), seed=0)
+    net.params["1.kernel"][:] = 1.0
+    net.params["2.gamma"][:] = 1e30
+    net.bn_stats["2.mean"][:] = -1e10
+    net.params["5.weight"][:] = -1.0
+    x = np.array([[-np.inf, 0.5], [0.5, 0.25]],
+                 dtype=np.float32).reshape(2, 2, 1, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isposinf(nn._fold_batch_norm(net, 1)[1]).all()
+        got = nn.predict(net, x)
+        want = _reference_predict(net, x)
+        unguarded = _reference_predict(net, x, bias_after_pool=True)
+    assert _same_bits(got, want)
+    assert np.isnan(got[0]).all() and np.isfinite(unguarded[0]).all()
+    assert _same_bits(got[1:], unguarded[1:])

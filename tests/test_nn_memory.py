@@ -68,3 +68,22 @@ def test_inference_forward_holds_one_conv_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@pytest.mark.parametrize("height", [33, 15])
+def test_inference_pool_of_odd_height_makes_no_padded_copy(height):
+    # the default architecture's pools 6 and 9 at 256 rows: an inference
+    # pool allocates its output and numpy's fixed-size iteration buffers
+    # (np.getbufsize() elements for each of the ufunc's three operands), but
+    # no -inf padded copy of its input, which would cost more than the output
+    x = np.random.default_rng(height).random(
+        (256, height, 1, 64)).astype(np.float32)
+    nn._max_pool(x, 2, 1, train=False)  # warm-up
+    tracemalloc.start()
+    try:
+        pooled, _ = nn._max_pool(x, 2, 1, train=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pooled.shape == (256, (height + 1) // 2, 1, 64)
+    assert peak <= pooled.nbytes + 3 * np.getbufsize() * x.itemsize + 4096
